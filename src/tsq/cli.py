@@ -17,12 +17,13 @@ from typing import Optional
 
 from . import __version__, gf2, render
 from .complexity import grover_problem, k_sweep, OracleProblemSpec
-from .epr import direct_trace, costa_trace, emulation_check, make_scenario, ts_trace
-from .grover import SearchOracle, run_grover, run_long
-from .measure import ParityObservable, full_observable, project
-from .qcore import InvariantError, apply
+from .epr import direct_trace, emulation_check, make_scenario, ts_trace
+from .grover import SearchOracle, grover_process, run_grover, run_long
+from .measure import ParityObservable, project
+from .qcore import InvariantError, apply, max_abs_diff
 from .tsym import (
     SelectionSplit,
+    complete_split,
     external_instance,
     selection_is_injective,
     solver_instance,
@@ -35,13 +36,6 @@ SCHEMA_VERSION = 1
 
 class SchemaError(ValueError):
     """Problem file does not match the expected schema."""
-
-
-@dataclass
-class ScenarioConfig:
-    kind: str
-    params: dict
-    output: str = "table"
 
 
 @dataclass
@@ -102,22 +96,17 @@ def parse_split(process, text: str) -> SelectionSplit:
         if not selection_is_injective(process, split):
             raise ValueError(f"split {text!r} is redundant (selection not injective)")
         return split
-    n = process.n
-    final_ints = tuple(gf2.bits_to_mask(m) for m in final_part.masks)
-    for basis in gf2.subspaces(n, n - final_part.rank):
-        initial = ParityObservable("B", tuple(gf2.mask_to_bits(m, n) for m in basis))
-        split = SelectionSplit(initial, final_part)
-        if gf2.rank(final_ints + basis) == n and selection_is_injective(process, split):
-            return split
-    raise ValueError(f"no complementary initial part exists for {text!r}")
+    initial_bases = gf2.subspaces(process.n, process.n - final_part.rank)
+    split = complete_split(process, final_part, initial_bases)
+    if split is None:
+        raise ValueError(f"no complementary initial part exists for {text!r}")
+    return split
 
 
 def _make_process(n: int, unitary: str):
     if unitary == "xor":
         return xor_process(n)
     if unitary == "grover-long":
-        from .grover import grover_process
-
         return grover_process(n)
     raise ValueError(f"unknown unitary provider {unitary!r}")
 
@@ -208,6 +197,8 @@ def _run_epr(params: dict) -> Report:
     outcome = params["outcome"]
     mode = params.get("mode", "direct")
     path = params.get("path") or ("via-t0" if mode == "costa" else "direct")
+    if mode == "costa" and path == "direct":
+        raise ValueError("--mode costa runs the via-t0 path; --path direct contradicts it")
     report = Report(scenario={"kind": "epr", **params, "path": path}, seed=seed)
     if mode == "ts":
         split = SelectionSplit(
@@ -215,17 +206,13 @@ def _run_epr(params: dict) -> Report:
             ParityObservable("A", tuple(params.get("split_a", ("01",)))),
         )
         trace = ts_trace(scenario, outcome, split, via_t0=(path == "via-t0"))
-    elif mode == "costa" or path == "via-t0":
-        trace = costa_trace(scenario, outcome)
     else:
-        trace = direct_trace(scenario, outcome)
+        trace = direct_trace(scenario, outcome, via_t0=(path == "via-t0"))
     _add_table(report, f"{trace.kind} trace", render.epr_trace_table(trace), dict(trace.states))
     check = emulation_check(scenario, outcome)
     report.scalars["emulation_max_deviation"] = check.max_deviation
     if trace.kind in ("ts-direct", "ts-via-t0"):
         direct = direct_trace(scenario, outcome)
-        from .qcore import max_abs_diff
-
         report.scalars["bottom_line_vs_direct"] = max_abs_diff(
             trace.bottom_line[1], direct.bottom_line[1]
         )
@@ -292,12 +279,6 @@ _RUNNERS = {
     "complexity": _run_complexity,
     "search": _run_search,
 }
-
-
-def run(config: ScenarioConfig) -> Report:
-    if config.kind not in _RUNNERS:
-        raise ValueError(f"unknown scenario kind {config.kind!r}")
-    return _RUNNERS[config.kind](config.params)
 
 
 def load_problem(path: Path) -> OracleProblemSpec:
@@ -400,16 +381,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "complexity" and args.problem == "file" and not args.problem_file:
         print("error: --problem file requires --problem-file", file=sys.stderr)
         return 2
-    config = ScenarioConfig(kind=args.command, params=params, output=args.output)
     try:
-        report = run(config)
+        report = _RUNNERS[args.command](params)
     except (ValueError, SchemaError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InvariantError as e:
         print(f"numerical invariant failure: {e}", file=sys.stderr)
         return 3
-    sys.stdout.write(report.to_json() + "\n" if config.output == "json" else report.to_text())
+    sys.stdout.write(report.to_json() + "\n" if args.output == "json" else report.to_text())
     return 0
 
 

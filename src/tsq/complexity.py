@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import gf2
+from .qcore import InvariantError
 
 DEFAULT_SEARCH_CAP = 24
 
@@ -161,25 +162,14 @@ class ComplexityReport:
         return self.worst_case
 
 
-def _admissible_bases(problem: OracleProblemSpec, r: int) -> list[tuple[str, ...]]:
-    n = problem.n
-    bases = []
-    for basis in gf2.subspaces(n, r):
-        # even/non-redundant: the advice must combine with some complementary
-        # initial-part subspace into a full-rank selection
-        if r and not gf2.complement_bases(n, basis):
-            continue
-        bases.append(tuple(gf2.mask_to_bits(m, n) for m in basis))
-    return bases
-
-
 def advanced_knowledge_prediction(
     problem: OracleProblemSpec, k: float, cap: int = DEFAULT_SEARCH_CAP
 ) -> ComplexityReport:
     """Optimal quantum query count predicted from k*n bits of advance knowledge.
 
-    Minimizes the worst-case class complexity over all admissible advice
-    bases of rank round(k * n).
+    Minimizes the worst-case class complexity over all advice bases of rank
+    round(k * n).  Every one is admissible: each GF(2) subspace has a
+    complement, with which it forms a full-rank selection.
     """
     if not 0 <= k <= 1:
         raise ValueError("k must lie in [0, 1]")
@@ -187,10 +177,12 @@ def advanced_knowledge_prediction(
         raise SearchCapError(
             f"instance too large for exact search ({len(problem.settings)} settings > cap {cap})"
         )
-    r = round(k * problem.n)
+    n = problem.n
+    r = round(k * n)
     best: Optional[ComplexityReport] = None
     memo: dict = {}
-    for masks in _admissible_bases(problem, r):
+    for basis in gf2.subspaces(n, r):
+        masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
         classes = advice_classes(problem, masks)
         per_class = tuple(
             (
@@ -202,7 +194,6 @@ def advanced_knowledge_prediction(
         worst = max(count for _, count in per_class)
         if best is None or worst < best.worst_case:
             best = ComplexityReport(problem.name, r, k, masks, per_class, worst)
-    assert best is not None
     return best
 
 
@@ -210,5 +201,5 @@ def k_sweep(problem: OracleProblemSpec, ks, cap: int = DEFAULT_SEARCH_CAP) -> li
     reports = [advanced_knowledge_prediction(problem, k, cap=cap) for k in ks]
     for earlier, later in zip(reports, reports[1:]):
         if earlier.k <= later.k and later.worst_case > earlier.worst_case:
-            raise AssertionError("worst-case count increased with k")
+            raise InvariantError("worst-case count increased with k")
     return reports

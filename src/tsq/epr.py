@@ -15,6 +15,7 @@ the local emulation of action at a distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,10 +25,11 @@ from .measure import (
     ParityObservable,
     ParityOutcome,
     full_observable,
-    project,
+    project_forced,
+    sector_masses,
 )
 from .qcore import (
-    InvariantError,
+    SHARP_TOL,
     RegisterLayout,
     StateVector,
     UnitaryOp,
@@ -76,14 +78,7 @@ class EprScenario:
     u01: UnitaryOp
     u02: UnitaryOp
 
-    def __post_init__(self):
-        dev = np.max(
-            np.abs(self.u12.matrix - self.u02.matrix @ self.u01.matrix.conj().T)
-        )
-        if dev > 1e-10:
-            raise InvariantError(f"factorization identity violated: {dev:.3e}")
-
-    @property
+    @cached_property
     def u12(self) -> UnitaryOp:
         return UnitaryOp(self.layout, self.u02.matrix @ self.u01.matrix.conj().T)
 
@@ -145,66 +140,43 @@ class CausalTrace:
         raise KeyError(label)
 
 
-def _forced(obs: ParityObservable, value_bits: str, state: StateVector, what: str) -> StateVector:
-    outcome = obs.outcome_for(value_bits)
-    out = project(outcome, state)
-    if out.is_zero():
-        raise InvariantError(f"impossible outcome {value_bits} for {what}")
-    return out
+def _to_t2(
+    scenario: EprScenario, t1_post: StateVector, via_t0: bool
+) -> tuple[StateVector, list[Leg]]:
+    """Carry ``t1_post`` to t2 directly by u12, or back to t0 by u01_dag and
+    forward by u02; returns the t2 state and the legs taken."""
+    if not via_t0:
+        t2 = apply(scenario.u12, t1_post)
+        return t2, [Leg("forward", "t1->t2", t1_post, t2)]
+    t0 = apply_adjoint(scenario.u01, t1_post)
+    t2 = apply(scenario.u02, t0)
+    return t2, [Leg("backward", "t1->t0", t1_post, t0), Leg("forward", "t0->t2", t0, t2)]
 
 
-def direct_trace(scenario: EprScenario, b_outcome: str) -> CausalTrace:
-    """Full B measurement at t1, then direct unitary propagation to t2."""
-    obs_b = full_observable(scenario.layout, "B")
-    obs_a = full_observable(scenario.layout, "A")
-    t1_pre = scenario.psi_t1()
-    t1_post = _forced(obs_b, b_outcome, t1_pre, "B")
-    t2 = apply(scenario.u12, t1_post)
-    a_outcome = _sharp_value(t2, obs_a)
-    events = [MeasurementEvent("t1", obs_b.outcome_for(b_outcome))]
-    if a_outcome is not None:
-        events.append(MeasurementEvent("t2", obs_a.outcome_for(a_outcome)))
-    return CausalTrace(
-        scenario=scenario,
-        kind="direct",
-        events=tuple(events),
-        legs=(Leg("forward", "t1->t2", t1_post, t2),),
-        states=(("t1 pre", t1_pre), ("t1 post", t1_post), ("t2", t2)),
-        bottom_line=(t1_post, t2),
-    )
+def direct_trace(scenario: EprScenario, b_outcome: str, via_t0: bool = False) -> CausalTrace:
+    """Full B measurement at t1 whose outcome reaches t2 directly, or via t0
+    when ``via_t0`` (full retrocausality, kind "costa").
 
-
-def costa_trace(scenario: EprScenario, b_outcome: str) -> CausalTrace:
-    """Full retrocausality: the t1 outcome reaches t2 via t0.
-
-    The B measurement projects only the B-side support; back-propagated by
-    u01_dag it locally changes the t0 state of both registers, which then
-    runs forward by u02.
+    On the via-t0 path the B measurement projects only the B-side support;
+    back-propagated by u01_dag it locally changes the t0 state of both
+    registers, which then runs forward by u02.
     """
     obs_b = full_observable(scenario.layout, "B")
     obs_a = full_observable(scenario.layout, "A")
     t1_pre = scenario.psi_t1()
-    t1_post = _forced(obs_b, b_outcome, t1_pre, "B")
-    t0_changed = apply_adjoint(scenario.u01, t1_post)
-    t2 = apply(scenario.u02, t0_changed)
+    t1_post = project_forced(obs_b, b_outcome, t1_pre)
+    t2, legs = _to_t2(scenario, t1_post, via_t0)
     a_outcome = _sharp_value(t2, obs_a)
     events = [MeasurementEvent("t1", obs_b.outcome_for(b_outcome))]
     if a_outcome is not None:
         events.append(MeasurementEvent("t2", obs_a.outcome_for(a_outcome)))
+    t0_states = [("t0 changed", legs[0].output_state)] if via_t0 else []
     return CausalTrace(
         scenario=scenario,
-        kind="costa",
+        kind="costa" if via_t0 else "direct",
         events=tuple(events),
-        legs=(
-            Leg("backward", "t1->t0", t1_post, t0_changed),
-            Leg("forward", "t0->t2", t0_changed, t2),
-        ),
-        states=(
-            ("t1 pre", t1_pre),
-            ("t1 post", t1_post),
-            ("t0 changed", t0_changed),
-            ("t2", t2),
-        ),
+        legs=tuple(legs),
+        states=(("t1 pre", t1_pre), ("t1 post", t1_post), *t0_states, ("t2", t2)),
         bottom_line=(t1_post, t2),
     )
 
@@ -213,21 +185,12 @@ def ts_trace(scenario: EprScenario, outcome: str, split: SelectionSplit, via_t0:
     """Mutual causality: both partial outcomes propagate toward the other
     measurement (via t0 when ``via_t0``), each hosting one causal loop."""
     t1_pre = scenario.psi_t1()
-    t1_post = _forced(split.initial_part, outcome, t1_pre, split.initial_part.name())
+    t1_post = project_forced(split.initial_part, outcome, t1_pre)
+    t2_pre, legs = _to_t2(scenario, t1_post, via_t0)
     states = [("t1 pre", t1_pre), ("t1 post", t1_post)]
-    legs = []
     if via_t0:
-        t0_loop_b = apply_adjoint(scenario.u01, t1_post)
-        t2_pre = apply(scenario.u02, t0_loop_b)
-        states.append(("t0 after B loop", t0_loop_b))
-        legs += [
-            Leg("backward", "t1->t0", t1_post, t0_loop_b),
-            Leg("forward", "t0->t2", t0_loop_b, t2_pre),
-        ]
-    else:
-        t2_pre = apply(scenario.u12, t1_post)
-        legs.append(Leg("forward", "t1->t2", t1_post, t2_pre))
-    t2_post = _forced(split.final_part, outcome, t2_pre, split.final_part.name())
+        states.append(("t0 after B loop", legs[0].output_state))
+    t2_post = project_forced(split.final_part, outcome, t2_pre)
     states += [("t2 pre", t2_pre), ("t2 post", t2_post)]
     if via_t0:
         t0_loop_a = apply_adjoint(scenario.u02, t2_post)
@@ -257,12 +220,10 @@ def ts_trace(scenario: EprScenario, outcome: str, split: SelectionSplit, via_t0:
 def _sharp_value(s: StateVector, obs: ParityObservable) -> Optional[str]:
     """Register value carrying the whole mass of ``s``, or None if the
     outcome is not deterministic (generic separation unitaries)."""
-    from .measure import sector_masses
-
     masses = sector_masses(s, obs)
     total = sum(masses.values())
     bits, mass = max(masses.items(), key=lambda kv: kv[1])
-    if total - mass > 1e-9 * total:
+    if total - mass > SHARP_TOL * total:
         return None
     return "".join(str(b) for b in bits)
 
@@ -280,7 +241,7 @@ def emulation_check(
     """Compare the nonlocal projection-then-propagate route with the local
     back-propagate, project at t0, propagate-forward route."""
     obs = observable if observable is not None else full_observable(scenario.layout, "B")
-    t1_post = _forced(obs, b_outcome, scenario.psi_t1(), obs.name())
-    nonlocal_t2 = apply(scenario.u12, t1_post)
-    local_t2 = apply(scenario.u02, apply_adjoint(scenario.u01, t1_post))
+    t1_post = project_forced(obs, b_outcome, scenario.psi_t1())
+    nonlocal_t2, _ = _to_t2(scenario, t1_post, via_t0=False)
+    local_t2, _ = _to_t2(scenario, t1_post, via_t0=True)
     return EmulationReport(max_abs_diff(nonlocal_t2, local_t2), nonlocal_t2, local_t2)

@@ -20,16 +20,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import hadamard
 from scipy.optimize import minimize_scalar
 
 from .qcore import (
+    CERTAINTY_EPS,
     InvariantError,
     RegisterLayout,
-    StateVector,
     UnitaryOp,
 )
-
-CERTAINTY_EPS = 1e-9
+from .tsym import ProcessDescription, copy_process
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def run_long(oracle: SearchOracle) -> SearchRun:
     """Zero-failure search: matched phase, polished until eps <= 1e-9."""
     j = optimal_iterations(oracle.n)
     phi = matched_phase(oracle.n, j)
-    _, p = _success(oracle, j, phi)
+    state, p = _success(oracle, j, phi)
     if 1 - p > CERTAINTY_EPS:
         # robustness against transcription drift in the closed form
         width = 0.05
@@ -136,10 +136,9 @@ def run_long(oracle: SearchOracle) -> SearchRun:
             options={"xatol": 1e-14},
         )
         phi = float(res.x)
-        _, p = _success(oracle, j, phi)
+        state, p = _success(oracle, j, phi)
     if 1 - p > CERTAINTY_EPS:
         raise InvariantError(f"certainty not reached for n={oracle.n}: success {p!r}")
-    state, p = _success(oracle, j, phi)
     return SearchRun(oracle, "long", j, phi, state, p)
 
 
@@ -147,14 +146,8 @@ def search_network(oracle: SearchOracle) -> np.ndarray:
     """Matrix of the full certainty network on register A: Hadamards then
     the phase-matched iterations.  Maps |0..0> to ~|target|."""
     run = run_long(oracle)
-    d = oracle.dim
-    h = np.ones((d, d), dtype=np.complex128) / math.sqrt(d)
-    signs = np.array(
-        [[(-1) ** ((i & j).bit_count() & 1) for j in range(d)] for i in range(d)]
-    )
-    hadamard = h * signs
     g = _iteration_matrix(oracle, run.phase)
-    m = hadamard
+    m = hadamard(oracle.dim, dtype=np.complex128) / math.sqrt(oracle.dim)
     for _ in range(run.iterations):
         m = g @ m
     return m
@@ -197,21 +190,6 @@ def branch_phases(n: int) -> dict[str, complex]:
     return phases
 
 
-def grover_process(n: int):
+def grover_process(n: int) -> ProcessDescription:
     """ProcessDescription backed by the lifted certainty network."""
-    from .measure import full_observable
-    from .tsym import ProcessDescription
-    from .qcore import uniform_setting_state
-
-    layout = RegisterLayout(n, n)
-    blank = "0" * n
-    settings = [format(b, f"0{n}b") for b in range(1 << n)]
-    return ProcessDescription(
-        layout=layout,
-        initial_state=uniform_setting_state(layout, blank),
-        u12=as_process_unitary(n),
-        initial_obs=full_observable(layout, "B"),
-        final_obs=full_observable(layout, "A"),
-        solution_map={b: b for b in settings},
-        blank_a=blank,
-    )
+    return copy_process(as_process_unitary(n))

@@ -19,10 +19,12 @@ import numpy as np
 
 from . import gf2
 from .qcore import (
+    RESIDUAL_TOL,
     STATE_TOL,
     InvariantError,
     RegisterLayout,
     StateVector,
+    apply,
 )
 
 
@@ -133,6 +135,19 @@ def project(outcome: ParityOutcome, s: StateVector) -> StateVector:
     return StateVector(s.layout, s.amps * projector_diagonal(outcome, s.layout))
 
 
+def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> StateVector:
+    """Project ``s`` onto the outcome of ``obs`` for register value ``value_bits``.
+
+    Raises InvariantError when that outcome has no support in ``s``.
+    """
+    out = project(obs.outcome_for(value_bits), s)
+    if out.is_zero():
+        raise InvariantError(
+            f"impossible outcome {value_bits} for {obs.name()}: the projection annihilates the state"
+        )
+    return out
+
+
 def sector_masses(s: StateVector, obs: ParityObservable) -> dict[tuple[int, ...], float]:
     """Born weight (squared-amplitude mass) of every parity sector."""
     values = _register_values(s.layout, obs.register)
@@ -188,23 +203,6 @@ def measure(
     return MeasurementRecord(time_tag, outcome, s, project(outcome, s))
 
 
-def commutes(o1: ParityObservable, o2: ParityObservable, layout: RegisterLayout) -> bool:
-    """True iff the induced projector families commute as matrices.
-
-    Parity projectors are all diagonal in the computational basis, so this
-    always holds; the check is still done numerically on the diagonals.
-    """
-    for k1 in range(1 << o1.rank):
-        b1 = tuple((k1 >> i) & 1 for i in range(o1.rank))
-        d1 = projector_diagonal(ParityOutcome(o1, b1), layout)
-        for k2 in range(1 << o2.rank):
-            b2 = tuple((k2 >> i) & 1 for i in range(o2.rank))
-            d2 = projector_diagonal(ParityOutcome(o2, b2), layout)
-            if np.any(d1 * d2 != d2 * d1):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class PostponementReport:
     max_deviation: float
@@ -212,20 +210,16 @@ class PostponementReport:
     project_last: StateVector
 
 
-def postpone_projection(process, record: MeasurementRecord, tol: float = 1e-10) -> PostponementReport:
+def postpone_projection(process, record: MeasurementRecord) -> PostponementReport:
     """Verify that the projection of ``record`` can be deferred past the unitary.
 
     Checks U P psi = P U psi, where P is the record's parity projector; this
     is what makes hiding the initial outcome from the solver legitimate.
     """
-    from .qcore import apply  # local import to keep module deps one-way
-
-    if not commutes(record.outcome.observable, process.final_obs, process.layout):
-        raise InvariantError("record observable does not commute with the final observable")
     psi0 = record.pre_state
     first = apply(process.u12, project(record.outcome, psi0))
     last = project(record.outcome, apply(process.u12, psi0))
     dev = float(np.max(np.abs(first.amps - last.amps)))
-    if dev > tol * max(psi0.norm(), 1.0):
+    if dev > RESIDUAL_TOL * max(psi0.norm(), 1.0):
         raise InvariantError(f"postponement not valid for this unitary (deviation {dev:.3e})")
     return PostponementReport(dev, first, last)

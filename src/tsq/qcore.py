@@ -17,8 +17,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-OP_TOL = 1e-10      # operator-level checks (unitarity, hermiticity, PSD)
-STATE_TOL = 1e-12   # state equality
+# Tolerance policy: every numerical threshold of the package, with its reason.
+# Relative thresholds are scaled by max(norm, 1) (or by the total mass) where
+# they are used.
+OP_TOL = 1e-10           # operator checks (unitarity, hermiticity, PSD): dense
+                         # products of d x d unitaries accumulate d rounding errors
+STATE_TOL = 1e-12        # state equality and the zero state: a few ulps per amplitude
+RESIDUAL_TOL = 1e-10     # recovery and postponement residuals: a few applications
+                         # of a dense unitary, so an operator-level error budget
+RENDER_TOL = 1e-9        # printing: amplitudes below it are dropped and coefficients
+                         # within it of an integer print as that integer
+BRANCH_MASS_TOL = 1e-6   # mass fraction below which a setting branch counts as
+                         # absent; well above the CERTAINTY_EPS leak of the
+                         # lifted search networks
+CORRELATION_TOL = 1e-9   # mass fraction a solving unitary may leak off the
+                         # solution; admits the CERTAINTY_EPS search networks
+SHARP_TOL = 1e-9         # mass fraction outside the top sector for which an
+                         # outcome still counts as deterministic
+CERTAINTY_EPS = 1e-9     # failure probability the zero-failure search must reach
+
 DEFAULT_DIM_CAP = 1 << 16
 
 
@@ -109,8 +126,8 @@ class StateVector:
             if abs(amp) > tol * scale:
                 yield self.layout.label(i), complex(amp)
 
-    def is_zero(self, tol: float = STATE_TOL) -> bool:
-        return self.norm() <= tol
+    def is_zero(self) -> bool:
+        return self.norm() <= STATE_TOL
 
 
 def basis_state(layout: RegisterLayout, b_bits: str, a_bits: str) -> StateVector:
@@ -135,8 +152,8 @@ def max_abs_diff(s1: StateVector, s2: StateVector) -> float:
     return float(np.max(np.abs(s1.amps - s2.amps)))
 
 
-def states_close(s1: StateVector, s2: StateVector, tol: float = STATE_TOL) -> bool:
-    return max_abs_diff(s1, s2) <= tol * max(s1.norm(), s2.norm(), 1.0)
+def states_close(s1: StateVector, s2: StateVector) -> bool:
+    return max_abs_diff(s1, s2) <= STATE_TOL * max(s1.norm(), s2.norm(), 1.0)
 
 
 def proportionality(s: StateVector, reference: StateVector) -> tuple[complex, float]:

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qcore import StateVector
-
-RENDER_TOL = 1e-9
+from .qcore import RENDER_TOL, StateVector
 
 
 def _integer_relative(amps: list[complex]) -> list[complex] | None:
@@ -45,16 +43,14 @@ def _join_terms(pairs: list[tuple[complex, str]]) -> str:
             out = (f"-{cs.lstrip('-')}" if cs.startswith("-") else cs) + ket
         elif cs.startswith("-"):
             out += f" - {cs[1:]}{ket}"
-        elif cs.startswith("("):
-            out += f" + {cs}{ket}"
         else:
             out += f" + {cs}{ket}"
     return out
 
 
-def format_state(s: StateVector, tol: float = RENDER_TOL) -> str:
+def format_state(s: StateVector) -> str:
     """Human-readable ket sum; factors a shared A-register ket when possible."""
-    terms = list(s.terms(tol))
+    terms = list(s.terms(RENDER_TOL))
     if not terms:
         return "0"
     amps = _integer_relative([amp for _, amp in terms])
@@ -70,11 +66,11 @@ def format_state(s: StateVector, tol: float = RENDER_TOL) -> str:
     )
 
 
-def state_rows(s: StateVector, tol: float = RENDER_TOL) -> list[dict]:
+def state_rows(s: StateVector) -> list[dict]:
     """Lossless amplitude rows for JSON reports."""
     return [
         {"b": label.b_bits, "a": label.a_bits, "re": amp.real, "im": amp.imag}
-        for label, amp in s.terms(tol)
+        for label, amp in s.terms(RENDER_TOL)
     ]
 
 

@@ -20,7 +20,7 @@ with the final partial outcome: the solver's advance knowledge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -28,10 +28,13 @@ from . import gf2
 from .measure import (
     ParityObservable,
     full_observable,
-    project,
+    project_forced,
     trivial_observable,
 )
 from .qcore import (
+    BRANCH_MASS_TOL,
+    CORRELATION_TOL,
+    RESIDUAL_TOL,
     InvariantError,
     RegisterLayout,
     StateVector,
@@ -43,12 +46,6 @@ from .qcore import (
     uniform_setting_state,
     xor_copy_unitary,
 )
-
-# mass fraction below which a setting branch counts as absent (tolerates the
-# <=1e-9 failure probability of the lifted search networks)
-BRANCH_MASS_TOL = 1e-6
-
-CORRELATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,20 +86,25 @@ class ProcessDescription:
         return self.solution_map[b]
 
 
-def xor_process(n: int) -> ProcessDescription:
-    """Canonical process: XOR-copy unitary, solution = setting."""
-    layout = RegisterLayout(n, n)
-    blank = "0" * n
-    settings = [format(b, f"0{n}b") for b in range(1 << n)]
+def copy_process(u12: UnitaryOp) -> ProcessDescription:
+    """Process whose solving unitary ``u12`` copies the setting: solution = setting."""
+    layout = u12.layout
+    blank = "0" * layout.n_a
+    settings = [format(b, f"0{layout.n_b}b") for b in range(layout.dim_b)]
     return ProcessDescription(
         layout=layout,
         initial_state=uniform_setting_state(layout, blank),
-        u12=xor_copy_unitary(layout),
+        u12=u12,
         initial_obs=full_observable(layout, "B"),
         final_obs=full_observable(layout, "A"),
         solution_map={b: b for b in settings},
         blank_a=blank,
     )
+
+
+def xor_process(n: int) -> ProcessDescription:
+    """Canonical process: XOR-copy unitary, solution = setting."""
+    return copy_process(xor_copy_unitary(RegisterLayout(n, n)))
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,22 @@ def _observable(register: str, basis: tuple[int, ...], n: int) -> ParityObservab
     return ParityObservable(register, tuple(gf2.mask_to_bits(m, n) for m in basis))
 
 
+def complete_split(
+    process: ProcessDescription, final_part: ParityObservable, initial_bases
+) -> Optional[SelectionSplit]:
+    """Pair ``final_part`` with the first of ``initial_bases`` that complements it
+    and makes the combined selection injective; None if none does."""
+    n = process.n
+    final_ints = tuple(gf2.bits_to_mask(m) for m in final_part.masks)
+    for basis in initial_bases:
+        if gf2.rank(final_ints + basis) != n:
+            continue
+        split = SelectionSplit(_observable("B", basis, n), final_part)
+        if selection_is_injective(process, split):
+            return split
+    return None
+
+
 def enumerate_splits(process: ProcessDescription, even_rank: int) -> list[SelectionSplit]:
     """All splits with initial-part rank ``even_rank``, canonically ordered.
 
@@ -151,17 +169,12 @@ def enumerate_splits(process: ProcessDescription, even_rank: int) -> list[Select
     n = process.n
     if not 0 <= even_rank <= n:
         raise ValueError(f"rank {even_rank} out of range for n={n}")
-    splits = []
-    for final_basis in gf2.subspaces(n, n - even_rank):
-        final_part = _observable("A", final_basis, n)
-        for init_basis in gf2.subspaces(n, even_rank):
-            if gf2.rank(final_basis + init_basis) != n:
-                continue
-            split = SelectionSplit(_observable("B", init_basis, n), final_part)
-            if selection_is_injective(process, split):
-                splits.append(split)
-                break
-    return splits
+    initial_bases = gf2.subspaces(n, even_rank)
+    splits = (
+        complete_split(process, _observable("A", final_basis, n), initial_bases)
+        for final_basis in gf2.subspaces(n, n - even_rank)
+    )
+    return [split for split in splits if split is not None]
 
 
 @dataclass(frozen=True)
@@ -185,21 +198,13 @@ class ZigzagInstance:
         return tuple(format(b, f"0{n}b") for b in np.nonzero(keep)[0])
 
 
-def _project_step(part: ParityObservable, value_bits: str, state: StateVector, what: str) -> StateVector:
-    outcome = part.outcome_for(value_bits)
-    out = project(outcome, state)
-    if out.is_zero():
-        raise InvariantError(f"{what} projection annihilated the state (inconsistent split/outcome)")
-    return out
-
-
 def external_instance(process: ProcessDescription, b: str, split: SelectionSplit) -> ZigzagInstance:
     """Zigzag with both partial projections applied (external observer view)."""
     s_b = process.solution(b)
     s0 = process.initial_state
-    s1 = _project_step(split.initial_part, b, s0, "initial")
+    s1 = project_forced(split.initial_part, b, s0)
     s2 = apply(process.u12, s1)
-    s3 = _project_step(split.final_part, s_b, s2, "final")
+    s3 = project_forced(split.final_part, s_b, s2)
     s4 = apply_adjoint(process.u12, s3)
     inst = ZigzagInstance(
         split=split,
@@ -224,7 +229,7 @@ def solver_instance(process: ProcessDescription, b: str, split: SelectionSplit) 
     s_b = process.solution(b)
     s0 = process.initial_state
     s1 = apply(process.u12, s0)
-    s2 = _project_step(split.final_part, s_b, s1, "final")
+    s2 = project_forced(split.final_part, s_b, s1)
     s3 = apply_adjoint(process.u12, s2)
     return ZigzagInstance(
         split=split,
@@ -270,7 +275,7 @@ class RecoveryReport:
     proportional: bool
 
 
-def recover_superposition(instances, tol: float = 1e-10) -> RecoveryReport:
+def recover_superposition(instances) -> RecoveryReport:
     """Sum the bottom-line inputs and compare against the process input state.
 
     The superposition of all instances must give back the unitary part of the
@@ -293,5 +298,5 @@ def recover_superposition(instances, tol: float = 1e-10) -> RecoveryReport:
         reference=reference,
         factor=factor,
         max_deviation=resid,
-        proportional=resid <= tol * max(summed.norm(), 1.0),
+        proportional=resid <= RESIDUAL_TOL * max(summed.norm(), 1.0),
     )

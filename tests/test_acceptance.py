@@ -150,13 +150,11 @@ def test_criterion_5_search_certainty():
 
 def test_criterion_6_epr_equivalences():
     """Direct vs via-t0 agreement, bottom-line identity, local emulation."""
-    from tsq.epr import costa_trace
-
     outcomes = ("00", "01", "10", "11")
     identity_scenario = make_scenario()
     for b in outcomes:
         dev = max_abs_diff(
-            costa_trace(identity_scenario, b).state("t2"),
+            direct_trace(identity_scenario, b, via_t0=True).state("t2"),
             direct_trace(identity_scenario, b).state("t2"),
         )
         assert dev <= 1e-12
@@ -166,7 +164,8 @@ def test_criterion_6_epr_equivalences():
         scenario = make_scenario(seed=seed)
         b = outcomes[seed % 4]
         dev = max_abs_diff(
-            costa_trace(scenario, b).state("t2"), direct_trace(scenario, b).state("t2")
+            direct_trace(scenario, b, via_t0=True).state("t2"),
+            direct_trace(scenario, b).state("t2"),
         )
         assert dev <= 1e-12, f"seed {seed}"
         assert emulation_check(scenario, b).max_deviation <= 1e-12, f"seed {seed}"

@@ -1,13 +1,15 @@
 """Command line front end: golden outputs, JSON determinism, exit codes."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from tsq import complexity, gf2
 from tsq.cli import SchemaError, load_problem, main, parse_split
 from tsq.complexity import decision_tree_complexity
-from tsq.tsym import xor_process
+from tsq.tsym import enumerate_splits, xor_process
 
 GOLDEN = Path(__file__).parent / "golden"
 PROBLEMS = Path(__file__).parent.parent / "src" / "tsq" / "problems"
@@ -81,7 +83,21 @@ def test_exit_code_config_errors(capsys):
     assert main(["complexity", "--problem", "grover", "--n", "5", "--k", "0"]) == 2
     assert main(["grover-external", "--n", "2", "--outcome", "7"]) == 2
     assert main(["complexity", "--problem", "file", "--k", "0"]) == 2
+    # the costa mode always runs via t0
+    assert main(["epr", "--mode", "costa", "--path", "direct", "--outcome", "01"]) == 2
     capsys.readouterr()
+
+
+def test_non_monotone_sweep_exits_3(monkeypatch, capsys):
+    # a query count that grows with k breaks an invariant: exit 3, no traceback
+    predict = complexity.advanced_knowledge_prediction
+
+    def rising(problem, k, cap=complexity.DEFAULT_SEARCH_CAP):
+        return dataclasses.replace(predict(problem, k, cap=cap), worst_case=round(k * 10))
+
+    monkeypatch.setattr(complexity, "advanced_knowledge_prediction", rising)
+    assert main(["complexity", "--problem", "grover", "--n", "2", "--k", "0", "--k", "1"]) == 3
+    assert "worst-case count increased with k" in capsys.readouterr().err
 
 
 def test_seeded_epr_is_deterministic(capsys):
@@ -101,6 +117,22 @@ def test_parse_split_auto_complement():
     assert split2.initial_part.masks == ("11",)
     with pytest.raises(ValueError):
         parse_split(process, "B:[10]")  # final part is mandatory
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_parse_split_completes_like_enumerate_splits(n):
+    # for every final subspace, auto-completion picks the initial part that
+    # enumerate_splits pairs with it, whichever basis names the subspace
+    process = xor_process(n)
+    for rank in range(n + 1):
+        for split in enumerate_splits(process, rank):
+            masks = [gf2.bits_to_mask(m) for m in split.final_part.masks]
+            # a non-reduced basis of the same subspace: fold each mask into the next
+            folded = [m ^ masks[i + 1] if i + 1 < len(masks) else m for i, m in enumerate(masks)]
+            for basis in (masks, masks[::-1], folded):
+                bits = ",".join(gf2.mask_to_bits(m, n) for m in basis)
+                completed = parse_split(process, f"A:[{bits}]")
+                assert completed.initial_part == split.initial_part
 
 
 def test_load_bundled_problems():

@@ -5,7 +5,6 @@ import pytest
 
 from tsq.epr import (
     EprScenario,
-    costa_trace,
     direct_trace,
     emulation_check,
     make_scenario,
@@ -98,7 +97,7 @@ def test_direct_trace_default_scenario():
 
 
 def test_costa_trace_identity_separation():
-    trace = costa_trace(make_scenario(), "01")
+    trace = direct_trace(make_scenario(), "01", via_t0=True)
     assert states_close(trace.state("t0 changed"), basis_state(L22, "01", "01"))
     assert [leg.direction for leg in trace.legs] == ["backward", "forward"]
 
@@ -106,10 +105,8 @@ def test_costa_trace_identity_separation():
 @pytest.mark.parametrize("b", OUTCOMES)
 def test_costa_equals_direct(b):
     scenario = make_scenario()
-    assert (
-        max_abs_diff(costa_trace(scenario, b).state("t2"), direct_trace(scenario, b).state("t2"))
-        <= 1e-12
-    )
+    via_t0 = direct_trace(scenario, b, via_t0=True).state("t2")
+    assert max_abs_diff(via_t0, direct_trace(scenario, b).state("t2")) <= 1e-12
 
 
 def test_costa_equals_direct_random_unitaries():
@@ -117,7 +114,7 @@ def test_costa_equals_direct_random_unitaries():
         scenario = make_scenario(seed=seed)
         for b in OUTCOMES:
             dev = max_abs_diff(
-                costa_trace(scenario, b).state("t2"),
+                direct_trace(scenario, b, via_t0=True).state("t2"),
                 direct_trace(scenario, b).state("t2"),
             )
             assert dev <= 1e-12

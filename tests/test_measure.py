@@ -7,7 +7,6 @@ from tsq.measure import (
     ImpossibleOutcomeError,
     ParityObservable,
     ParityOutcome,
-    commutes,
     full_observable,
     measure,
     postpone_projection,
@@ -148,16 +147,6 @@ def test_sector_masses_match_manual_sum(rng):
     assert sum(masses.values()) == pytest.approx(s.norm() ** 2, rel=1e-12)
 
 
-def test_commutes():
-    assert commutes(full_observable(L2, "B"), full_observable(L2, "A"), L2)
-    assert commutes(ParityObservable("B", ("10",)), ParityObservable("B", ("01",)), L2)
-    # every parity pair commutes: all projectors are diagonal
-    masks = ("01", "10", "11")
-    for m1 in masks:
-        for m2 in masks:
-            assert commutes(ParityObservable("B", (m1,)), ParityObservable("A", (m2,)), L2)
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_postponement_exhaustive(n):
     process = xor_process(n)
@@ -169,13 +158,11 @@ def test_postponement_exhaustive(n):
 
 
 def test_postponement_identity_unitary():
-    # postpone_projection only needs the unitary and the final observable
+    # postpone_projection only needs the unitary
     from types import SimpleNamespace
     from tsq.qcore import identity_unitary
 
-    process = SimpleNamespace(
-        layout=L2, u12=identity_unitary(L2), final_obs=full_observable(L2, "A")
-    )
+    process = SimpleNamespace(u12=identity_unitary(L2))
     rec = measure(INITIAL, full_observable(L2, "B"), forced=(0, 1))
     assert postpone_projection(process, rec).max_deviation == 0
 
