@@ -80,7 +80,7 @@ class EprScenario:
 
     @cached_property
     def u12(self) -> UnitaryOp:
-        return UnitaryOp(self.layout, self.u02.matrix @ self.u01.matrix.conj().T)
+        return self.u02.compose(self.u01.adjoint())
 
     def psi_t1(self) -> StateVector:
         return apply(self.u01, self.psi_t0)

@@ -164,29 +164,28 @@ def _iteration_matrix(oracle: SearchOracle, phase: float) -> np.ndarray:
 
 def as_process_unitary(n: int) -> UnitaryOp:
     """Block-controlled lift: for each setting b, run the b-targeted network
-    on register A.  Per-branch global phases are tolerated downstream."""
+    on register A; block b of the returned operator is that network.
+    Per-branch global phases are tolerated downstream."""
     layout = RegisterLayout(n, n)
-    d = layout.dim_a
-    m = np.zeros((layout.dim, layout.dim), dtype=np.complex128)
+    blocks = np.empty((layout.dim_b, layout.dim_a, layout.dim_a), dtype=np.complex128)
     for b in range(layout.dim_b):
         oracle = SearchOracle(n, format(b, f"0{n}b"))
-        block = search_network(oracle)
-        leak = 1 - abs(block[oracle.target_index, 0]) ** 2
+        blocks[b] = search_network(oracle)
+        leak = 1 - abs(blocks[b, oracle.target_index, 0]) ** 2
         if leak > CERTAINTY_EPS:
             raise InvariantError(
                 f"lifted network violates the correlation invariant at b={oracle.target}"
             )
-        m[b * d : (b + 1) * d, b * d : (b + 1) * d] = block
-    return UnitaryOp(layout, m)
+    return UnitaryOp(layout, blocks)
 
 
 def branch_phases(n: int) -> dict[str, complex]:
     """Global phase picked up by each setting branch of the lifted network."""
+    blocks = as_process_unitary(n).matrix
     phases = {}
     for b in range(1 << n):
-        oracle = SearchOracle(n, format(b, f"0{n}b"))
-        amp = search_network(oracle)[oracle.target_index, 0]
-        phases[oracle.target] = complex(amp / abs(amp))
+        amp = blocks[b, b, 0]
+        phases[format(b, f"0{n}b")] = complex(amp / abs(amp))
     return phases
 
 

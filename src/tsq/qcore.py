@@ -1,8 +1,12 @@
-"""Dense complex state vectors and unitaries over a two-register basis.
+"""Complex state vectors and block-diagonal unitaries over a two-register basis.
 
 Registers are named B (problem setter / first subsystem) and A (problem
 solver / second subsystem).  The joint computational basis is ordered with
 the B bits as the most significant block: index(|b>|a>) = b * 2^n_a + a.
+
+A state is a dense amplitude vector.  A unitary is stored as the stack of
+its diagonal blocks: one block for a dense operator, one dim_a x dim_a block
+per setting for a setting-controlled one (the solving unitaries).
 
 Amplitudes are stored unnormalized throughout; the norm is queried
 explicitly where it matters.  All values are immutable after construction
@@ -20,11 +24,11 @@ import numpy as np
 # Tolerance policy: every numerical threshold of the package, with its reason.
 # Relative thresholds are scaled by max(norm, 1) (or by the total mass) where
 # they are used.
-OP_TOL = 1e-10           # operator checks (unitarity, hermiticity, PSD): dense
-                         # products of d x d unitaries accumulate d rounding errors
+OP_TOL = 1e-10           # operator checks (unitarity, hermiticity, PSD): a product
+                         # of k x k blocks (k <= d) accumulates k rounding errors
 STATE_TOL = 1e-12        # state equality and the zero state: a few ulps per amplitude
 RESIDUAL_TOL = 1e-10     # recovery and postponement residuals: a few applications
-                         # of a dense unitary, so an operator-level error budget
+                         # of a unitary, so an operator-level error budget
 RENDER_TOL = 1e-9        # printing: amplitudes below it are dropped and coefficients
                          # within it of an integer print as that integer
 BRANCH_MASS_TOL = 1e-6   # mass fraction below which a setting branch counts as
@@ -168,65 +172,98 @@ def proportionality(s: StateVector, reference: StateVector) -> tuple[complex, fl
     return c, resid
 
 
+def unitarity_deviation(blocks: np.ndarray) -> float:
+    """max |U_i^H U_i - I| over a stack of k x k blocks U_i.
+
+    The off-diagonal blocks of U^H U are exact zeros, so this is the
+    deviation of the whole block-diagonal operator.
+    """
+    gram = blocks.conj().transpose(0, 2, 1) @ blocks
+    gram -= np.eye(blocks.shape[1])
+    return float(np.max(np.abs(gram)))
+
+
 @dataclass(frozen=True)
 class UnitaryOp:
-    """Dense unitary on the joint space; unitarity checked on construction."""
+    """Block-diagonal unitary on the joint space; unitarity checked on construction.
+
+    ``matrix`` is the stack of the m diagonal k x k blocks, m * k = d: block i
+    acts on the joint indices [i*k, (i+1)*k).  A 2-D d x d matrix is taken as
+    the single block of a dense operator.
+    """
 
     layout: RegisterLayout
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = np.array(self.matrix, dtype=np.complex128)
+        if m.ndim == 2:
+            m = m[np.newaxis]
         d = self.layout.dim
-        if m.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix, got {m.shape}")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(d)))
+        if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[0] * m.shape[1] != d:
+            raise ValueError(f"expected a stack of k x k blocks covering dimension {d}, got {m.shape}")
+        dev = unitarity_deviation(m)
         if dev > OP_TOL:
             raise InvariantError(f"matrix is not unitary: max |U+U - I| = {dev:.3e}")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def compose(self, other: "UnitaryOp") -> "UnitaryOp":
-        """self applied after other."""
+        """self applied after other, multiplied block by block at the larger block size."""
         if self.layout != other.layout:
             raise ValueError("layout mismatch")
-        return UnitaryOp(self.layout, self.matrix @ other.matrix)
+        k = max(self.matrix.shape[1], other.matrix.shape[1])
+        return UnitaryOp(self.layout, _regroup(self.matrix, k) @ _regroup(other.matrix, k))
 
     def adjoint(self) -> "UnitaryOp":
-        return UnitaryOp(self.layout, self.matrix.conj().T)
+        return UnitaryOp(self.layout, self.matrix.conj().transpose(0, 2, 1))
+
+
+def _regroup(blocks: np.ndarray, k: int) -> np.ndarray:
+    """The same block-diagonal operator as a stack of k x k blocks, k a multiple
+    of the current block size: each run of consecutive blocks becomes one."""
+    m, k0, _ = blocks.shape
+    j = k // k0
+    runs = blocks.reshape(m // j, j, k0, k0)
+    out = np.zeros((m // j, j, k0, j, k0), dtype=blocks.dtype)
+    for i in range(j):
+        out[:, i, :, i, :] = runs[:, i]
+    return out.reshape(m // j, k, k)
+
+
+def _apply_blocks(layout: RegisterLayout, blocks: np.ndarray, s: StateVector) -> StateVector:
+    """Multiply each k-amplitude slice of ``s`` by its block of ``blocks``."""
+    if layout != s.layout:
+        raise ValueError("layout mismatch between unitary and state")
+    m, k, _ = blocks.shape
+    return StateVector(s.layout, (blocks @ s.amps.reshape(m, k, 1)).reshape(-1))
 
 
 def apply(u: UnitaryOp, s: StateVector) -> StateVector:
-    if u.layout != s.layout:
-        raise ValueError("layout mismatch between unitary and state")
-    return StateVector(s.layout, u.matrix @ s.amps)
+    return _apply_blocks(u.layout, u.matrix, s)
 
 
 def apply_adjoint(u: UnitaryOp, s: StateVector) -> StateVector:
-    if u.layout != s.layout:
-        raise ValueError("layout mismatch between unitary and state")
-    return StateVector(s.layout, u.matrix.conj().T @ s.amps)
+    return _apply_blocks(u.layout, u.matrix.conj().transpose(0, 2, 1), s)
 
 
 def identity_unitary(layout: RegisterLayout) -> UnitaryOp:
-    return UnitaryOp(layout, np.eye(layout.dim))
+    return UnitaryOp(layout, np.ones((layout.dim, 1, 1)))
 
 
 def xor_copy_unitary(layout: RegisterLayout) -> UnitaryOp:
-    """Permutation |b>_B |a>_A -> |b>_B |a xor b>_A.
+    """Permutation |b>_B |a>_A -> |b>_B |a xor b>_A, one block per setting b.
 
     The canonical solving unitary: it copies the setting into a blank A
     register and is its own inverse.
     """
     if layout.n_b != layout.n_a:
         raise ValueError("xor copy needs n_b == n_a")
-    d = layout.dim
-    m = np.zeros((d, d))
-    for i in range(d):
-        b, a = divmod(i, layout.dim_a)
-        m[b * layout.dim_a + (a ^ b), i] = 1.0
-    return UnitaryOp(layout, m)
+    a = np.arange(layout.dim_a)
+    b = a[:, np.newaxis]
+    blocks = np.zeros((layout.dim_b, layout.dim_a, layout.dim_a))
+    blocks[b, a ^ b, a] = 1.0
+    return UnitaryOp(layout, blocks)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from tsq.qcore import RegisterLayout, StateVector
+from tsq.qcore import RegisterLayout, StateVector, UnitaryOp
 
 
 def state_from_terms(layout: RegisterLayout, terms) -> StateVector:
@@ -15,6 +16,11 @@ def state_from_terms(layout: RegisterLayout, terms) -> StateVector:
 def random_state(layout: RegisterLayout, rng) -> StateVector:
     amps = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
     return StateVector(layout, amps)
+
+
+def dense(u: UnitaryOp) -> np.ndarray:
+    """The d x d matrix of ``u``, built from its diagonal blocks."""
+    return block_diag(*u.matrix)
 
 
 @pytest.fixture

@@ -100,6 +100,20 @@ def test_non_monotone_sweep_exits_3(monkeypatch, capsys):
     assert "worst-case count increased with k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unitary", ["xor", "grover-long"])
+def test_ts_instance_n7_runs_with_block_operators(unitary, capsys):
+    # a dense 2^14 x 2^14 solving unitary would take 4.3 GB; the blocks fit easily
+    outcome = "0110101"
+    argv = ["ts-instance", "--n", "7", "--outcome", outcome, "--final-rank", "3",
+            "--unitary", unitary, "--output", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # final part: the low 3 bits of A, so the settings that agree with the outcome there survive
+    low = int(outcome, 2) & 0b111
+    expected = [format(b, "07b") for b in range(1 << 7) if b & 0b111 == low]
+    assert payload["scalars"]["branch_settings"] == expected
+
+
 def test_seeded_epr_is_deterministic(capsys):
     argv = ["epr", "--mode", "costa", "--outcome", "01", "--seed", "1", "--output", "json"]
     assert main(argv) == 0

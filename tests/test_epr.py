@@ -22,7 +22,7 @@ from tsq.qcore import (
     states_close,
 )
 from tsq.tsym import SelectionSplit
-from conftest import random_state, state_from_terms
+from conftest import dense, random_state, state_from_terms
 
 L22 = RegisterLayout(2, 2)
 OUTCOMES = ("00", "01", "10", "11")
@@ -78,8 +78,8 @@ def test_scenario_factorization_invariant():
         scenario = make_scenario(seed=seed)
         dev = np.max(
             np.abs(
-                scenario.u12.matrix
-                - scenario.u02.matrix @ scenario.u01.matrix.conj().T
+                dense(scenario.u12)
+                - dense(scenario.u02) @ dense(scenario.u01).conj().T
             )
         )
         assert dev <= 1e-10

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag
 
 from tsq.qcore import (
+    STATE_TOL,
     InvariantError,
     RegisterLayout,
     StateVector,
@@ -17,9 +20,10 @@ from tsq.qcore import (
     reduced_density,
     states_close,
     uniform_setting_state,
+    unitarity_deviation,
     xor_copy_unitary,
 )
-from conftest import random_state, state_from_terms
+from conftest import dense, random_state, state_from_terms
 
 L2 = RegisterLayout(2, 2)
 
@@ -118,8 +122,9 @@ def test_xor_copy_is_an_involution():
     assert states_close(apply(u, basis_state(L2, "11", "00")), basis_state(L2, "11", "11"))
     for b in ("00", "01", "10", "11"):
         assert states_close(apply(u, basis_state(L2, b, b)), basis_state(L2, b, "00"))
-    assert np.array_equal(u.matrix, u.matrix.conj().T)
-    assert np.allclose(u.matrix @ u.matrix, np.eye(L2.dim))
+    m = dense(u)
+    assert np.array_equal(m, m.conj().T)
+    assert np.allclose(m @ m, np.eye(L2.dim))
 
 
 def test_xor_copy_rejects_uneven_registers():
@@ -141,7 +146,7 @@ def test_norm_preservation(rng):
 
 def test_compose_and_adjoint():
     u = xor_copy_unitary(L2)
-    assert np.allclose(u.compose(u.adjoint()).matrix, np.eye(L2.dim))
+    assert np.allclose(dense(u.compose(u.adjoint())), np.eye(L2.dim))
 
 
 def test_reduced_density_of_correlated_state():
@@ -188,3 +193,80 @@ def test_state_validation():
         StateVector(L2, np.zeros(5))
     with pytest.raises(ValueError):
         StateVector(L2, np.full(L2.dim, np.nan))
+
+
+# Block-diagonal operators against the dense oracle built from their blocks.
+
+def random_blocks(layout: RegisterLayout, k: int, seed: int) -> np.ndarray:
+    """A stack of random k x k unitaries: the Q factors of complex Gaussian blocks."""
+    rng = np.random.default_rng(seed)
+    shape = (layout.dim // k, k, k)
+    return np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+
+
+def block_sizes(layout: RegisterLayout) -> tuple[int, int, int]:
+    """Diagonal (like identity_unitary), setting-controlled (one dim_a block
+    per setting, like the solving unitaries) and dense (one d block)."""
+    return 1, layout.dim_a, layout.dim
+
+
+def matrices_close(x: np.ndarray, y: np.ndarray) -> bool:
+    scale = max(np.linalg.norm(x), np.linalg.norm(y), 1.0)
+    return float(np.max(np.abs(x - y))) <= STATE_TOL * scale
+
+
+ns = st.integers(1, 4)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(ns, st.integers(0, 2), st.integers(0, 2), seeds)
+def test_block_ops_match_dense_oracle(n, size_u, size_w, seed):
+    layout = RegisterLayout(n, n)
+    sizes = block_sizes(layout)
+    u = UnitaryOp(layout, random_blocks(layout, sizes[size_u], seed))
+    w = UnitaryOp(layout, random_blocks(layout, sizes[size_w], seed + 1))
+    s = random_state(layout, np.random.default_rng(seed))
+    du, dw = dense(u), dense(w)
+    assert states_close(apply(u, s), StateVector(layout, du @ s.amps))
+    assert states_close(apply_adjoint(u, s), StateVector(layout, du.conj().T @ s.amps))
+    assert matrices_close(dense(u.adjoint()), du.conj().T)
+    assert matrices_close(dense(u.compose(w)), du @ dw)
+    assert matrices_close(dense(w.compose(u)), dw @ du)
+
+
+# the setting-controlled and dense sizes: blocks with at least two columns
+multi_column_sizes = st.integers(1, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(ns, multi_column_sizes, seeds, st.sampled_from([0.0, 1e-12, 1e-9, 0.5]))
+def test_blockwise_unitarity_deviation_equals_dense(n, size, seed, shear):
+    layout = RegisterLayout(n, n)
+    blocks = random_blocks(layout, block_sizes(layout)[size], seed)
+    # mixing column 1 into column 0 puts the deviation off the diagonal of U^H U
+    block = blocks[seed % len(blocks)]
+    block[:, 0] += shear * block[:, 1]
+    m = block_diag(*blocks)  # a non-unitary stack makes no UnitaryOp to pass to dense()
+    dense_dev = float(np.max(np.abs(m.conj().T @ m - np.eye(layout.dim))))
+    # equal up to rounding, far below OP_TOL
+    assert abs(unitarity_deviation(blocks) - dense_dev) <= 1e-14 * max(dense_dev, 1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(ns, multi_column_sizes, seeds, st.integers(0, 255))
+def test_single_non_unitary_block_raises(n, size, seed, which):
+    layout = RegisterLayout(n, n)
+    blocks = random_blocks(layout, block_sizes(layout)[size], seed)
+    UnitaryOp(layout, blocks)
+    blocks[which % len(blocks), 0, 0] += 1e-8
+    with pytest.raises(InvariantError):
+        UnitaryOp(layout, blocks)
+
+
+def test_block_stack_shape_validation():
+    with pytest.raises(ValueError):
+        UnitaryOp(L2, np.ones((8, 1, 1)))  # covers 8 of 16 indices
+    with pytest.raises(ValueError):
+        UnitaryOp(L2, np.ones((4, 4, 2)))  # non-square blocks
+    assert UnitaryOp(L2, np.eye(L2.dim)).matrix.shape == (1, L2.dim, L2.dim)
