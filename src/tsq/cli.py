@@ -289,9 +289,17 @@ def load_problem(path: Path) -> OracleProblemSpec:
         raise SchemaError(f"problem file not found: {path}")
     except json.JSONDecodeError as e:
         raise SchemaError(f"problem file is not valid JSON: {e}")
+    if not isinstance(data, dict):
+        raise SchemaError("problem file must hold a JSON object")
     for key in ("settings", "queries", "answer", "solution"):
         if key not in data:
             raise SchemaError(f"problem file missing required key {key!r}")
+    for key in ("settings", "queries"):
+        if not isinstance(data[key], list) or not all(isinstance(x, str) for x in data[key]):
+            raise SchemaError(f"{key!r} must be a list of strings")
+    for key in ("answer", "solution"):
+        if not isinstance(data[key], dict):
+            raise SchemaError(f"{key!r} must be an object")
     settings = tuple(data["settings"])
     queries = tuple(data["queries"])
     answer = {}
@@ -299,6 +307,8 @@ def load_problem(path: Path) -> OracleProblemSpec:
         row = data["answer"].get(b)
         if row is None:
             raise SchemaError(f"answer table missing setting {b!r}")
+        if not isinstance(row, dict):
+            raise SchemaError(f"answer row of setting {b!r} must be an object")
         for q in queries:
             if q not in row:
                 raise SchemaError(f"answer table missing entry for (setting, query) ({b!r}, {q!r})")

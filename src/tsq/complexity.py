@@ -6,17 +6,26 @@ advice in the form of GF(2) parity constraints on the setting string.  The
 headline quantity: with advice rank r = round(k * n), the minimum over
 admissible rank-r parity bases of the worst-case per-class complexity is
 the predicted optimal quantum query count at retrocausality fraction k.
+
+The search runs on int bitmasks over the setting indices: each query is
+precomputed as its answer partition of the settings, and each candidate
+set's count is memoized by its mask for the length of one call.  A query is
+abandoned once one of its branches reaches the best count found so far, and
+an advice basis once one of its classes reaches the best worst case.  The
+frozenset recursion (``decision_tree_complexity(..., memoize=False)``) stays
+as the slow reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from . import gf2
 from .qcore import InvariantError
 
 DEFAULT_SEARCH_CAP = 24
+NO_SPLIT = "no query distinguishes the remaining candidates"
 
 
 class SearchCapError(ValueError):
@@ -72,16 +81,15 @@ def decision_tree_complexity(
     problem: OracleProblemSpec,
     candidates,
     cap: int = DEFAULT_SEARCH_CAP,
-    memo: Optional[dict] = None,
     memoize: bool = True,
 ) -> int:
     """Exact worst-case deterministic query count to pin down the solution.
 
     0 if the solution is already constant on the candidate set, otherwise
-    1 + min over queries of the max over answer branches.  A memo table is
-    created per call unless one is passed in for sharing across calls;
-    ``memoize=False`` runs the bare recursion (the independent cross-check
-    used in tests, exponentially slower).
+    1 + min over queries of the max over answer branches.  The default runs
+    the bitmask engine with a memo table made for this call;
+    ``memoize=False`` runs the bare recursion over frozensets (the slow
+    reference the tests compare the engine against).
     """
     candidates = frozenset(candidates)
     if not candidates:
@@ -91,34 +99,107 @@ def decision_tree_complexity(
             f"instance too large for exact search ({len(candidates)} candidates > cap {cap})"
         )
     if not memoize:
-        return _dtc(problem, candidates, None)
-    return _dtc(problem, candidates, {} if memo is None else memo)
+        return _dtc(problem, candidates)
+    tree = _DecisionTree(problem)
+    return tree.count(tree.mask(candidates))
 
 
-def _dtc(problem: OracleProblemSpec, candidates: frozenset, memo) -> int:
-    if memo is not None and candidates in memo:
-        return memo[candidates]
+def _dtc(problem: OracleProblemSpec, candidates: frozenset) -> int:
     if len({problem.solution[b] for b in candidates}) == 1:
-        result = 0
-    else:
-        best = None
+        return 0
+    best = None
+    for q in problem.queries:
+        branches: dict[str, set] = {}
+        for b in candidates:
+            branches.setdefault(problem.answer[(b, q)], set()).add(b)
+        if len(branches) == 1:
+            continue  # query does not split this set
+        worst = max(_dtc(problem, frozenset(part)) for part in branches.values())
+        if best is None or worst < best:
+            best = worst
+            if best == 0:
+                break
+    if best is None:
+        raise ValueError(NO_SPLIT)
+    return 1 + best
+
+
+class _DecisionTree:
+    """The minimax on int bitmasks over the problem's setting indices.
+
+    Built for one call and dropped with it.  Each query is stored as its
+    answer partition of all settings (queries that split nothing, and
+    repeats of a partition, are dropped), each setting with the mask of the
+    settings sharing its solution, and every count found in ``memo``.
+    """
+
+    def __init__(self, problem: OracleProblemSpec):
+        self.index = {b: i for i, b in enumerate(problem.settings)}
+        partitions = {}
         for q in problem.queries:
-            branches: dict[str, set] = {}
-            for b in candidates:
-                branches.setdefault(problem.answer[(b, q)], set()).add(b)
+            parts: dict[str, int] = {}
+            for b, i in self.index.items():
+                symbol = problem.answer[(b, q)]
+                parts[symbol] = parts.get(symbol, 0) | 1 << i
+            if len(parts) > 1:
+                partitions.setdefault(tuple(sorted(parts.values())), None)
+        self.partitions = tuple(partitions)
+        self.same_solution = [
+            self.mask(c for c in problem.settings if problem.solution[c] == problem.solution[b])
+            for b in problem.settings
+        ]
+        self.memo: dict[int, int] = {}
+
+    def mask(self, settings) -> int:
+        return sum(1 << self.index[b] for b in settings)
+
+    def solved(self, members: int) -> bool:
+        """Whether every setting in ``members`` has the same solution."""
+        return not members & ~self.same_solution[(members & -members).bit_length() - 1]
+
+    def confusable(self) -> bool:
+        """Whether two settings with different solutions answer every query alike."""
+        cells = [(1 << len(self.index)) - 1]
+        for parts in self.partitions:
+            cells = [cell & part for cell in cells for part in parts if cell & part]
+        return not all(self.solved(cell) for cell in cells)
+
+    def count(self, members: int) -> int:
+        """Exact query count of the candidate set ``members``.
+
+        A query is abandoned as soon as one of its branches needs as many
+        queries as the best query found so far; that cannot change the min.
+        A set of m settings needs at most m - 1 queries, so m stands for
+        "no splitting query yet" and never cuts the first one short.
+        """
+        memo = self.memo
+        if members in memo:
+            return memo[members]
+        if self.solved(members):
+            memo[members] = 0
+            return 0
+        best = none_yet = members.bit_count()
+        for parts in self.partitions:
+            branches = [members & part for part in parts if members & part]
             if len(branches) == 1:
                 continue  # query does not split this set
-            worst = max(_dtc(problem, frozenset(part), memo) for part in branches.values())
-            if best is None or worst < best:
+            worst = 0
+            for branch in branches:
+                c = memo.get(branch)  # a hit costs no call
+                if c is None:
+                    c = self.count(branch)
+                if c > worst:
+                    worst = c
+                    if worst >= best:
+                        break
+            if worst < best:
                 best = worst
                 if best == 0:
                     break
-        if best is None:
-            raise ValueError("no query distinguishes the remaining candidates")
-        result = 1 + best
-    if memo is not None:
-        memo[candidates] = result
-    return result
+        if best == none_yet:
+            raise ValueError(NO_SPLIT)
+        memo[members] = 1 + best
+        return 1 + best
 
 
 @dataclass(frozen=True)
@@ -162,6 +243,12 @@ class ComplexityReport:
         return self.worst_case
 
 
+def _advice_rank(problem: OracleProblemSpec, k: float) -> int:
+    if not 0 <= k <= 1:
+        raise ValueError("k must lie in [0, 1]")
+    return round(k * problem.n)
+
+
 def advanced_knowledge_prediction(
     problem: OracleProblemSpec, k: float, cap: int = DEFAULT_SEARCH_CAP
 ) -> ComplexityReport:
@@ -169,36 +256,47 @@ def advanced_knowledge_prediction(
 
     Minimizes the worst-case class complexity over all advice bases of rank
     round(k * n).  Every one is admissible: each GF(2) subspace has a
-    complement, with which it forms a full-rank selection.
+    complement, with which it forms a full-rank selection.  Bases are tried
+    in sorted order and only a strictly smaller worst case replaces the
+    best, so a basis is dropped as soon as one of its classes reaches the
+    best worst case.  One decision-tree table and memo serve every basis.
     """
-    if not 0 <= k <= 1:
-        raise ValueError("k must lie in [0, 1]")
+    r = _advice_rank(problem, k)
     if len(problem.settings) > cap:
         raise SearchCapError(
             f"instance too large for exact search ({len(problem.settings)} settings > cap {cap})"
         )
     n = problem.n
-    r = round(k * n)
+    tree = _DecisionTree(problem)
+    # Below full rank some class of some basis holds any given pair of
+    # settings, and a confusable pair has no count: raise whichever bases
+    # the cut-off skips.
+    if r < n and tree.confusable():
+        raise ValueError(NO_SPLIT)
     best: Optional[ComplexityReport] = None
-    memo: dict = {}
     for basis in gf2.subspaces(n, r):
         masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
-        classes = advice_classes(problem, masks)
-        per_class = tuple(
-            (
-                tuple(bit for _, bit in cls.constraints),
-                decision_tree_complexity(problem, cls.members, cap=cap, memo=memo),
-            )
-            for cls in classes
-        )
-        worst = max(count for _, count in per_class)
-        if best is None or worst < best.worst_case:
-            best = ComplexityReport(problem.name, r, k, masks, per_class, worst)
+        per_class = []
+        for cls in advice_classes(problem, masks):
+            count = tree.count(tree.mask(cls.members))
+            if best is not None and count >= best.worst_case:
+                break
+            per_class.append((tuple(bit for _, bit in cls.constraints), count))
+        else:
+            worst = max(count for _, count in per_class)
+            best = ComplexityReport(problem.name, r, k, masks, tuple(per_class), worst)
     return best
 
 
 def k_sweep(problem: OracleProblemSpec, ks, cap: int = DEFAULT_SEARCH_CAP) -> list[ComplexityReport]:
-    reports = [advanced_knowledge_prediction(problem, k, cap=cap) for k in ks]
+    """One report per k; each advice rank is solved once and shared by its k values."""
+    by_rank: dict[int, ComplexityReport] = {}
+    reports = []
+    for k in ks:
+        r = _advice_rank(problem, k)
+        if r not in by_rank:
+            by_rank[r] = advanced_knowledge_prediction(problem, k, cap=cap)
+        reports.append(replace(by_rank[r], k=k))
     for earlier, later in zip(reports, reports[1:]):
         if earlier.k <= later.k and later.worst_case > earlier.worst_case:
             raise InvariantError("worst-case count increased with k")

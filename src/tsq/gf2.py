@@ -7,7 +7,7 @@ most significant bit.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def parity(mask: int, value: int) -> int:
@@ -63,18 +63,25 @@ def span(vectors) -> frozenset[int]:
 def subspaces(n: int, r: int) -> list[tuple[int, ...]]:
     """All rank-r subspaces of F_2^n as canonical bases, sorted.
 
-    Brute force over r-combinations of nonzero vectors; fine for the desk
-    scale this package targets (n <= ~5).
+    Each subspace has one reduced basis, and each reduced basis is built
+    directly: choose r pivot bits; the row of pivot p is bit p plus any
+    subset of the non-pivot bits below p.  That gives the Gaussian binomial
+    [n choose r]_2 bases, each once.
     """
     if not 0 <= r <= n:
         raise ValueError(f"rank {r} out of range for n={n}")
-    if r == 0:
-        return [()]
-    seen = set()
-    for combo in combinations(range(1, 1 << n), r):
-        if is_independent(combo):
-            seen.add(reduced_basis(combo))
-    return sorted(seen)
+    out = []
+    for pivots in combinations(range(n - 1, -1, -1), r):
+        taken = sum(1 << p for p in pivots)
+        rows = []
+        for p in pivots:
+            choices = [1 << p]
+            for bit in range(p):
+                if not taken >> bit & 1:
+                    choices += [row | 1 << bit for row in choices]
+            rows.append(choices)
+        out.extend(product(*rows))
+    return sorted(out)
 
 
 def complement_bases(n: int, basis) -> list[tuple[int, ...]]:

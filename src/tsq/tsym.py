@@ -41,7 +41,6 @@ from .qcore import (
     UnitaryOp,
     apply,
     apply_adjoint,
-    basis_state,
     proportionality,
     uniform_setting_state,
     xor_copy_unitary,
@@ -69,10 +68,15 @@ class ProcessDescription:
         if len(set(sol.values())) != len(sol):
             raise ValueError("solution map must be invertible")
         object.__setattr__(self, "solution_map", sol)
+        # u12 maps |b>|blank> to one column of the block holding that index;
+        # every other amplitude of the output is zero.
+        k = self.u12.matrix.shape[1]
         for b in settings:
-            out = apply(self.u12, basis_state(self.layout, b, self.blank_a))
-            good = abs(out.amplitude(b, sol[b])) ** 2
-            total = out.norm() ** 2
+            block, col = divmod(self.layout.index(b, self.blank_a), k)
+            out = self.u12.matrix[block, :, col]
+            row = self.layout.index(b, sol[b]) - block * k
+            good = abs(out[row]) ** 2 if 0 <= row < k else 0.0
+            total = np.linalg.norm(out) ** 2
             if total - good > CORRELATION_TOL * total:
                 raise InvariantError(
                     f"unitary does not correlate setting {b} sharply with solution {sol[b]}"

@@ -175,6 +175,33 @@ def test_load_problem_schema_errors(tmp_path):
         load_problem(incomplete)
 
 
+VALID_PROBLEM = json.loads((PROBLEMS / "grover-n2-reduced.json").read_text())
+
+
+@pytest.mark.parametrize("shape, change", [
+    ("answer not an object", {"answer": []}),
+    ("solution not an object", {"solution": "0111"}),
+    ("answer row not an object", {"answer": {"01": ["00", "01", "10", "11"], "11": {}}}),
+    # read character by character, this one would pass as settings "0" and "1"
+    ("settings a string", {
+        "settings": "01",
+        "answer": {"0": {q: "0" for q in VALID_PROBLEM["queries"]},
+                   "1": {q: "1" for q in VALID_PROBLEM["queries"]}},
+        "solution": {"0": "0", "1": "1"},
+    }),
+    ("queries not strings", {"queries": [["00"], "01"]}),
+    ("file not an object", None),
+])
+def test_malformed_problem_file_exits_2(shape, change, tmp_path, capsys):
+    # each shape used to escape as a traceback or be read character by character
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(5 if change is None else {**VALID_PROBLEM, **change}))
+    with pytest.raises(SchemaError):
+        load_problem(path)
+    assert main(["complexity", "--problem", "file", "--problem-file", str(path), "--k", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_problem_file_via_cli(capsys, tmp_path):
     assert main([
         "complexity", "--problem", "file",

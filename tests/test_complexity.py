@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tsq import gf2
 from tsq.complexity import (
+    ComplexityReport,
     OracleProblemSpec,
     SearchCapError,
     advanced_knowledge_prediction,
@@ -128,3 +131,95 @@ def test_prediction_never_exceeds_realized_search():
         predicted = advanced_knowledge_prediction(grover_problem(n), 0.5).predicted_quantum
         realized = run_long(SearchOracle(n, "0" * n)).query_count
         assert predicted <= realized
+
+
+@st.composite
+def small_problems(draw, max_settings: int = 10):
+    """Random problems: up to ``max_settings`` settings of n bits, 1-5 queries
+    with 2- or 3-valued answers, and solutions that settings may share."""
+    n = draw(st.integers(1, 4))
+    values = draw(st.lists(
+        st.integers(0, (1 << n) - 1), min_size=2, max_size=min(max_settings, 1 << n), unique=True,
+    ))
+    points = tuple(format(b, f"0{n}b") for b in values)
+    queries = tuple(f"q{j}" for j in range(draw(st.integers(1, 5))))
+    symbols = "012"[: draw(st.integers(2, 3))]
+    answer = {(b, q): draw(st.sampled_from(symbols)) for b in points for q in queries}
+    solution = {b: draw(st.sampled_from("wxyz")) for b in points}
+    return OracleProblemSpec("random", points, queries, answer, solution)
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the ValueError it raises (a confusable candidate set)."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_problems(), st.data())
+def test_bitmask_engine_matches_frozenset_recursion(problem, data):
+    subset = data.draw(st.lists(st.sampled_from(problem.settings), min_size=1, unique=True))
+    for candidates in (problem.settings, subset):
+        fast = outcome(decision_tree_complexity, problem, candidates)
+        slow = outcome(lambda: decision_tree_complexity(problem, candidates, memoize=False))
+        assert fast == slow
+
+
+def exhaustive_prediction(problem: OracleProblemSpec, k: float) -> ComplexityReport:
+    """Every basis scored in full by the frozenset recursion; the first of equal bases wins."""
+    n = problem.n
+    r = round(k * n)
+    best = None
+    for basis in gf2.subspaces(n, r):
+        masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
+        per_class = tuple(
+            (tuple(bit for _, bit in cls.constraints),
+             decision_tree_complexity(problem, cls.members, memoize=False))
+            for cls in advice_classes(problem, masks)
+        )
+        worst = max(count for _, count in per_class)
+        if best is None or worst < best.worst_case:
+            best = ComplexityReport(problem.name, r, k, masks, per_class, worst)
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_problems(max_settings=8), st.integers(0, 4))
+def test_prediction_matches_exhaustive_reference(problem, numerator):
+    k = min(numerator / problem.n, 1.0)
+    fast = outcome(advanced_knowledge_prediction, problem, k)
+    assert fast == outcome(exhaustive_prediction, problem, k)
+
+
+def test_prediction_tie_break_first_sorted_basis():
+    # at rank 1 every basis of the n=2 drawer gives two classes of 2 settings
+    # (1 query each): the first basis in sorted order, 01, is reported
+    report = advanced_knowledge_prediction(grover_problem(2), 0.5)
+    assert gf2.subspaces(2, 1)[0] == (0b01,)
+    assert report.masks == ("01",)
+    assert report == exhaustive_prediction(grover_problem(2), 0.5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_problems(max_settings=8), st.lists(st.integers(0, 8), min_size=1, max_size=6))
+def test_k_sweep_shares_ranks_like_single_predictions(problem, eighths):
+    # k values of one rank repeat, so each rank is solved once and copied
+    ks = [e / 8 for e in eighths]
+    singles = outcome(lambda: [advanced_knowledge_prediction(problem, k) for k in ks])
+    assert outcome(k_sweep, problem, ks) == singles
+
+
+def test_confusable_pair_raises_even_where_the_cut_off_skips_it():
+    # 10 and 11 answer every query alike.  Basis 01 separates them (worst case
+    # 1); basis 10 puts them together in its second class, after a first
+    # class that already needs 1 query, so the cut-off never scores it.
+    rows = {"00": "00", "01": "10", "10": "01", "11": "01"}  # setting -> answers to q0, q1
+    answer = {(b, q): rows[b][j] for b in rows for j, q in enumerate(("q0", "q1"))}
+    problem = OracleProblemSpec("confusable", tuple(rows), ("q0", "q1"), answer, {b: b for b in rows})
+    with pytest.raises(ValueError, match="no query distinguishes"):
+        exhaustive_prediction(problem, 0.5)
+    with pytest.raises(ValueError, match="no query distinguishes"):
+        advanced_knowledge_prediction(problem, 0.5)
+    assert advanced_knowledge_prediction(problem, 1.0).worst_case == 0

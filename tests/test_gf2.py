@@ -59,6 +59,24 @@ def test_subspaces_match_direct_enumeration():
     assert len(spans) == len(gf2.subspaces(3, 2))
 
 
+def gaussian_binomial(n: int, r: int) -> int:
+    num = den = 1
+    for i in range(r):
+        num *= (1 << (n - i)) - 1
+        den *= (1 << (i + 1)) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_subspaces_equal_combination_brute_force(n):
+    # oracle: reduce every independent r-combination of nonzero vectors
+    for r in range(n + 1):
+        brute = {gf2.reduced_basis(c) for c in combinations(range(1, 1 << n), r) if gf2.is_independent(c)}
+        direct = gf2.subspaces(n, r)
+        assert direct == sorted(brute)
+        assert len(direct) == gaussian_binomial(n, r)
+
+
 def test_complement_bases():
     comps = gf2.complement_bases(2, (0b01,))
     assert all(gf2.rank((0b01,) + c) == 2 for c in comps)

@@ -7,12 +7,14 @@ from tsq import gf2
 from tsq.measure import ParityObservable
 from tsq.qcore import (
     InvariantError,
+    UnitaryOp,
     basis_state,
     max_abs_diff,
     states_close,
 )
 from tsq.tsym import (
     SelectionSplit,
+    copy_process,
     enumerate_splits,
     external_instance,
     recover_superposition,
@@ -21,7 +23,7 @@ from tsq.tsym import (
     uneven_instance,
     xor_process,
 )
-from conftest import state_from_terms
+from conftest import dense, state_from_terms
 
 P2 = xor_process(2)
 P3 = xor_process(3)
@@ -40,6 +42,18 @@ def test_process_validation():
             solution_map={"00": "00", "01": "01", "10": "10", "11": "10"},
             blank_a="00",
         )
+
+
+@pytest.mark.parametrize("form", ["blocks", "dense"])
+def test_one_non_correlating_block_raises(form):
+    # the xor-copy blocks with setting 10's block replaced by the identity:
+    # |10>|00> stays at |10>|00> instead of reaching |10>|10>
+    blocks = np.array(P2.u12.matrix)
+    assert copy_process(UnitaryOp(P2.layout, blocks)).solution("10") == "10"
+    blocks[2] = np.eye(4)
+    u = UnitaryOp(P2.layout, dense(UnitaryOp(P2.layout, blocks)) if form == "dense" else blocks)
+    with pytest.raises(InvariantError, match="setting 10"):
+        copy_process(u)
 
 
 def test_selection_injectivity():
