@@ -1,0 +1,129 @@
+"""Behaviour digest of the tsq command line.
+
+Runs a fixed list of argv through ``tsq.cli.main`` in one process and prints
+one line per argv: the argv as JSON, the exit code, and the sha256 of
+standard output and of standard error.  It takes no arguments:
+
+    python scripts/cli_digest.py > digest.txt
+
+The list covers every subcommand, both output formats, n = 2-4, both
+unitaries, every ``epr`` mode and path with several seeds, ``complexity`` on
+the drawer problem and on both bundled files, and a few invalid argv.
+Problem-file paths are relative to the repository root, and the script runs
+from there, so the digests of two checkouts can be compared with ``diff``.
+An exception that escapes ``main`` is printed as ``raise:<type>``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from tsq import cli  # noqa: E402
+
+PROBLEM_FILES = ("src/tsq/problems/grover-n2.json", "src/tsq/problems/grover-n2-reduced.json")
+UNITARIES = ("xor", "grover-long")
+SPLITS = {
+    2: ("A:[01]", "A:[10]", "A:[11]", "B:[10]/A:[01]", "B:[11]/A:[01]"),
+    3: ("A:[001]", "A:[011,101]", "B:[100,010]/A:[001]"),
+    4: ("A:[0011,0101]",),
+}
+ERRORS = (
+    [],
+    ["--version"],
+    ["--help"],
+    ["epr", "--help"],
+    ["bogus"],
+    ["epr"],
+    ["epr", "--outcome", "012"],
+    ["epr", "--outcome", "0"],
+    ["epr", "--mode", "costa", "--path", "direct", "--outcome", "01"],
+    ["epr", "--mode", "sideways", "--outcome", "01"],
+    ["grover-solver", "--n", "2", "--outcome", "01", "--split", "A01"],
+    ["grover-solver", "--n", "2", "--outcome", "01", "--split", "B:[10]"],
+    ["grover-solver", "--n", "2", "--outcome", "01", "--split", "A:[00]"],
+    ["grover-solver", "--n", "2", "--outcome", "01", "--split", "A:[011]"],
+    ["grover-solver", "--n", "0", "--outcome", "0"],
+    ["grover-solver", "--n", "2", "--outcome", "012"],
+    ["grover-external", "--n", "2", "--outcome", "11", "--split", "B:[10]/A:[10]"],
+    ["ts-instance", "--n", "2", "--outcome", "01"],
+    ["ts-instance", "--n", "2", "--outcome", "01", "--final-rank", "3"],
+    ["search", "--n", "4", "--target", "00000"],
+    ["search", "--n", "4"],
+    ["complexity", "--k", "2"],
+    ["complexity", "--problem", "file", "--k", "0"],
+    ["complexity", "--problem", "file", "--problem-file", "no/such/file.json", "--k", "0"],
+)
+
+
+def values(n: int, step: int = 1) -> list[str]:
+    return [format(b, f"0{n}b") for b in range(0, 1 << n, step)]
+
+
+def argvs() -> list[list[str]]:
+    out = []
+    for n, step in ((2, 1), (3, 2), (4, 5)):
+        for unitary in UNITARIES:
+            for b in values(n, step):
+                base = ["--n", str(n), "--outcome", b, "--unitary", unitary]
+                for split in (None, *SPLITS[n]):
+                    extra = ["--split", split] if split else []
+                    out += [["grover-external", *base, *extra], ["grover-solver", *base, *extra]]
+                for split in SPLITS[n]:
+                    for view in ("solver", "external"):
+                        out.append(["ts-instance", *base, "--split", split, "--perspective", view])
+                for rank in range(n + 1):
+                    out.append(["ts-instance", *base, "--final-rank", str(rank)])
+    for mode in ("direct", "costa", "ts"):
+        for path in (None, "direct", "via-t0"):
+            for seed in (None, 1, 2, 7):
+                for b in values(2):
+                    argv = ["epr", "--mode", mode, "--outcome", b]
+                    argv += ["--path", path] if path else []
+                    argv += ["--seed", str(seed)] if seed is not None else []
+                    out.append(argv)
+    ks = (["--k", "0", "--k", "0.5", "--k", "1"], ["--k", "0.25"], ["--k", "1", "--k", "0"])
+    for n in (2, 3, 4):
+        out += [["complexity", "--n", str(n), *k] for k in ks]
+    for path in PROBLEM_FILES:
+        out += [["complexity", "--problem", "file", "--problem-file", path, *k] for k in ks]
+    for n in range(4, 9):
+        for target in (values(n)[1], values(n)[-1]):
+            for variant in ("long", "grover"):
+                out.append(["search", "--n", str(n), "--target", target, "--variant", variant])
+    # each generated argv in both output formats
+    out = [argv + ["--output", fmt] for argv in out for fmt in ("table", "json")]
+    return out + [list(argv) for argv in ERRORS]
+
+
+def run(argv: list[str]) -> tuple[str, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = str(cli.main(argv))
+        except SystemExit as e:
+            code = str(e.code)
+        except Exception as e:  # a traceback is a finding, not a crash of the sweep
+            code = f"raise:{type(e).__name__}"
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def main() -> int:
+    os.chdir(ROOT)
+    for argv in argvs():
+        code, out, err = run(argv)
+        digests = (hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+        print(json.dumps(argv), code, *digests, sep="\t")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

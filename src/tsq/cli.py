@@ -384,9 +384,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # built once; parse_args keeps no state between calls
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     params = {k: v for k, v in vars(args).items() if k not in ("command", "output") and v is not None}
     if args.command == "complexity" and args.problem == "file" and not args.problem_file:
         print("error: --problem file requires --problem-file", file=sys.stderr)

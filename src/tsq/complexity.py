@@ -273,17 +273,23 @@ def advanced_knowledge_prediction(
     # the cut-off skips.
     if r < n and tree.confusable():
         raise ValueError(NO_SPLIT)
+    # Parities per setting: gf2.parity_codes would tabulate all 2^n values.
+    values = [int(b, 2) for b in problem.settings]
     best: Optional[ComplexityReport] = None
     for basis in gf2.subspaces(n, r):
-        masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
+        classes: dict[tuple[int, ...], int] = {}  # parity bits -> mask of their settings
+        for i, v in enumerate(values):
+            bits = tuple(gf2.parity(m, v) for m in basis)
+            classes[bits] = classes.get(bits, 0) | 1 << i
         per_class = []
-        for cls in advice_classes(problem, masks):
-            count = tree.count(tree.mask(cls.members))
+        for bits in sorted(classes):
+            count = tree.count(classes[bits])
             if best is not None and count >= best.worst_case:
                 break
-            per_class.append((tuple(bit for _, bit in cls.constraints), count))
+            per_class.append((bits, count))
         else:
             worst = max(count for _, count in per_class)
+            masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
             best = ComplexityReport(problem.name, r, k, masks, tuple(per_class), worst)
     return best
 

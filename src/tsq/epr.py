@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.stats import unitary_group
 
+from . import gf2
 from .measure import (
     ParityObservable,
     ParityOutcome,
@@ -55,18 +56,14 @@ def xor_decode(s: StateVector) -> StateVector:
     """Collapse each 2-bit register to the XOR of its bits.
 
     The amplitude of |x>_B |y>_A is the sum over labels with B-parity x and
-    A-parity y.
+    A-parity y, the parities under mask 11.
     """
     if (s.layout.n_b, s.layout.n_a) != (2, 2):
         raise ValueError("xor decode expects 2-bit registers")
-    small = RegisterLayout(1, 1)
+    x = gf2.parity_codes([0b11], 2)
     amps = np.zeros(4, dtype=np.complex128)
-    for i, amp in enumerate(s.amps):
-        b, a = divmod(i, 4)
-        x = (b >> 1) ^ (b & 1)
-        y = (a >> 1) ^ (a & 1)
-        amps[x * 2 + y] += amp
-    return StateVector(small, amps)
+    np.add.at(amps, (2 * x[:, None] + x).ravel(), s.amps)
+    return StateVector(RegisterLayout(1, 1), amps)
 
 
 @dataclass(frozen=True)

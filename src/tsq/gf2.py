@@ -9,10 +9,25 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+import numpy as np
+
 
 def parity(mask: int, value: int) -> int:
     """Dot product mask . value over GF(2)."""
     return (mask & value).bit_count() & 1
+
+
+def parity_codes(masks, n: int) -> np.ndarray:
+    """Sector code of every value 0..2^n - 1 (n <= 32): bit len(masks) - 1 - i
+    holds the parity under masks[i].  Shifts fold bits; numpy 1.24 has no popcount."""
+    values = np.arange(1 << n)
+    codes = np.zeros(1 << n, dtype=np.int64)
+    for mask in masks:
+        x = values & mask
+        for shift in (16, 8, 4, 2, 1):
+            x ^= x >> shift
+        codes = codes << 1 | x & 1
+    return codes
 
 
 def rank(vectors) -> int:

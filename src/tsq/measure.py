@@ -1,18 +1,19 @@
 """Projective measurements of GF(2) parity observables on one register.
 
-A partial measurement is modeled as a set of parity masks over the bits of
-register B or A.  Rank-n mask sets are equivalent to measuring the full
-register content; single masks give the one-bit measurements (left bit,
-right bit, XOR of the two, ...).  All projectors are diagonal in the
-computational basis, so any two such observables commute.
-
-Projected states are deliberately left unrenormalized; renormalization is
-the caller's choice.
+A partial measurement is a set of parity masks over the bits of register B
+or A: rank n measures the full register content, one mask a one-bit parity
+(left bit, right bit, XOR of the two, ...).  Each register value lies in
+one parity sector, coded by ``gf2.parity_codes``; projectors and sector
+masses are computed on the 2^n codes of the observed register and spread
+over the other.  All projectors are diagonal in the computational basis,
+so any two such observables commute.  Projected states are left
+unrenormalized; renormalization is the caller's choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -105,30 +106,22 @@ class ParityOutcome:
             raise ValueError("outcome bits must be 0 or 1")
 
 
-def _register_values(layout: RegisterLayout, register: str) -> np.ndarray:
-    """Register content for every joint basis index, as an int array."""
-    idx = np.arange(layout.dim)
-    return idx // layout.dim_a if register == "B" else idx % layout.dim_a
-
-
-def _parity_vector(values: np.ndarray, mask: int) -> np.ndarray:
-    """Vectorized mask . value parity over an int array."""
-    x = values & mask
-    for shift in (16, 8, 4, 2, 1):
-        x = x ^ (x >> shift)
-    return x & 1
+def _register_codes(obs: ParityObservable, layout: RegisterLayout) -> np.ndarray:
+    """Sector code of every value of the observed register (see gf2.parity_codes)."""
+    n = layout.bits(obs.register)
+    if obs.masks and obs.n_bits != n:
+        raise ValueError("observable does not fit the layout")
+    return gf2.parity_codes([gf2.bits_to_mask(m) for m in obs.masks], n)
 
 
 def projector_diagonal(outcome: ParityOutcome, layout: RegisterLayout) -> np.ndarray:
     """0/1 diagonal of the projector keeping labels that satisfy all parities."""
-    obs = outcome.observable
-    if obs.masks and obs.n_bits != layout.bits(obs.register):
-        raise ValueError("observable does not fit the layout")
-    values = _register_values(layout, obs.register)
-    keep = np.ones(layout.dim, dtype=bool)
-    for mask, bit in zip(obs.masks, outcome.bits):
-        keep &= _parity_vector(values, gf2.bits_to_mask(mask)) == bit
-    return keep.astype(np.float64)
+    code = gf2.bits_to_mask("".join(map(str, outcome.bits)))
+    keep = (_register_codes(outcome.observable, layout) == code).astype(np.float64)
+    # spread over the joint index b * dim_a + a
+    if outcome.observable.register == "B":
+        return np.repeat(keep, layout.dim_a)
+    return np.tile(keep, layout.dim_b)
 
 
 def project(outcome: ParityOutcome, s: StateVector) -> StateVector:
@@ -149,17 +142,11 @@ def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> St
 
 
 def sector_masses(s: StateVector, obs: ParityObservable) -> dict[tuple[int, ...], float]:
-    """Born weight (squared-amplitude mass) of every parity sector."""
-    values = _register_values(s.layout, obs.register)
-    probs = np.abs(s.amps) ** 2
-    key_codes = np.zeros(s.layout.dim, dtype=np.int64)
-    for mask in obs.masks:
-        key_codes = (key_codes << 1) | _parity_vector(values, gf2.bits_to_mask(mask))
-    masses: dict[tuple[int, ...], float] = {}
-    for code in np.unique(key_codes):
-        bits = tuple((int(code) >> (obs.rank - 1 - i)) & 1 for i in range(obs.rank))
-        masses[bits] = float(probs[key_codes == code].sum())
-    return masses
+    """Born weight (squared-amplitude mass) of all 2^rank parity sectors, in code order."""
+    probs = np.abs(s.amps.reshape(s.layout.dim_b, s.layout.dim_a)) ** 2
+    per_value = probs.sum(axis=1 if obs.register == "B" else 0)
+    masses = np.bincount(_register_codes(obs, s.layout), per_value, minlength=1 << obs.rank)
+    return dict(zip(product((0, 1), repeat=obs.rank), masses.tolist()))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .measure import (
     ParityObservable,
     full_observable,
     project_forced,
-    trivial_observable,
 )
 from .qcore import (
     BRANCH_MASS_TOL,
@@ -258,15 +257,8 @@ def uneven_instance(process: ProcessDescription, b: str, final_rank: int) -> Zig
     n = process.n
     if not 0 <= final_rank <= n:
         raise ValueError(f"final rank {final_rank} out of range for n={n}")
-    if final_rank == 0:
-        final_part = trivial_observable("A")
-    else:
-        final_part = _observable("A", tuple(1 << i for i in range(final_rank)), n)
-    initial_part = (
-        trivial_observable("B")
-        if final_rank == n
-        else _observable("B", tuple(1 << i for i in range(final_rank, n)), n)
-    )
+    final_part = _observable("A", tuple(1 << i for i in range(final_rank)), n)
+    initial_part = _observable("B", tuple(1 << i for i in range(final_rank, n)), n)
     return solver_instance(process, b, SelectionSplit(initial_part, final_part))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from tsq import gf2
 from tsq.qcore import RegisterLayout, StateVector, UnitaryOp
 
 
@@ -16,6 +17,14 @@ def state_from_terms(layout: RegisterLayout, terms) -> StateVector:
 def random_state(layout: RegisterLayout, rng) -> StateVector:
     amps = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
     return StateVector(layout, amps)
+
+
+def random_independent_masks(rng, n: int, r: int) -> list[int]:
+    """r GF(2)-independent nonzero n-bit masks, drawn at random (in random order)."""
+    while True:
+        masks = [int(m) for m in rng.integers(1, 1 << n, size=r)]
+        if gf2.is_independent(masks):
+            return masks
 
 
 def dense(u: UnitaryOp) -> np.ndarray:

@@ -91,6 +91,23 @@ def test_advice_classes():
         advice_classes(p, ("01", "01"))
 
 
+def test_prediction_with_long_settings():
+    # two 40-bit settings: the advice classes come from the settings alone,
+    # never from a table over all 2^40 values
+    zero, one = "0" * 40, "1" * 40
+    problem = OracleProblemSpec(
+        name="long",
+        settings=(zero, one),
+        queries=("q",),
+        answer={(zero, "q"): "0", (one, "q"): "1"},
+        solution={zero: "a", one: "b"},
+    )
+    assert advanced_knowledge_prediction(problem, 0.0).worst_case == 1
+    full = advanced_knowledge_prediction(problem, 1.0)
+    assert (full.advice_rank, full.worst_case) == (40, 0)
+    assert [bits for bits, _ in full.per_class] == [(0,) * 40, (1,) * 40]
+
+
 def test_prediction_n2():
     p = grover_problem(2)
     assert advanced_knowledge_prediction(p, 0.5).predicted_quantum == 1

@@ -2,10 +2,12 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tsq import gf2
+from conftest import random_independent_masks
 
 
 def test_parity_examples():
@@ -19,6 +21,20 @@ def test_parity_examples():
 def test_parity_is_linear(v1, v2):
     mask = 0b10110101
     assert gf2.parity(mask, v1 ^ v2) == gf2.parity(mask, v1) ^ gf2.parity(mask, v2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_parity_codes_match_scalar_parity(n):
+    # oracle: bit r - 1 - i of a value's code is its parity under masks[i]
+    rng = np.random.default_rng(100 + n)
+    for r in range(n + 1):
+        for _ in range(3):
+            masks = random_independent_masks(rng, n, r)
+            codes = gf2.parity_codes(masks, n)
+            assert codes.shape == (1 << n,)
+            for value in range(1 << n):
+                bits = tuple((int(codes[value]) >> (r - 1 - i)) & 1 for i in range(r))
+                assert bits == tuple(gf2.parity(m, value) for m in masks)
 
 
 def test_rank_and_independence():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tsq import gf2
 from tsq.measure import (
     ImpossibleOutcomeError,
     ParityObservable,
@@ -25,7 +26,7 @@ from tsq.qcore import (
     uniform_setting_state,
 )
 from tsq.tsym import xor_process
-from conftest import random_state, state_from_terms
+from conftest import random_independent_masks, random_state, state_from_terms
 
 L2 = RegisterLayout(2, 2)
 INITIAL = uniform_setting_state(L2, "00")
@@ -145,6 +146,40 @@ def test_sector_masses_match_manual_sum(rng):
     assert masses[(0,)] == pytest.approx(manual[0], rel=1e-12)
     assert masses[(1,)] == pytest.approx(manual[1], rel=1e-12)
     assert sum(masses.values()) == pytest.approx(s.norm() ** 2, rel=1e-12)
+
+
+def test_sector_masses_reject_observable_of_other_width(rng):
+    s = random_state(L2, rng)
+    with pytest.raises(ValueError, match="does not fit the layout"):
+        sector_masses(s, ParityObservable("B", ("111",)))
+    with pytest.raises(ValueError, match="does not fit the layout"):
+        projector_diagonal(ParityObservable("A", ("1",)).outcome_for("1"), L2)
+
+
+@pytest.mark.parametrize("register", ["B", "A"])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 1), (1, 4)])
+def test_projector_and_masses_match_index_oracle(shape, register, rng):
+    # oracle: read each joint index's register value and parities one at a time
+    layout = RegisterLayout(*shape)
+    n = layout.bits(register)
+    s = random_state(layout, rng)
+    for r in range(n + 1):
+        masks = random_independent_masks(rng, n, r)
+        obs = ParityObservable(register, tuple(gf2.mask_to_bits(m, n) for m in masks))
+        index_bits = []
+        for i in range(layout.dim):
+            b, a = divmod(i, layout.dim_a)
+            value = b if register == "B" else a
+            index_bits.append(tuple(gf2.parity(m, value) for m in masks))
+        masses = sector_masses(s, obs)
+        assert list(masses) == sorted(o.bits for o in all_outcomes(obs))
+        for outcome in all_outcomes(obs):
+            diag = projector_diagonal(outcome, layout)
+            expected = [1.0 if bits == outcome.bits else 0.0 for bits in index_bits]
+            assert diag.tolist() == expected
+            kept = [amp for amp, bits in zip(s.amps, index_bits) if bits == outcome.bits]
+            manual = sum(abs(amp) ** 2 for amp in kept)
+            assert masses[outcome.bits] == pytest.approx(manual, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3])
