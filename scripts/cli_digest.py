@@ -53,6 +53,9 @@ ERRORS = (
     ["grover-solver", "--n", "2", "--outcome", "01", "--split", "A:[011]"],
     ["grover-solver", "--n", "0", "--outcome", "0"],
     ["grover-solver", "--n", "2", "--outcome", "012"],
+    ["grover-external", "--n", "2", "--outcome", "1"],
+    ["ts-instance", "--n", "2", "--outcome", "1", "--final-rank", "1"],
+    ["epr", "--mode", "ts", "--outcome", "011"],
     ["grover-external", "--n", "2", "--outcome", "11", "--split", "B:[10]/A:[10]"],
     ["ts-instance", "--n", "2", "--outcome", "01"],
     ["ts-instance", "--n", "2", "--outcome", "01", "--final-rank", "3"],

@@ -20,7 +20,7 @@ from .complexity import grover_problem, k_sweep, OracleProblemSpec
 from .epr import direct_trace, emulation_check, make_scenario, ts_trace
 from .grover import SearchOracle, grover_process, run_grover, run_long
 from .measure import ParityObservable, project
-from .qcore import InvariantError, apply, max_abs_diff
+from .qcore import InvariantError, RegisterLayout, apply, max_abs_diff
 from .tsym import (
     SelectionSplit,
     complete_split,
@@ -32,6 +32,7 @@ from .tsym import (
 )
 
 SCHEMA_VERSION = 1
+EPR_BITS = 2  # register width of the redundant EPR encoding
 
 
 class SchemaError(ValueError):
@@ -101,6 +102,15 @@ def parse_split(process, text: str) -> SelectionSplit:
     if split is None:
         raise ValueError(f"no complementary initial part exists for {text!r}")
     return split
+
+
+def _check_outcome(bits: str, n: int) -> None:
+    """Refuse an outcome that is not an n-bit binary value, after the layout
+    check; text that is not binary keeps the message of ``int(bits, 2)``."""
+    RegisterLayout(n, n)
+    int(bits, 2)
+    if len(bits) != n or set(bits) - {"0", "1"}:
+        raise ValueError(f"outcome {bits!r} is not a value of the {n}-bit register")
 
 
 def _make_process(n: int, unitary: str):
@@ -394,6 +404,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error: --problem file requires --problem-file", file=sys.stderr)
         return 2
     try:
+        if "outcome" in params:
+            _check_outcome(params["outcome"], params.get("n", EPR_BITS))
         report = _RUNNERS[args.command](params)
     except (ValueError, SchemaError) as e:
         print(f"error: {e}", file=sys.stderr)

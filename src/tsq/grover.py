@@ -11,7 +11,8 @@ eps <= 1e-9 (closed-form angle, then a short numerical polish).
 ``as_process_unitary`` lifts the family of single-target networks to a
 block-controlled unitary on the joint B (x) A space, giving the
 time-symmetrization engine a physically realized solving unitary to consume
-in place of the canonical XOR copy.
+in place of the canonical XOR copy.  As the diffusion commutes with X_b and
+H X_b = Z_b H, the network for target b is X_b N_0 Z_b, N_0 targeting 0...0.
 """
 
 from __future__ import annotations
@@ -163,30 +164,14 @@ def _iteration_matrix(oracle: SearchOracle, phase: float) -> np.ndarray:
 
 
 def as_process_unitary(n: int) -> UnitaryOp:
-    """Block-controlled lift: for each setting b, run the b-targeted network
-    on register A; block b of the returned operator is that network.
-    Per-branch global phases are tolerated downstream."""
+    """Block-controlled lift: block b of the returned operator is the network
+    for target b, X_b N_0 Z_b, i.e. N_0[i xor b, j] (-1)^popcount(b and j).
+    Every block is a signed row permutation of N_0, so the search runs once."""
     layout = RegisterLayout(n, n)
-    blocks = np.empty((layout.dim_b, layout.dim_a, layout.dim_a), dtype=np.complex128)
-    for b in range(layout.dim_b):
-        oracle = SearchOracle(n, format(b, f"0{n}b"))
-        blocks[b] = search_network(oracle)
-        leak = 1 - abs(blocks[b, oracle.target_index, 0]) ** 2
-        if leak > CERTAINTY_EPS:
-            raise InvariantError(
-                f"lifted network violates the correlation invariant at b={oracle.target}"
-            )
+    values = np.arange(layout.dim_a)
+    blocks = search_network(SearchOracle(n, "0" * n))[values[:, np.newaxis] ^ values]
+    blocks *= hadamard(layout.dim_a)[:, np.newaxis, :]
     return UnitaryOp(layout, blocks)
-
-
-def branch_phases(n: int) -> dict[str, complex]:
-    """Global phase picked up by each setting branch of the lifted network."""
-    blocks = as_process_unitary(n).matrix
-    phases = {}
-    for b in range(1 << n):
-        amp = blocks[b, b, 0]
-        phases[format(b, f"0{n}b")] = complex(amp / abs(amp))
-    return phases
 
 
 def grover_process(n: int) -> ProcessDescription:

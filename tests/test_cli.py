@@ -1,10 +1,13 @@
 """Command line front end: golden outputs, JSON determinism, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsq import complexity, gf2
 from tsq.cli import SchemaError, load_problem, main, parse_split
@@ -85,6 +88,12 @@ def test_exit_code_config_errors(capsys):
     assert main(["complexity", "--problem", "file", "--k", "0"]) == 2
     # the costa mode always runs via t0
     assert main(["epr", "--mode", "costa", "--path", "direct", "--outcome", "01"]) == 2
+    # outcomes of the wrong width or alphabet, once a KeyError or a zero-padded value
+    assert main(["grover-solver", "--n", "2", "--outcome", "012"]) == 2
+    assert main(["ts-instance", "--n", "2", "--outcome", "1", "--final-rank", "1"]) == 2
+    assert main(["grover-external", "--n", "2", "--outcome", "1"]) == 2
+    assert main(["epr", "--outcome", "0"]) == 2
+    assert main(["epr", "--mode", "ts", "--outcome", "011"]) == 2
     capsys.readouterr()
 
 
@@ -221,3 +230,66 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_outcome_check_runs_after_the_layout_check(capsys):
+    assert main(["grover-solver", "--n", "0", "--outcome", "0"]) == 2
+    assert capsys.readouterr().err == "error: each register needs at least one bit\n"
+
+
+# n = 9 is above both the joint-dimension cap of the register commands and
+# the setting cap of the drawer problem; "x" is not an integer at all
+NS = st.sampled_from(["0", "1", "2", "3", "9", "x"])
+BITS = st.text("01", max_size=4) | st.text("012x-b_ ", min_size=1, max_size=4)
+MASK_LISTS = st.lists(BITS, max_size=3).map(lambda masks: "[" + ",".join(masks) + "]")
+SPLITS = st.one_of(
+    MASK_LISTS.map(lambda a: f"A:{a}"),
+    st.tuples(MASK_LISTS, MASK_LISTS).map(lambda ba: f"B:{ba[0]}/A:{ba[1]}"),
+    st.text("AB:[]/01,", max_size=10),
+)
+KS = st.sampled_from(["-0.5", "0", "0.25", "0.5", "1", "1.5", "nan", "inf", "k"])
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(
+        ["grover-external", "grover-solver", "ts-instance", "epr", "complexity", "search"]
+    ))
+    argv = [command]
+    if command in ("grover-external", "grover-solver", "ts-instance"):
+        argv += ["--n", draw(NS), "--outcome", draw(BITS)]
+        argv += ["--unitary", draw(st.sampled_from(["xor", "grover-long"]))]
+        if draw(st.booleans()):
+            argv += ["--split", draw(SPLITS)]
+        if command == "ts-instance":
+            if draw(st.booleans()):
+                argv += ["--final-rank", str(draw(st.integers(-1, 4)))]
+            argv += ["--perspective", draw(st.sampled_from(["solver", "external"]))]
+    elif command == "epr":
+        argv += ["--outcome", draw(BITS), "--mode", draw(st.sampled_from(["direct", "costa", "ts"]))]
+        path = draw(st.sampled_from([None, "direct", "via-t0"]))
+        seed = draw(st.sampled_from([None, -1, 0, 1]))
+        argv += ["--path", path] if path else []
+        argv += ["--seed", str(seed)] if seed is not None else []
+    elif command == "complexity":
+        argv += ["--n", draw(NS)]
+        for k in draw(st.lists(KS, min_size=1, max_size=3)):
+            argv += ["--k", k]
+        problem = draw(st.sampled_from([None, "grover-n2.json", "missing.json"]))
+        if problem:
+            argv += ["--problem", "file", "--problem-file", str(PROBLEMS / problem)]
+    else:
+        argv += ["--n", draw(NS), "--target", draw(BITS)]
+        argv += ["--variant", draw(st.sampled_from(["long", "grover"]))]
+    return argv + ["--output", draw(st.sampled_from(["table", "json"]))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_every_argv_exits_0_2_or_3(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refuses the argv
+            code = e.code
+    assert code in (0, 2, 3), argv

@@ -9,7 +9,6 @@ import pytest
 from tsq.grover import (
     SearchOracle,
     as_process_unitary,
-    branch_phases,
     grover_iterate,
     grover_process,
     matched_phase,
@@ -112,11 +111,13 @@ def test_lifted_unitary_correlates_every_setting():
         assert abs(out.amplitude(b, b)) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
-def test_branch_phases_are_unit_modulus():
-    phases = branch_phases(2)
-    assert set(phases) == {"00", "01", "10", "11"}
-    for phase in phases.values():
-        assert abs(phase) == pytest.approx(1.0)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_lifted_unitary_matches_per_setting_networks(n):
+    # slow reference: one search network per setting b, each built from its own oracle
+    reference = np.stack(
+        [search_network(SearchOracle(n, format(b, f"0{n}b"))) for b in range(1 << n)]
+    )
+    assert np.max(np.abs(as_process_unitary(n).matrix - reference)) <= 1e-12
 
 
 def test_grover_process_interop_with_xor_branch_sets():
