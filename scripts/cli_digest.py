@@ -61,6 +61,8 @@ ERRORS = (
     ["ts-instance", "--n", "2", "--outcome", "01", "--final-rank", "3"],
     ["search", "--n", "4", "--target", "00000"],
     ["search", "--n", "4"],
+    ["search", "--n", "30", "--target", "0" * 30],
+    ["complexity", "--n", "40", "--k", "0.5"],
     ["complexity", "--k", "2"],
     ["complexity", "--problem", "file", "--k", "0"],
     ["complexity", "--problem", "file", "--problem-file", "no/such/file.json", "--k", "0"],

@@ -75,6 +75,14 @@ def _add_table(report: Report, label: str, lines: list[str], states: dict) -> No
         report.tables[f"{label} / {name}"] = render.state_rows(state)
 
 
+def _add_instance(report: Report, inst) -> None:
+    """The zigzag table of one instance, headed by its split's part names."""
+    left, right = inst.split.initial_part.name(), inst.split.final_part.name()
+    table = render.zigzag_table(left, right, inst.walk)
+    _add_table(report, f"{inst.perspective} zigzag", table, dict(inst.trajectory))
+    report.scalars["instance"] = inst.name()
+
+
 def parse_split(process, text: str) -> SelectionSplit:
     """Parse "B:[10]/A:[01]" or just "A:[01]" (initial part auto-completed)."""
     parts = {}
@@ -131,19 +139,11 @@ def _run_grover_external(params: dict) -> Report:
     _add_table(
         report,
         "external description",
-        render.external_ordinary_table(initial, selected, output),
+        render.zigzag_table("B", "A", (initial, selected, output, None, None)),
         {"initial": initial, "t1 selected": selected, "t2 output": output},
     )
     if params.get("split"):
-        split = parse_split(process, params["split"])
-        inst = external_instance(process, b, split)
-        _add_table(
-            report,
-            "external zigzag",
-            render.external_zigzag_table(inst),
-            dict(inst.trajectory),
-        )
-        report.scalars["instance"] = inst.name()
+        _add_instance(report, external_instance(process, b, parse_split(process, params["split"])))
     return report
 
 
@@ -157,13 +157,12 @@ def _run_grover_solver(params: dict) -> Report:
     _add_table(
         report,
         "relativized description",
-        render.solver_ordinary_table(initial, correlated, selected),
+        render.zigzag_table("B", "A", (initial, None, correlated, selected, None)),
         {"initial": initial, "t2 correlated": correlated, "t2 selected": selected},
     )
     if params.get("split"):
-        split = parse_split(process, params["split"])
-        inst = solver_instance(process, b, split)
-        _add_table(report, "solver zigzag", render.solver_zigzag_table(inst), dict(inst.trajectory))
+        inst = solver_instance(process, b, parse_split(process, params["split"]))
+        _add_instance(report, inst)
         _add_table(
             report,
             "bottom line (backward)",
@@ -171,7 +170,6 @@ def _run_grover_solver(params: dict) -> Report:
             {"input": inst.bottom_line[0], "output": inst.bottom_line[1]},
         )
         _add_table(report, "bottom line (forward)", render.bottom_line_table(inst, "forward"), {})
-        report.scalars["instance"] = inst.name()
         report.scalars["branch_settings"] = list(inst.branch_settings())
     return report
 
@@ -190,13 +188,7 @@ def _run_ts_instance(params: dict) -> Report:
             inst = external_instance(process, b, split)
         else:
             inst = solver_instance(process, b, split)
-    table = (
-        render.external_zigzag_table(inst)
-        if inst.perspective == "external"
-        else render.solver_zigzag_table(inst)
-    )
-    _add_table(report, f"{inst.perspective} zigzag", table, dict(inst.trajectory))
-    report.scalars["instance"] = inst.name()
+    _add_instance(report, inst)
     report.scalars["branch_settings"] = list(inst.branch_settings())
     return report
 
@@ -210,15 +202,19 @@ def _run_epr(params: dict) -> Report:
     if mode == "costa" and path == "direct":
         raise ValueError("--mode costa runs the via-t0 path; --path direct contradicts it")
     report = Report(scenario={"kind": "epr", **params, "path": path}, seed=seed)
+    via_t0 = path == "via-t0"
     if mode == "ts":
         split = SelectionSplit(
             ParityObservable("B", tuple(params.get("split_b", ("10",)))),
             ParityObservable("A", tuple(params.get("split_a", ("01",)))),
         )
-        trace = ts_trace(scenario, outcome, split, via_t0=(path == "via-t0"))
+        parts = (split.initial_part.name(), split.final_part.name())
+        trace = ts_trace(scenario, outcome, split, via_t0=via_t0)
     else:
-        trace = direct_trace(scenario, outcome, via_t0=(path == "via-t0"))
-    _add_table(report, f"{trace.kind} trace", render.epr_trace_table(trace), dict(trace.states))
+        parts = ("B", "A")
+        trace = direct_trace(scenario, outcome, via_t0=via_t0)
+    table = render.zigzag_table(*parts, trace.walk, via=via_t0)
+    _add_table(report, f"{trace.kind} trace", table, dict(trace.states))
     check = emulation_check(scenario, outcome)
     report.scalars["emulation_max_deviation"] = check.max_deviation
     if trace.kind in ("ts-direct", "ts-via-t0"):

@@ -12,8 +12,7 @@ precomputed as its answer partition of the settings, and each candidate
 set's count is memoized by its mask for the length of one call.  A query is
 abandoned once one of its branches reaches the best count found so far, and
 an advice basis once one of its classes reaches the best worst case.  The
-frozenset recursion (``decision_tree_complexity(..., memoize=False)``) stays
-as the slow reference.
+tests keep the frozenset recursion as the slow reference.
 """
 
 from __future__ import annotations
@@ -65,8 +64,18 @@ class OracleProblemSpec:
         return len(self.settings[0])
 
 
+def _check_setting_cap(settings: int, cap: int) -> None:
+    if settings > cap:
+        raise SearchCapError(
+            f"instance too large for exact search ({settings} settings > cap {cap})"
+        )
+
+
 def grover_problem(n: int) -> OracleProblemSpec:
-    """Ball in one of 2^n drawers; a query opens one drawer."""
+    """Ball in one of 2^n drawers; a query opens one drawer.  Refused when
+    the 2^n settings exceed ``DEFAULT_SEARCH_CAP``, before the 4^n answers
+    are tabulated."""
+    _check_setting_cap(1 << n, DEFAULT_SEARCH_CAP)
     settings = tuple(format(b, f"0{n}b") for b in range(1 << n))
     return OracleProblemSpec(
         name=f"grover-n{n}",
@@ -78,18 +87,13 @@ def grover_problem(n: int) -> OracleProblemSpec:
 
 
 def decision_tree_complexity(
-    problem: OracleProblemSpec,
-    candidates,
-    cap: int = DEFAULT_SEARCH_CAP,
-    memoize: bool = True,
+    problem: OracleProblemSpec, candidates, cap: int = DEFAULT_SEARCH_CAP
 ) -> int:
     """Exact worst-case deterministic query count to pin down the solution.
 
     0 if the solution is already constant on the candidate set, otherwise
-    1 + min over queries of the max over answer branches.  The default runs
-    the bitmask engine with a memo table made for this call;
-    ``memoize=False`` runs the bare recursion over frozensets (the slow
-    reference the tests compare the engine against).
+    1 + min over queries of the max over answer branches, found by the
+    bitmask engine with a memo table made for this call.
     """
     candidates = frozenset(candidates)
     if not candidates:
@@ -98,30 +102,8 @@ def decision_tree_complexity(
         raise SearchCapError(
             f"instance too large for exact search ({len(candidates)} candidates > cap {cap})"
         )
-    if not memoize:
-        return _dtc(problem, candidates)
     tree = _DecisionTree(problem)
     return tree.count(tree.mask(candidates))
-
-
-def _dtc(problem: OracleProblemSpec, candidates: frozenset) -> int:
-    if len({problem.solution[b] for b in candidates}) == 1:
-        return 0
-    best = None
-    for q in problem.queries:
-        branches: dict[str, set] = {}
-        for b in candidates:
-            branches.setdefault(problem.answer[(b, q)], set()).add(b)
-        if len(branches) == 1:
-            continue  # query does not split this set
-        worst = max(_dtc(problem, frozenset(part)) for part in branches.values())
-        if best is None or worst < best:
-            best = worst
-            if best == 0:
-                break
-    if best is None:
-        raise ValueError(NO_SPLIT)
-    return 1 + best
 
 
 class _DecisionTree:
@@ -262,10 +244,7 @@ def advanced_knowledge_prediction(
     best worst case.  One decision-tree table and memo serve every basis.
     """
     r = _advice_rank(problem, k)
-    if len(problem.settings) > cap:
-        raise SearchCapError(
-            f"instance too large for exact search ({len(problem.settings)} settings > cap {cap})"
-        )
+    _check_setting_cap(len(problem.settings), cap)
     n = problem.n
     tree = _DecisionTree(problem)
     # Below full rank some class of some basis holds any given pair of

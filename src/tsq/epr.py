@@ -22,15 +22,8 @@ import numpy as np
 from scipy.stats import unitary_group
 
 from . import gf2
-from .measure import (
-    ParityObservable,
-    ParityOutcome,
-    full_observable,
-    project_forced,
-    sector_masses,
-)
+from .measure import ParityObservable, full_observable, project_forced
 from .qcore import (
-    SHARP_TOL,
     RegisterLayout,
     StateVector,
     UnitaryOp,
@@ -39,7 +32,7 @@ from .qcore import (
     identity_unitary,
     max_abs_diff,
 )
-from .tsym import SelectionSplit
+from .tsym import SelectionSplit, Zigzag
 
 
 def redundant_encode(layout: RegisterLayout) -> StateVector:
@@ -108,46 +101,25 @@ def make_scenario(
 
 
 @dataclass(frozen=True)
-class MeasurementEvent:
-    time_tag: str
-    outcome: ParityOutcome
-
-
-@dataclass(frozen=True)
-class Leg:
-    direction: str  # "forward" | "backward"
-    interval: str   # e.g. "t1->t2", "t1->t0"
-    input_state: StateVector
-    output_state: StateVector
-
-
-@dataclass(frozen=True)
-class CausalTrace:
-    scenario: EprScenario
+class CausalTrace(Zigzag):
     kind: str  # "direct" | "costa" | "ts-direct" | "ts-via-t0"
-    events: tuple[MeasurementEvent, ...]
-    legs: tuple[Leg, ...]
     states: tuple[tuple[str, StateVector], ...]
-    bottom_line: tuple[StateVector, StateVector]
 
     def state(self, label: str) -> StateVector:
-        for name, s in self.states:
-            if name == label:
-                return s
-        raise KeyError(label)
+        return dict(self.states)[label]
 
 
-def _to_t2(
-    scenario: EprScenario, t1_post: StateVector, via_t0: bool
-) -> tuple[StateVector, list[Leg]]:
-    """Carry ``t1_post`` to t2 directly by u12, or back to t0 by u01_dag and
-    forward by u02; returns the t2 state and the legs taken."""
+def _carry(
+    scenario: EprScenario, s: StateVector, via_t0: bool, backward: bool = False
+) -> tuple[StateVector, Optional[StateVector]]:
+    """Carry ``s`` from t1 to t2 (from t2 to t1 when ``backward``) directly by
+    u12, or through t0 by u01 and u02; returns the state at the far end and
+    the t0 state passed (None on the direct path)."""
     if not via_t0:
-        t2 = apply(scenario.u12, t1_post)
-        return t2, [Leg("forward", "t1->t2", t1_post, t2)]
-    t0 = apply_adjoint(scenario.u01, t1_post)
-    t2 = apply(scenario.u02, t0)
-    return t2, [Leg("backward", "t1->t0", t1_post, t0), Leg("forward", "t0->t2", t0, t2)]
+        return (apply_adjoint if backward else apply)(scenario.u12, s), None
+    first, second = (scenario.u02, scenario.u01) if backward else (scenario.u01, scenario.u02)
+    t0 = apply_adjoint(first, s)
+    return apply(second, t0), t0
 
 
 def direct_trace(scenario: EprScenario, b_outcome: str, via_t0: bool = False) -> CausalTrace:
@@ -158,23 +130,14 @@ def direct_trace(scenario: EprScenario, b_outcome: str, via_t0: bool = False) ->
     back-propagated by u01_dag it locally changes the t0 state of both
     registers, which then runs forward by u02.
     """
-    obs_b = full_observable(scenario.layout, "B")
-    obs_a = full_observable(scenario.layout, "A")
     t1_pre = scenario.psi_t1()
-    t1_post = project_forced(obs_b, b_outcome, t1_pre)
-    t2, legs = _to_t2(scenario, t1_post, via_t0)
-    a_outcome = _sharp_value(t2, obs_a)
-    events = [MeasurementEvent("t1", obs_b.outcome_for(b_outcome))]
-    if a_outcome is not None:
-        events.append(MeasurementEvent("t2", obs_a.outcome_for(a_outcome)))
-    t0_states = [("t0 changed", legs[0].output_state)] if via_t0 else []
+    t1_post = project_forced(full_observable(scenario.layout, "B"), b_outcome, t1_pre)
+    t2, t0 = _carry(scenario, t1_post, via_t0)
+    t0_states = [("t0 changed", t0)] if via_t0 else []
     return CausalTrace(
-        scenario=scenario,
+        walk=(t1_pre, t1_post, t2, None, None),
         kind="costa" if via_t0 else "direct",
-        events=tuple(events),
-        legs=tuple(legs),
         states=(("t1 pre", t1_pre), ("t1 post", t1_post), *t0_states, ("t2", t2)),
-        bottom_line=(t1_post, t2),
     )
 
 
@@ -183,46 +146,24 @@ def ts_trace(scenario: EprScenario, outcome: str, split: SelectionSplit, via_t0:
     measurement (via t0 when ``via_t0``), each hosting one causal loop."""
     t1_pre = scenario.psi_t1()
     t1_post = project_forced(split.initial_part, outcome, t1_pre)
-    t2_pre, legs = _to_t2(scenario, t1_post, via_t0)
-    states = [("t1 pre", t1_pre), ("t1 post", t1_post)]
-    if via_t0:
-        states.append(("t0 after B loop", legs[0].output_state))
+    t2_pre, t0_b = _carry(scenario, t1_post, via_t0)
     t2_post = project_forced(split.final_part, outcome, t2_pre)
-    states += [("t2 pre", t2_pre), ("t2 post", t2_post)]
-    if via_t0:
-        t0_loop_a = apply_adjoint(scenario.u02, t2_post)
-        t1_final = apply(scenario.u01, t0_loop_a)
-        states.append(("t0 after A loop", t0_loop_a))
-        legs += [
-            Leg("backward", "t2->t0", t2_post, t0_loop_a),
-            Leg("forward", "t0->t1", t0_loop_a, t1_final),
-        ]
-    else:
-        t1_final = apply_adjoint(scenario.u12, t2_post)
-        legs.append(Leg("backward", "t2->t1", t2_post, t1_final))
-    states.append(("t1 final", t1_final))
+    t1_final, t0_a = _carry(scenario, t2_post, via_t0, backward=True)
+    loop_b = [("t0 after B loop", t0_b)] if via_t0 else []
+    loop_a = [("t0 after A loop", t0_a)] if via_t0 else []
     return CausalTrace(
-        scenario=scenario,
+        walk=(t1_pre, t1_post, t2_pre, t2_post, t1_final),
         kind="ts-via-t0" if via_t0 else "ts-direct",
-        events=(
-            MeasurementEvent("t1", split.initial_part.outcome_for(outcome)),
-            MeasurementEvent("t2", split.final_part.outcome_for(outcome)),
+        states=(
+            ("t1 pre", t1_pre),
+            ("t1 post", t1_post),
+            *loop_b,
+            ("t2 pre", t2_pre),
+            ("t2 post", t2_post),
+            *loop_a,
+            ("t1 final", t1_final),
         ),
-        legs=tuple(legs),
-        states=tuple(states),
-        bottom_line=(t1_final, t2_post),
     )
-
-
-def _sharp_value(s: StateVector, obs: ParityObservable) -> Optional[str]:
-    """Register value carrying the whole mass of ``s``, or None if the
-    outcome is not deterministic (generic separation unitaries)."""
-    masses = sector_masses(s, obs)
-    total = sum(masses.values())
-    bits, mass = max(masses.items(), key=lambda kv: kv[1])
-    if total - mass > SHARP_TOL * total:
-        return None
-    return "".join(str(b) for b in bits)
 
 
 @dataclass(frozen=True)
@@ -239,6 +180,6 @@ def emulation_check(
     back-propagate, project at t0, propagate-forward route."""
     obs = observable if observable is not None else full_observable(scenario.layout, "B")
     t1_post = project_forced(obs, b_outcome, scenario.psi_t1())
-    nonlocal_t2, _ = _to_t2(scenario, t1_post, via_t0=False)
-    local_t2, _ = _to_t2(scenario, t1_post, via_t0=True)
+    nonlocal_t2, _ = _carry(scenario, t1_post, via_t0=False)
+    local_t2, _ = _carry(scenario, t1_post, via_t0=True)
     return EmulationReport(max_abs_diff(nonlocal_t2, local_t2), nonlocal_t2, local_t2)

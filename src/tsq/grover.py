@@ -29,13 +29,18 @@ from .qcore import (
     InvariantError,
     RegisterLayout,
     UnitaryOp,
+    dim_cap,
 )
 from .tsym import ProcessDescription, copy_process
 
 
 @dataclass(frozen=True)
 class SearchOracle:
-    """Single marked item: n bits, target bitstring (the drawer with the ball)."""
+    """Single marked item: n bits, target bitstring (the drawer with the ball).
+
+    A search space of 2^n above ``qcore.dim_cap()`` is refused before any
+    state is allocated.
+    """
 
     n: int
     target: str
@@ -45,6 +50,8 @@ class SearchOracle:
             raise ValueError("need at least one bit")
         if len(self.target) != self.n or set(self.target) - {"0", "1"}:
             raise ValueError(f"target {self.target!r} is not an {self.n}-bit string")
+        if self.dim > dim_cap():
+            raise ValueError(f"search space 2^{self.n} exceeds the cap {dim_cap()}")
 
     @property
     def dim(self) -> int:

@@ -36,8 +36,6 @@ BRANCH_MASS_TOL = 1e-6   # mass fraction below which a setting branch counts as
                          # lifted search networks
 CORRELATION_TOL = 1e-9   # mass fraction a solving unitary may leak off the
                          # solution; admits the CERTAINTY_EPS search networks
-SHARP_TOL = 1e-9         # mass fraction outside the top sector for which an
-                         # outcome still counts as deterministic
 CERTAINTY_EPS = 1e-9     # failure probability the zero-failure search must reach
 
 DEFAULT_DIM_CAP = 1 << 16

@@ -3,14 +3,13 @@
 States print as ket sums with integer-relative amplitudes whenever every
 amplitude is an integer multiple of the smallest one (normalization is
 disregarded throughout, so the interesting tables are all integral); other
-states fall back to floating point coefficients.  Tables are rendered in a
-fixed three-column layout: states at t1, the propagation arrows, states at
-t2, with "vv" marking a projective selection inside a column.
+states fall back to floating point coefficients.  Every scenario table is
+one zigzag walk in a fixed three-column layout: states at t1, the
+propagation arrows, states at t2, with "vv" marking a projective selection
+inside a column.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .qcore import RENDER_TOL, StateVector
 
@@ -85,102 +84,37 @@ def three_column(header: tuple[str, str, str], rows: list[tuple[str, str, str]])
     return lines
 
 
-FWD = "=> U_12 =>"
-BWD = "<= U_12+ <="
-FWD_VIA = "=> U_102 =>"
-BWD_VIA = "<= U_102+ <="
+def _arrows(via: bool) -> tuple[str, str]:
+    """Forward and backward leg arrows, through t0 (U_102 = U_02 U_01+) when ``via``."""
+    u = "U_102" if via else "U_12"
+    return f"=> {u} =>", f"<= {u}+ <="
 
 
-def external_ordinary_table(initial, selected, output, obs_b="B", obs_a="A") -> list[str]:
+def zigzag_table(left: str, right: str, walk, via: bool = False) -> list[str]:
+    """The table of one walk: the t1 state, its selection (meas. of ``left``),
+    the t2 state, its selection (meas. of ``right``) and the backward t1
+    state.  An absent selection or backward leg is None and leaves out its
+    rows; a walk with a backward leg is a zigzag, "<=>" in the header."""
+    t1, t1_selected, t2, t2_selected, backward = walk
+    fwd, bwd = _arrows(via)
+    rows = []
+    if t1_selected is not None:
+        rows += [(format_state(t1), "", ""), ("vv", "", "")]
+        t1 = t1_selected
+    rows.append((format_state(t1), fwd, format_state(t2)))
+    if t2_selected is not None:
+        back = ("", "") if backward is None else (format_state(backward), bwd)
+        rows += [("", "", "vv"), (*back, format_state(t2_selected))]
+    step = " -> " if backward is None else " <=> "
+    times = ("t1", "t0", "t2") if via else ("t1", "t2")
     return three_column(
-        (f"time t1, meas. of {obs_b}", "t1 -> t2", f"time t2, meas. of {obs_a}"),
-        [
-            (format_state(initial), "", ""),
-            ("vv", "", ""),
-            (format_state(selected), FWD, format_state(output)),
-        ],
-    )
-
-
-def solver_ordinary_table(initial, correlated, selected) -> list[str]:
-    return three_column(
-        ("time t1, meas. of B", "t1 -> t2", "time t2, meas. of A"),
-        [
-            (format_state(initial), FWD, format_state(correlated)),
-            ("", "", "vv"),
-            ("", "", format_state(selected)),
-        ],
-    )
-
-
-def external_zigzag_table(instance) -> list[str]:
-    (_, s0), (_, s1), (_, s2), (_, s3), (_, s4) = instance.trajectory
-    left = instance.split.initial_part.name()
-    right = instance.split.final_part.name()
-    return three_column(
-        (f"time t1, meas. of {left}", "t1 <=> t2", f"time t2, meas. of {right}"),
-        [
-            (format_state(s0), "", ""),
-            ("vv", "", ""),
-            (format_state(s1), FWD, format_state(s2)),
-            ("", "", "vv"),
-            (format_state(s4), BWD, format_state(s3)),
-        ],
-    )
-
-
-def solver_zigzag_table(instance) -> list[str]:
-    (_, s0), (_, s1), (_, s2), (_, s3) = instance.trajectory
-    left = instance.split.initial_part.name()
-    right = instance.split.final_part.name()
-    return three_column(
-        (f"time t1, meas. of {left}", "t1 <=> t2", f"time t2, meas. of {right}"),
-        [
-            (format_state(s0), FWD, format_state(s1)),
-            ("", "", "vv"),
-            (format_state(s3), BWD, format_state(s2)),
-        ],
+        (f"time t1, meas. of {left}", step.join(times), f"time t2, meas. of {right}"), rows
     )
 
 
 def bottom_line_table(instance, direction: str = "backward") -> list[str]:
     inp, out = instance.bottom_line
-    if direction == "backward":
-        return three_column(
-            ("time t1", "t1 <- t2", "time t2"),
-            [(format_state(inp), BWD, format_state(out))],
-        )
-    return three_column(
-        ("time t1", "t1 -> t2", "time t2"),
-        [(format_state(inp), FWD, format_state(out))],
-    )
-
-
-def epr_trace_table(trace) -> list[str]:
-    via = trace.kind in ("costa", "ts-via-t0")
-    fwd = FWD_VIA if via else FWD
-    bwd = BWD_VIA if via else BWD
-    if trace.kind in ("direct", "costa"):
-        mid = "t1 -> t0 -> t2" if via else "t1 -> t2"
-        t2 = trace.state("t2")
-        return three_column(
-            (f"time t1, meas. of B", mid, f"time t2, meas. of A"),
-            [
-                (format_state(trace.state("t1 pre")), "", ""),
-                ("vv", "", ""),
-                (format_state(trace.state("t1 post")), fwd, format_state(t2)),
-            ],
-        )
-    mid = "t1 <=> t0 <=> t2" if via else "t1 <=> t2"
-    left = trace.events[0].outcome.observable.name()
-    right = trace.events[1].outcome.observable.name()
-    return three_column(
-        (f"time t1, meas. of {left}", mid, f"time t2, meas. of {right}"),
-        [
-            (format_state(trace.state("t1 pre")), "", ""),
-            ("vv", "", ""),
-            (format_state(trace.state("t1 post")), fwd, format_state(trace.state("t2 pre"))),
-            ("", "", "vv"),
-            (format_state(trace.state("t1 final")), bwd, format_state(trace.state("t2 post"))),
-        ],
-    )
+    fwd, bwd = _arrows(via=False)
+    mid, arrow = ("t1 <- t2", bwd) if direction == "backward" else ("t1 -> t2", fwd)
+    row = (format_state(inp), arrow, format_state(out))
+    return three_column(("time t1", mid, "time t2"), [row])

@@ -181,15 +181,42 @@ def enumerate_splits(process: ProcessDescription, even_rank: int) -> list[Select
 
 
 @dataclass(frozen=True)
-class ZigzagInstance:
+class Zigzag:
+    """One walk between the two measurements: the t1 state, its selection,
+    the t2 state, its selection and the backward t1 state, an absent
+    selection or backward leg being None."""
+
+    walk: tuple[Optional[StateVector], ...]
+
+    @property
+    def bottom_line(self) -> tuple[StateVector, StateVector]:
+        """Ends of the last leg: the backward one, else the forward one."""
+        t1, t1_selected, t2, t2_selected, backward = self.walk
+        if backward is not None:
+            return backward, t2_selected
+        return (t1 if t1_selected is None else t1_selected), t2
+
+
+@dataclass(frozen=True)
+class ZigzagInstance(Zigzag):
     split: SelectionSplit
     outcome_pair: tuple[str, str]
     perspective: str  # "external" | "solver"
-    trajectory: tuple[tuple[str, StateVector], ...]
-    bottom_line: tuple[StateVector, StateVector]
 
     def name(self) -> str:
         return f"{self.split.name()}@{self.outcome_pair[0]}"
+
+    @property
+    def trajectory(self) -> tuple[tuple[str, StateVector], ...]:
+        """The states of the walk, labelled."""
+        labels = (
+            "t1 initial",
+            f"t1 after meas. of {self.split.initial_part.name()}",
+            "t2 forward",
+            f"t2 after meas. of {self.split.final_part.name()}",
+            "t1 backward",
+        )
+        return tuple((label, s) for label, s in zip(labels, self.walk) if s is not None)
 
     def branch_settings(self) -> tuple[str, ...]:
         """Setting values surviving in the bottom-line input state."""
@@ -210,17 +237,7 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
     s3 = project_forced(split.final_part, s_b, s2)
     s4 = apply_adjoint(process.u12, s3)
     inst = ZigzagInstance(
-        split=split,
-        outcome_pair=(b, s_b),
-        perspective="external",
-        trajectory=(
-            ("t1 initial", s0),
-            (f"t1 after meas. of {split.initial_part.name()}", s1),
-            ("t2 forward", s2),
-            (f"t2 after meas. of {split.final_part.name()}", s3),
-            ("t1 backward", s4),
-        ),
-        bottom_line=(s4, s3),
+        walk=(s0, s1, s2, s3, s4), split=split, outcome_pair=(b, s_b), perspective="external"
     )
     if inst.branch_settings() != (b,):
         raise InvariantError("external bottom line is not the sharp setting branch")
@@ -235,16 +252,7 @@ def solver_instance(process: ProcessDescription, b: str, split: SelectionSplit) 
     s2 = project_forced(split.final_part, s_b, s1)
     s3 = apply_adjoint(process.u12, s2)
     return ZigzagInstance(
-        split=split,
-        outcome_pair=(b, s_b),
-        perspective="solver",
-        trajectory=(
-            ("t1 initial", s0),
-            ("t2 forward", s1),
-            (f"t2 after meas. of {split.final_part.name()}", s2),
-            ("t1 backward", s3),
-        ),
-        bottom_line=(s3, s2),
+        walk=(s0, None, s1, s2, s3), split=split, outcome_pair=(b, s_b), perspective="solver"
     )
 
 
@@ -283,7 +291,7 @@ def recover_superposition(instances) -> RecoveryReport:
         raise ValueError("no instances to superpose")
     if len({i.perspective for i in instances}) > 1:
         raise ValueError("instances mix perspectives")
-    reference = instances[0].trajectory[0][1]
+    reference = instances[0].walk[0]
     total = np.zeros_like(reference.amps)
     for inst in instances:
         total = total + inst.bottom_line[0].amps

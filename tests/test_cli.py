@@ -94,6 +94,9 @@ def test_exit_code_config_errors(capsys):
     assert main(["grover-external", "--n", "2", "--outcome", "1"]) == 2
     assert main(["epr", "--outcome", "0"]) == 2
     assert main(["epr", "--mode", "ts", "--outcome", "011"]) == 2
+    # sizes refused before anything is allocated
+    assert main(["search", "--n", "30", "--target", "0" * 30]) == 2
+    assert main(["complexity", "--n", "40", "--k", "0.5"]) == 2
     capsys.readouterr()
 
 
@@ -238,8 +241,9 @@ def test_outcome_check_runs_after_the_layout_check(capsys):
 
 
 # n = 9 is above both the joint-dimension cap of the register commands and
-# the setting cap of the drawer problem; "x" is not an integer at all
-NS = st.sampled_from(["0", "1", "2", "3", "9", "x"])
+# the setting cap of the drawer problem, n = 40 far above every cap; "x" is
+# not an integer at all
+NS = st.sampled_from(["0", "1", "2", "3", "9", "40", "x"])
 BITS = st.text("01", max_size=4) | st.text("012x-b_ ", min_size=1, max_size=4)
 MASK_LISTS = st.lists(BITS, max_size=3).map(lambda masks: "[" + ",".join(masks) + "]")
 SPLITS = st.one_of(

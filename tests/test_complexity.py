@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tsq import gf2
 from tsq.complexity import (
+    NO_SPLIT,
     ComplexityReport,
     OracleProblemSpec,
     SearchCapError,
@@ -16,6 +17,28 @@ from tsq.complexity import (
     k_sweep,
 )
 from tsq.grover import SearchOracle, run_long
+
+
+def reference_complexity(problem: OracleProblemSpec, candidates) -> int:
+    """The bare minimax over frozensets: the slow reference for the bitmask engine."""
+    candidates = frozenset(candidates)
+    if len({problem.solution[b] for b in candidates}) == 1:
+        return 0
+    best = None
+    for q in problem.queries:
+        branches: dict[str, set] = {}
+        for b in candidates:
+            branches.setdefault(problem.answer[(b, q)], set()).add(b)
+        if len(branches) == 1:
+            continue  # query does not split this set
+        worst = max(reference_complexity(problem, part) for part in branches.values())
+        if best is None or worst < best:
+            best = worst
+            if best == 0:
+                break
+    if best is None:
+        raise ValueError(NO_SPLIT)
+    return 1 + best
 
 
 def random_problem(rng, n_settings: int) -> OracleProblemSpec:
@@ -75,7 +98,7 @@ def test_memoized_matches_unmemoized():
     for _ in range(5):
         p = random_problem(rng, int(rng.integers(3, 11)))
         with_memo = decision_tree_complexity(p, p.settings)
-        without = decision_tree_complexity(p, p.settings, memoize=False)
+        without = reference_complexity(p, p.settings)
         assert with_memo == without
 
 
@@ -180,7 +203,7 @@ def test_bitmask_engine_matches_frozenset_recursion(problem, data):
     subset = data.draw(st.lists(st.sampled_from(problem.settings), min_size=1, unique=True))
     for candidates in (problem.settings, subset):
         fast = outcome(decision_tree_complexity, problem, candidates)
-        slow = outcome(lambda: decision_tree_complexity(problem, candidates, memoize=False))
+        slow = outcome(reference_complexity, problem, candidates)
         assert fast == slow
 
 
@@ -193,7 +216,7 @@ def exhaustive_prediction(problem: OracleProblemSpec, k: float) -> ComplexityRep
         masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
         per_class = tuple(
             (tuple(bit for _, bit in cls.constraints),
-             decision_tree_complexity(problem, cls.members, memoize=False))
+             reference_complexity(problem, cls.members))
             for cls in advice_classes(problem, masks)
         )
         worst = max(count for _, count in per_class)
