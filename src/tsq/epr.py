@@ -14,12 +14,12 @@ the local emulation of action at a distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from . import gf2
 from .measure import ParityObservable, full_observable, project_forced
@@ -91,7 +91,11 @@ def make_scenario(
     def draw():
         if rng is None:
             return identity_unitary(layout)
-        return UnitaryOp(layout, unitary_group.rvs(layout.dim, random_state=rng))
+        # Haar (Mezzadri 2007): the same draws as scipy.stats.unitary_group.rvs
+        shape = (layout.dim, layout.dim)
+        z = (1 / math.sqrt(2)) * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        q, r = np.linalg.qr(z)
+        return UnitaryOp(layout, q * (r.diagonal() / abs(r.diagonal())))
     return EprScenario(
         layout=layout,
         psi_t0=redundant_encode(layout),

@@ -5,8 +5,8 @@ The generalized iteration applies a selective phase alpha to the marked item
 (the oracle call) followed by a phase-beta generalized inversion about the
 uniform state; alpha = beta = pi is the textbook algorithm.  The certainty
 variant picks the iteration count J = ceil of the standard optimal count and
-matches both phases so the success probability reaches 1 - eps with
-eps <= 1e-9 (closed-form angle, then a short numerical polish).
+matches both phases in closed form so the success probability reaches
+1 - eps with eps <= ``qcore.CERTAINTY_EPS``.
 
 ``as_process_unitary`` lifts the family of single-target networks to a
 block-controlled unitary on the joint B (x) A space, giving the
@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
-from scipy.optimize import minimize_scalar
 
 from .qcore import (
     CERTAINTY_EPS,
@@ -130,24 +128,21 @@ def run_grover(oracle: SearchOracle) -> SearchRun:
 
 
 def run_long(oracle: SearchOracle) -> SearchRun:
-    """Zero-failure search: matched phase, polished until eps <= 1e-9."""
+    """Zero-failure search at the closed-form matched phase; 1 - p > CERTAINTY_EPS raises."""
     j = optimal_iterations(oracle.n)
     phi = matched_phase(oracle.n, j)
     state, p = _success(oracle, j, phi)
     if 1 - p > CERTAINTY_EPS:
-        # robustness against transcription drift in the closed form
-        width = 0.05
-        res = minimize_scalar(
-            lambda x: 1 - _success(oracle, j, x)[1],
-            bounds=(max(phi - width, 1e-6), min(phi + width, math.pi)),
-            method="bounded",
-            options={"xatol": 1e-14},
-        )
-        phi = float(res.x)
-        state, p = _success(oracle, j, phi)
-    if 1 - p > CERTAINTY_EPS:
         raise InvariantError(f"certainty not reached for n={oracle.n}: success {p!r}")
     return SearchRun(oracle, "long", j, phi, state, p)
+
+
+def hadamard(d: int, dtype=int) -> np.ndarray:
+    """Sylvester's Hadamard matrix of order d, a power of two: H[i, j] = (-1)^popcount(i & j)."""
+    h = np.ones((1, 1), dtype=dtype)
+    while len(h) < d:
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
 def search_network(oracle: SearchOracle) -> np.ndarray:

@@ -4,6 +4,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,8 @@ from tsq.complexity import decision_tree_complexity
 from tsq.tsym import enumerate_splits, xor_process
 
 GOLDEN = Path(__file__).parent / "golden"
-PROBLEMS = Path(__file__).parent.parent / "src" / "tsq" / "problems"
+SRC = Path(__file__).parent.parent / "src"
+PROBLEMS = SRC / "tsq" / "problems"
 
 GOLDEN_COMMANDS = {
     "grover-external-n2-01.txt": ["grover-external", "--n", "2", "--outcome", "01"],
@@ -297,3 +301,21 @@ def test_every_argv_exits_0_2_or_3(argv):
         except SystemExit as e:  # argparse refuses the argv
             code = e.code
     assert code in (0, 2, 3), argv
+
+
+def test_cli_runs_without_importing_scipy():
+    # scipy.stats alone takes over a second to import, and no CLI path needs scipy
+    code = """
+import contextlib, io, sys
+from tsq import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["epr", "--mode", "direct", "--outcome", "01", "--seed", "3"]) == 0
+    assert cli.main(["complexity", "--n", "2", "--k", "0.5"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

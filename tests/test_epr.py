@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from tsq.epr import (
     EprScenario,
@@ -83,6 +84,15 @@ def test_scenario_factorization_invariant():
             )
         )
         assert dev <= 1e-10
+
+
+def test_seeded_scenario_draws_scipy_haar_unitaries():
+    # slow reference: scipy's Haar sampler on a generator with the same seed
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        scenario = make_scenario(seed=seed)
+        for u in (scenario.u01, scenario.u02):
+            assert np.array_equal(dense(u), unitary_group.rvs(16, random_state=rng))
 
 
 def test_direct_trace_default_scenario():

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tsq.grover import (
     SearchOracle,
     as_process_unitary,
     grover_iterate,
     grover_process,
+    hadamard,
     matched_phase,
     optimal_iterations,
     run_grover,
@@ -18,7 +20,7 @@ from tsq.grover import (
     search_network,
     uniform_search_state,
 )
-from tsq.qcore import apply, basis_state
+from tsq.qcore import CERTAINTY_EPS, InvariantError, apply, basis_state
 from tsq.tsym import enumerate_splits, solver_instance, xor_process
 
 
@@ -76,12 +78,21 @@ def test_run_long_small_cases():
     assert run2.success_probability == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+@pytest.mark.parametrize("n", range(1, 17))
 def test_run_long_reaches_certainty(n):
+    # the closed-form phase alone must reach certainty: run_long searches for no better one
     run = run_long(SearchOracle(n, "0" * n))
-    assert 1 - run.success_probability <= 1e-9
+    assert run.phase == matched_phase(n, optimal_iterations(n))
+    assert 1 - run.success_probability <= CERTAINTY_EPS
     assert run.query_count == run.iterations
     assert run.iterations <= math.ceil(math.pi * math.sqrt(1 << n) / 4) + 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_run_long_raises_when_the_phase_drifts(n, monkeypatch):
+    monkeypatch.setattr("tsq.grover.matched_phase", lambda n, j: matched_phase(n, j) + 0.01)
+    with pytest.raises(InvariantError, match="certainty not reached"):
+        run_long(SearchOracle(n, "0" * n))
 
 
 def test_run_long_beats_bare_grover_on_certainty():
@@ -94,6 +105,15 @@ def test_run_long_beats_bare_grover_on_certainty():
 def test_matched_phase_infeasible_iteration_count():
     with pytest.raises(ValueError):
         matched_phase(4, 1)  # one step cannot reach certainty in 16 drawers
+
+
+@pytest.mark.parametrize("d", [1 << k for k in range(11)])
+def test_hadamard_matches_scipy(d):
+    # slow reference: scipy's Sylvester construction
+    for dtype in (int, np.complex128):
+        ours, ref = hadamard(d, dtype=dtype), scipy.linalg.hadamard(d, dtype=dtype)
+        assert np.array_equal(ours, ref)
+        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()  # signed zeros too
 
 
 def test_search_network_matrix():
