@@ -51,6 +51,9 @@ ERRORS = (
     ["grover-solver", "--n", "2", "--outcome", "01", "--split", "B:[10]"],
     ["grover-solver", "--n", "2", "--outcome", "01", "--split", "A:[00]"],
     ["grover-solver", "--n", "2", "--outcome", "01", "--split", "A:[011]"],
+    ["grover-solver", "--n", "2", "--outcome", "01", "--split", "A:[100]"],
+    ["ts-instance", "--n", "2", "--outcome", "01", "--split", "B:[100]/A:[01]"],
+    ["ts-instance", "--n", "2", "--outcome", "01", "--split", "B:[10]/A:[011]"],
     ["grover-solver", "--n", "0", "--outcome", "0"],
     ["grover-solver", "--n", "2", "--outcome", "012"],
     ["grover-external", "--n", "2", "--outcome", "1"],
@@ -66,6 +69,10 @@ ERRORS = (
     ["complexity", "--k", "2"],
     ["complexity", "--problem", "file", "--k", "0"],
     ["complexity", "--problem", "file", "--problem-file", "no/such/file.json", "--k", "0"],
+    [
+        "complexity", "--problem", "grover", "--n", "3",
+        "--problem-file", "src/tsq/problems/grover-n2.json", "--k", "0.5",
+    ],
 )
 
 

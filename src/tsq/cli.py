@@ -19,7 +19,7 @@ from . import __version__, gf2, render
 from .complexity import grover_problem, k_sweep, OracleProblemSpec
 from .epr import direct_trace, emulation_check, make_scenario, ts_trace
 from .grover import SearchOracle, grover_process, run_grover, run_long
-from .measure import ParityObservable, project
+from .measure import ParityObservable, full_observable, project
 from .qcore import InvariantError, RegisterLayout, apply, max_abs_diff
 from .tsym import (
     SelectionSplit,
@@ -33,6 +33,7 @@ from .tsym import (
 
 SCHEMA_VERSION = 1
 EPR_BITS = 2  # register width of the redundant EPR encoding
+EPR_SPLIT = SelectionSplit(ParityObservable("B", ("10",)), ParityObservable("A", ("01",)))
 
 
 class SchemaError(ValueError):
@@ -134,7 +135,7 @@ def _run_grover_external(params: dict) -> Report:
     b = params["outcome"]
     report = Report(scenario={"kind": "grover-external", **params}, seed=None)
     initial = process.initial_state
-    selected = project(process.initial_obs.outcome_for(b), initial)
+    selected = project(full_observable(process.layout, "B").outcome_for(b), initial)
     output = apply(process.u12, selected)
     _add_table(
         report,
@@ -153,7 +154,7 @@ def _run_grover_solver(params: dict) -> Report:
     report = Report(scenario={"kind": "grover-solver", **params}, seed=None)
     initial = process.initial_state
     correlated = apply(process.u12, initial)
-    selected = project(process.final_obs.outcome_for(process.solution(b)), correlated)
+    selected = project(full_observable(process.layout, "A").outcome_for(b), correlated)
     _add_table(
         report,
         "relativized description",
@@ -204,12 +205,8 @@ def _run_epr(params: dict) -> Report:
     report = Report(scenario={"kind": "epr", **params, "path": path}, seed=seed)
     via_t0 = path == "via-t0"
     if mode == "ts":
-        split = SelectionSplit(
-            ParityObservable("B", tuple(params.get("split_b", ("10",)))),
-            ParityObservable("A", tuple(params.get("split_a", ("01",)))),
-        )
-        parts = (split.initial_part.name(), split.final_part.name())
-        trace = ts_trace(scenario, outcome, split, via_t0=via_t0)
+        parts = (EPR_SPLIT.initial_part.name(), EPR_SPLIT.final_part.name())
+        trace = ts_trace(scenario, outcome, EPR_SPLIT, via_t0=via_t0)
     else:
         parts = ("B", "A")
         trace = direct_trace(scenario, outcome, via_t0=via_t0)
@@ -399,11 +396,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "complexity" and args.problem == "file" and not args.problem_file:
         print("error: --problem file requires --problem-file", file=sys.stderr)
         return 2
+    if args.command == "complexity" and args.problem == "grover" and args.problem_file:
+        print("error: --problem-file requires --problem file", file=sys.stderr)
+        return 2
     try:
         if "outcome" in params:
             _check_outcome(params["outcome"], params.get("n", EPR_BITS))
         report = _RUNNERS[args.command](params)
-    except (ValueError, SchemaError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InvariantError as e:

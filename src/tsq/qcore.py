@@ -138,13 +138,10 @@ def basis_state(layout: RegisterLayout, b_bits: str, a_bits: str) -> StateVector
     return StateVector(layout, amps)
 
 
-def uniform_setting_state(layout: RegisterLayout, blank_a: str) -> StateVector:
-    """Equal amplitude 1 on every |b>_B |blank_a>_A (setting fully indeterminate)."""
-    if len(blank_a) != layout.n_a:
-        raise ValueError(f"blank register value {blank_a!r} does not fit n_a={layout.n_a}")
+def uniform_setting_state(layout: RegisterLayout) -> StateVector:
+    """Equal amplitude 1 on every |b>_B |0...0>_A (setting fully indeterminate)."""
     amps = np.zeros(layout.dim, dtype=np.complex128)
-    a = int(blank_a, 2)
-    amps[a :: layout.dim_a] = 1.0
+    amps[:: layout.dim_a] = 1.0
     return StateVector(layout, amps)
 
 

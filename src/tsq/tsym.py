@@ -2,8 +2,10 @@
 
 A process runs between two one-to-one correlated measurement outcomes: the
 initial measurement of the setting register B and the final measurement of
-the solution register A.  Time-symmetrizing the process means sharing the
-selection of the outcome pair between the two measurements.  A selection
+the solution register A.  It is its solving unitary, which copies the setting
+into a blank A register, so the solution of setting b is b.
+Time-symmetrizing the process means sharing the selection of the outcome
+pair between the two measurements.  A selection
 split assigns a parity observable on B to the initial measurement and a
 complementary parity observable on A to the final one; for each split and
 each setting value there is one zigzag instance with a forward leg, the
@@ -20,16 +22,12 @@ with the final partial outcome: the solver's advance knowledge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import gf2
-from .measure import (
-    ParityObservable,
-    full_observable,
-    project_forced,
-)
+from .measure import ParityObservable, project_forced
 from .qcore import (
     BRANCH_MASS_TOL,
     CORRELATION_TOL,
@@ -48,61 +46,43 @@ from .qcore import (
 
 @dataclass(frozen=True)
 class ProcessDescription:
-    """Initial state, the solving unitary, and the correlated measurement pair."""
+    """A process is its solving unitary, which copies the setting into a blank
+    A register (|b>|0...0> to |b>|b>: the solution of b is b), and its initial state."""
 
-    layout: RegisterLayout
-    initial_state: StateVector
     u12: UnitaryOp
-    initial_obs: ParityObservable
-    final_obs: ParityObservable
-    solution_map: Mapping[str, str]
-    blank_a: str
+    initial_state: StateVector
 
     def __post_init__(self):
-        n = self.layout.n_b
-        settings = [format(b, f"0{n}b") for b in range(self.layout.dim_b)]
-        sol = dict(self.solution_map)
-        if sorted(sol) != settings:
-            raise ValueError("solution map must be total on the setting space")
-        if len(set(sol.values())) != len(sol):
-            raise ValueError("solution map must be invertible")
-        object.__setattr__(self, "solution_map", sol)
-        # u12 maps |b>|blank> to one column of the block holding that index;
-        # every other amplitude of the output is zero.
+        layout = self.layout
+        if layout.n_b != layout.n_a:
+            raise ValueError("setting and solution registers need the same width")
+        # u12 maps |b>|0...0> to one column of the block holding that index;
+        # every amplitude of that column off |b>|b> must vanish.
         k = self.u12.matrix.shape[1]
-        for b in settings:
-            block, col = divmod(self.layout.index(b, self.blank_a), k)
+        for b in range(layout.dim_b):
+            block, col = divmod(b * layout.dim_a, k)
             out = self.u12.matrix[block, :, col]
-            row = self.layout.index(b, sol[b]) - block * k
+            row = b * layout.dim_a + b - block * k
             good = abs(out[row]) ** 2 if 0 <= row < k else 0.0
             total = np.linalg.norm(out) ** 2
             if total - good > CORRELATION_TOL * total:
+                bits = format(b, f"0{layout.n_b}b")
                 raise InvariantError(
-                    f"unitary does not correlate setting {b} sharply with solution {sol[b]}"
+                    f"unitary does not correlate setting {bits} sharply with solution {bits}"
                 )
+
+    @property
+    def layout(self) -> RegisterLayout:
+        return self.u12.layout
 
     @property
     def n(self) -> int:
         return self.layout.n_b
 
-    def solution(self, b: str) -> str:
-        return self.solution_map[b]
-
 
 def copy_process(u12: UnitaryOp) -> ProcessDescription:
-    """Process whose solving unitary ``u12`` copies the setting: solution = setting."""
-    layout = u12.layout
-    blank = "0" * layout.n_a
-    settings = [format(b, f"0{layout.n_b}b") for b in range(layout.dim_b)]
-    return ProcessDescription(
-        layout=layout,
-        initial_state=uniform_setting_state(layout, blank),
-        u12=u12,
-        initial_obs=full_observable(layout, "B"),
-        final_obs=full_observable(layout, "A"),
-        solution_map={b: b for b in settings},
-        blank_a=blank,
-    )
+    """Process of the copying unitary ``u12`` from the uniform setting state."""
+    return ProcessDescription(u12=u12, initial_state=uniform_setting_state(u12.layout))
 
 
 def xor_process(n: int) -> ProcessDescription:
@@ -128,17 +108,15 @@ class SelectionSplit:
 
 
 def selection_is_injective(process: ProcessDescription, split: SelectionSplit) -> bool:
-    """Non-redundancy: the combined partial outcomes pin down the setting."""
-    seen = set()
-    for b in process.solution_map:
-        key = (
-            split.initial_part.outcome_bits(b),
-            split.final_part.outcome_bits(process.solution(b)),
-        )
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    """Non-redundancy: the combined partial outcomes pin down the setting.
+
+    The outcome pair of setting b is the parities of b under the masks of both
+    parts, since the solution of b is b; they pin b down iff the masks span
+    F_2^n.  A mask acts on an n-bit value through its low n bits only.
+    """
+    low = process.layout.dim_b - 1
+    masks = split.initial_part.masks + split.final_part.masks
+    return gf2.rank(gf2.bits_to_mask(m) & low for m in masks) == process.n
 
 
 def _observable(register: str, basis: tuple[int, ...], n: int) -> ParityObservable:
@@ -148,13 +126,10 @@ def _observable(register: str, basis: tuple[int, ...], n: int) -> ParityObservab
 def complete_split(
     process: ProcessDescription, final_part: ParityObservable, initial_bases
 ) -> Optional[SelectionSplit]:
-    """Pair ``final_part`` with the first of ``initial_bases`` that complements it
-    and makes the combined selection injective; None if none does."""
+    """Pair ``final_part`` with the first of ``initial_bases`` that makes the
+    combined selection injective; None if none does."""
     n = process.n
-    final_ints = tuple(gf2.bits_to_mask(m) for m in final_part.masks)
     for basis in initial_bases:
-        if gf2.rank(final_ints + basis) != n:
-            continue
         split = SelectionSplit(_observable("B", basis, n), final_part)
         if selection_is_injective(process, split):
             return split
@@ -200,11 +175,11 @@ class Zigzag:
 @dataclass(frozen=True)
 class ZigzagInstance(Zigzag):
     split: SelectionSplit
-    outcome_pair: tuple[str, str]
+    outcome: str  # the setting, which is also the solution
     perspective: str  # "external" | "solver"
 
     def name(self) -> str:
-        return f"{self.split.name()}@{self.outcome_pair[0]}"
+        return f"{self.split.name()}@{self.outcome}"
 
     @property
     def trajectory(self) -> tuple[tuple[str, StateVector], ...]:
@@ -230,15 +205,12 @@ class ZigzagInstance(Zigzag):
 
 def external_instance(process: ProcessDescription, b: str, split: SelectionSplit) -> ZigzagInstance:
     """Zigzag with both partial projections applied (external observer view)."""
-    s_b = process.solution(b)
     s0 = process.initial_state
     s1 = project_forced(split.initial_part, b, s0)
     s2 = apply(process.u12, s1)
-    s3 = project_forced(split.final_part, s_b, s2)
+    s3 = project_forced(split.final_part, b, s2)
     s4 = apply_adjoint(process.u12, s3)
-    inst = ZigzagInstance(
-        walk=(s0, s1, s2, s3, s4), split=split, outcome_pair=(b, s_b), perspective="external"
-    )
+    inst = ZigzagInstance(walk=(s0, s1, s2, s3, s4), split=split, outcome=b, perspective="external")
     if inst.branch_settings() != (b,):
         raise InvariantError("external bottom line is not the sharp setting branch")
     return inst
@@ -246,14 +218,11 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
 
 def solver_instance(process: ProcessDescription, b: str, split: SelectionSplit) -> ZigzagInstance:
     """Zigzag with the initial projection postponed (problem-solver view)."""
-    s_b = process.solution(b)
     s0 = process.initial_state
     s1 = apply(process.u12, s0)
-    s2 = project_forced(split.final_part, s_b, s1)
+    s2 = project_forced(split.final_part, b, s1)
     s3 = apply_adjoint(process.u12, s2)
-    return ZigzagInstance(
-        walk=(s0, None, s1, s2, s3), split=split, outcome_pair=(b, s_b), perspective="solver"
-    )
+    return ZigzagInstance(walk=(s0, None, s1, s2, s3), split=split, outcome=b, perspective="solver")
 
 
 def uneven_instance(process: ProcessDescription, b: str, final_rank: int) -> ZigzagInstance:

@@ -14,6 +14,11 @@ def state_from_terms(layout: RegisterLayout, terms) -> StateVector:
     return StateVector(layout, amps)
 
 
+def setting_values(n: int) -> list[str]:
+    """Every value of an n-bit register, in numeric order."""
+    return [format(b, f"0{n}b") for b in range(1 << n)]
+
+
 def random_state(layout: RegisterLayout, rng) -> StateVector:
     amps = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
     return StateVector(layout, amps)

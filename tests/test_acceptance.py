@@ -17,7 +17,7 @@ from tsq.cli import main
 from tsq.complexity import grover_problem, k_sweep
 from tsq.epr import direct_trace, emulation_check, make_scenario, ts_trace
 from tsq.grover import SearchOracle, run_long
-from tsq.measure import ParityObservable
+from tsq.measure import ParityObservable, full_observable
 from tsq.qcore import basis_state, max_abs_diff
 from tsq.tsym import (
     SelectionSplit,
@@ -26,7 +26,7 @@ from tsq.tsym import (
     solver_instance,
     xor_process,
 )
-from conftest import state_from_terms
+from conftest import setting_values, state_from_terms
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,7 +46,7 @@ def test_criterion_1_table_reproduction(capsys):
     uniform = state_from_terms(layout, [(b, "00", 1) for b in ("00", "01", "10", "11")])
     correlated = state_from_terms(layout, [(b, b, 1) for b in ("00", "01", "10", "11")])
     assert max_abs_diff(process.initial_state, uniform) <= 1e-12
-    selected = project(process.initial_obs.outcome_for("01"), process.initial_state)
+    selected = project(full_observable(layout, "B").outcome_for("01"), process.initial_state)
     assert max_abs_diff(apply(process.u12, selected), basis_state(layout, "01", "01")) <= 1e-12
     assert max_abs_diff(apply(process.u12, process.initial_state), correlated) <= 1e-12
 
@@ -106,7 +106,7 @@ def test_criterion_3_superposition_recovery():
         [
             solver_instance(p2, b, split)
             for split in enumerate_splits(p2, 1)
-            for b in p2.solution_map
+            for b in setting_values(2)
         ]
     )
     assert report.proportional
@@ -119,7 +119,7 @@ def test_criterion_3_superposition_recovery():
         [
             solver_instance(p3, b, split)
             for split in enumerate_splits(p3, 2)
-            for b in p3.solution_map
+            for b in setting_values(3)
         ]
     )
     assert report3.proportional

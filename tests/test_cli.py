@@ -90,6 +90,9 @@ def test_exit_code_config_errors(capsys):
     assert main(["complexity", "--problem", "grover", "--n", "5", "--k", "0"]) == 2
     assert main(["grover-external", "--n", "2", "--outcome", "7"]) == 2
     assert main(["complexity", "--problem", "file", "--k", "0"]) == 2
+    # the drawer problem with a problem file, once a silent run of the file
+    assert main(["complexity", "--problem", "grover", "--n", "3",
+                 "--problem-file", str(PROBLEMS / "grover-n2.json"), "--k", "0.5"]) == 2
     # the costa mode always runs via t0
     assert main(["epr", "--mode", "costa", "--path", "direct", "--outcome", "01"]) == 2
     # outcomes of the wrong width or alphabet, once a KeyError or a zero-padded value

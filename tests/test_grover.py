@@ -22,6 +22,7 @@ from tsq.grover import (
 )
 from tsq.qcore import CERTAINTY_EPS, InvariantError, apply, basis_state
 from tsq.tsym import enumerate_splits, solver_instance, xor_process
+from conftest import setting_values
 
 
 def closed_form_success(n: int, iterations: int) -> float:
@@ -145,7 +146,7 @@ def test_grover_process_interop_with_xor_branch_sets():
     gp = grover_process(2)
     xp = xor_process(2)
     for split in enumerate_splits(xp, 1):
-        for b in xp.solution_map:
+        for b in setting_values(2):
             assert (
                 solver_instance(gp, b, split).branch_settings()
                 == solver_instance(xp, b, split).branch_settings()

@@ -26,10 +26,10 @@ from tsq.qcore import (
     uniform_setting_state,
 )
 from tsq.tsym import xor_process
-from conftest import random_independent_masks, random_state, state_from_terms
+from conftest import random_independent_masks, random_state, setting_values, state_from_terms
 
 L2 = RegisterLayout(2, 2)
-INITIAL = uniform_setting_state(L2, "00")
+INITIAL = uniform_setting_state(L2)
 CORRELATED = state_from_terms(L2, [(b, b, 1) for b in ("00", "01", "10", "11")])
 
 
@@ -186,7 +186,7 @@ def test_projector_and_masses_match_index_oracle(shape, register, rng):
 def test_postponement_exhaustive(n):
     process = xor_process(n)
     obs = full_observable(process.layout, "B")
-    for b in process.solution_map:
+    for b in setting_values(n):
         rec = measure(process.initial_state, obs, forced=obs.outcome_bits(b))
         report = postpone_projection(process, rec)
         assert report.max_deviation <= 1e-12
@@ -219,13 +219,13 @@ def test_unitary_leaves_hidden_outcome_density_unaltered():
     obs = full_observable(L2, "B")
     rho_in = sum(
         reduced_density(project(obs.outcome_for(b), process.initial_state), "B").matrix
-        for b in process.solution_map
+        for b in setting_values(2)
     )
     rho_out = sum(
         reduced_density(
             apply(process.u12, project(obs.outcome_for(b), process.initial_state)), "B"
         ).matrix
-        for b in process.solution_map
+        for b in setting_values(2)
     )
     assert np.max(np.abs(rho_in - rho_out)) <= 1e-12
     assert np.allclose(rho_in, np.eye(4))

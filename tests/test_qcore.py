@@ -64,7 +64,7 @@ def test_dim_cap_env_override(monkeypatch):
 
 
 def test_uniform_setting_state_n2():
-    s = uniform_setting_state(L2, "00")
+    s = uniform_setting_state(L2)
     for b in ("00", "01", "10", "11"):
         assert s.amplitude(b, "00") == 1
     assert s.norm() ** 2 == pytest.approx(4)
@@ -72,16 +72,11 @@ def test_uniform_setting_state_n2():
 
 
 def test_uniform_setting_state_n1_and_n3():
-    s1 = uniform_setting_state(RegisterLayout(1, 1), "0")
+    s1 = uniform_setting_state(RegisterLayout(1, 1))
     assert [t for t, _ in s1.terms()] == [("0", "0"), ("1", "0")]
-    s3 = uniform_setting_state(RegisterLayout(3, 3), "000")
+    s3 = uniform_setting_state(RegisterLayout(3, 3))
     assert sum(1 for _ in s3.terms()) == 8
     assert all(a == 1 for _, a in s3.terms())
-
-
-def test_uniform_setting_state_blank_mismatch():
-    with pytest.raises(ValueError):
-        uniform_setting_state(L2, "0")
 
 
 def test_apply_xor_copy_single_setting():
@@ -91,12 +86,12 @@ def test_apply_xor_copy_single_setting():
 
 
 def test_apply_identity():
-    s = uniform_setting_state(L2, "00")
+    s = uniform_setting_state(L2)
     assert max_abs_diff(apply(identity_unitary(L2), s), s) == 0
 
 
 def test_apply_xor_copy_uniform_input():
-    out = apply(xor_copy_unitary(L2), uniform_setting_state(L2, "00"))
+    out = apply(xor_copy_unitary(L2), uniform_setting_state(L2))
     expected = state_from_terms(L2, [(b, b, 1) for b in ("00", "01", "10", "11")])
     assert states_close(out, expected)
 
@@ -181,7 +176,7 @@ def test_reduced_density_matches_brute_force(n_b, n_a, register, rng):
 
 
 def test_proportionality():
-    s = uniform_setting_state(L2, "00")
+    s = uniform_setting_state(L2)
     scaled = StateVector(L2, s.amps * (2 + 1j))
     factor, resid = proportionality(scaled, s)
     assert factor == pytest.approx(2 + 1j)

@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tsq import gf2
 from tsq.measure import ParityObservable
 from tsq.qcore import (
     InvariantError,
+    RegisterLayout,
     UnitaryOp,
     basis_state,
+    identity_unitary,
     max_abs_diff,
     states_close,
 )
 from tsq.tsym import (
+    ProcessDescription,
     SelectionSplit,
     copy_process,
     enumerate_splits,
@@ -23,25 +27,45 @@ from tsq.tsym import (
     uneven_instance,
     xor_process,
 )
-from conftest import dense, state_from_terms
+from conftest import dense, setting_values, state_from_terms
 
 P2 = xor_process(2)
 P3 = xor_process(3)
+XOR = {n: xor_process(n) for n in range(1, 6)}
 B_L = ParityObservable("B", ("10",))
 A_R = ParityObservable("A", ("01",))
 
 
-def test_process_validation():
+def reference_injective(process, split) -> bool:
+    """Slow reference for selection_is_injective: the outcome pairs of all
+    settings are distinct, the solution of a setting being the setting."""
+    seen = set()
+    for b in setting_values(process.n):
+        key = (split.initial_part.outcome_bits(b), split.final_part.outcome_bits(b))
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+def reference_complete_split(process, final_part, initial_bases):
+    """Slow reference for complete_split: a full-rank check on the uncut masks,
+    then the per-setting loop."""
+    n = process.n
+    final_ints = tuple(gf2.bits_to_mask(m) for m in final_part.masks)
+    for basis in initial_bases:
+        if gf2.rank(final_ints + basis) != n:
+            continue
+        initial_part = ParityObservable("B", tuple(gf2.mask_to_bits(m, n) for m in basis))
+        split = SelectionSplit(initial_part, final_part)
+        if reference_injective(process, split):
+            return split
+    return None
+
+
+def test_copy_process_refuses_unequal_widths():
     with pytest.raises(ValueError):
-        xor_process(2).__class__(
-            layout=P2.layout,
-            initial_state=P2.initial_state,
-            u12=P2.u12,
-            initial_obs=P2.initial_obs,
-            final_obs=P2.final_obs,
-            solution_map={"00": "00", "01": "01", "10": "10", "11": "10"},
-            blank_a="00",
-        )
+        copy_process(identity_unitary(RegisterLayout(2, 3)))
 
 
 @pytest.mark.parametrize("form", ["blocks", "dense"])
@@ -49,7 +73,7 @@ def test_one_non_correlating_block_raises(form):
     # the xor-copy blocks with setting 10's block replaced by the identity:
     # |10>|00> stays at |10>|00> instead of reaching |10>|10>
     blocks = np.array(P2.u12.matrix)
-    assert copy_process(UnitaryOp(P2.layout, blocks)).solution("10") == "10"
+    copy_process(UnitaryOp(P2.layout, blocks))
     blocks[2] = np.eye(4)
     u = UnitaryOp(P2.layout, dense(UnitaryOp(P2.layout, blocks)) if form == "dense" else blocks)
     with pytest.raises(InvariantError, match="setting 10"):
@@ -61,6 +85,50 @@ def test_selection_injectivity():
     # same bit on both sides is redundant: 00 and 10 collide
     redundant = SelectionSplit(ParityObservable("B", ("01",)), A_R)
     assert not selection_is_injective(P2, redundant)
+
+
+@st.composite
+def parity_part(draw, register: str, n: int) -> ParityObservable:
+    """Independent masks of width n or n + 1; a wide mask may vanish on the
+    low n bits."""
+    width = n + draw(st.integers(0, 1))
+    mask = st.one_of(st.integers(1, (1 << width) - 1), st.just(1 << (width - 1)))
+    masks: list[int] = []
+    for m in draw(st.lists(mask, max_size=n + 1)):
+        if gf2.is_independent(masks + [m]):
+            masks.append(m)
+    return ParityObservable(register, tuple(gf2.mask_to_bits(m, width) for m in masks))
+
+
+@st.composite
+def splits(draw) -> tuple[int, SelectionSplit]:
+    n = draw(st.integers(1, 5))
+    return n, SelectionSplit(draw(parity_part("B", n)), draw(parity_part("A", n)))
+
+
+@given(splits())
+@example((2, SelectionSplit(ParityObservable("B", ("10",)), ParityObservable("A", ("011",)))))
+@example((2, SelectionSplit(ParityObservable("B", ("100",)), ParityObservable("A", ("01",)))))
+@example((2, SelectionSplit(ParityObservable("B", ()), ParityObservable("A", ("100", "011")))))
+def test_selection_injectivity_matches_reference(case):
+    n, split = case
+    assert selection_is_injective(XOR[n], split) == reference_injective(XOR[n], split)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumerate_splits_matches_rank_then_loop(n):
+    process = XOR[n]
+    for r in range(n + 1):
+        initial_bases = gf2.subspaces(n, r)
+        want = [
+            reference_complete_split(
+                process,
+                ParityObservable("A", tuple(gf2.mask_to_bits(m, n) for m in final)),
+                initial_bases,
+            )
+            for final in gf2.subspaces(n, n - r)
+        ]
+        assert enumerate_splits(process, r) == [split for split in want if split is not None]
 
 
 def test_enumerate_splits_n2_rank1():
@@ -98,7 +166,7 @@ def test_external_instance_bottom_line():
 
 
 def test_external_bottom_lines_split_independent():
-    for b in P2.solution_map:
+    for b in setting_values(2):
         bottoms = [
             external_instance(P2, b, split).bottom_line
             for split in enumerate_splits(P2, 1)
@@ -138,14 +206,13 @@ def test_solver_instance_bottom_line():
 def test_solver_branch_sets_exhaustive(process):
     # branches = settings whose solution shares the final-part parities
     for split in enumerate_splits(process, process.n - process.n // 2):
-        for b in process.solution_map:
+        for b in setting_values(process.n):
             inst = solver_instance(process, b, split)
             want = tuple(
                 sorted(
                     b2
-                    for b2 in process.solution_map
-                    if split.final_part.outcome_bits(process.solution(b2))
-                    == split.final_part.outcome_bits(process.solution(b))
+                    for b2 in setting_values(process.n)
+                    if split.final_part.outcome_bits(b2) == split.final_part.outcome_bits(b)
                 )
             )
             assert inst.branch_settings() == want
@@ -155,7 +222,7 @@ def test_trajectory_consistency():
     from tsq.qcore import apply
 
     for split in enumerate_splits(P2, 1):
-        for b in P2.solution_map:
+        for b in setting_values(2):
             for inst in (solver_instance(P2, b, split), external_instance(P2, b, split)):
                 rerun = apply(P2.u12, inst.bottom_line[0])
                 assert max_abs_diff(rerun, inst.bottom_line[1]) <= 1e-12
@@ -165,7 +232,7 @@ def test_recovery_factor_n2():
     instances = [
         solver_instance(P2, b, split)
         for split in enumerate_splits(P2, 1)
-        for b in P2.solution_map
+        for b in setting_values(2)
     ]
     report = recover_superposition(instances)
     assert report.proportional
@@ -179,7 +246,7 @@ def test_recovery_factor_n3():
     instances = [
         solver_instance(P3, b, split)
         for split in enumerate_splits(P3, 2)
-        for b in P3.solution_map
+        for b in setting_values(3)
     ]
     report = recover_superposition(instances)
     assert report.proportional
@@ -219,15 +286,7 @@ def test_double_time_symmetrization_is_idempotent():
     # reproduces the same bottom line
     split = SelectionSplit(B_L, A_R)
     first = solver_instance(P2, "01", split)
-    rerun_process = P2.__class__(
-        layout=P2.layout,
-        initial_state=first.bottom_line[0],
-        u12=P2.u12,
-        initial_obs=P2.initial_obs,
-        final_obs=P2.final_obs,
-        solution_map=P2.solution_map,
-        blank_a="00",
-    )
+    rerun_process = ProcessDescription(u12=P2.u12, initial_state=first.bottom_line[0])
     second = solver_instance(rerun_process, "01", split)
     assert max_abs_diff(second.bottom_line[0], first.bottom_line[0]) <= 1e-12
     assert max_abs_diff(second.bottom_line[1], first.bottom_line[1]) <= 1e-12
@@ -236,14 +295,6 @@ def test_double_time_symmetrization_is_idempotent():
 def test_inconsistent_projection_raises():
     # a forced final outcome with no support in the forward state
     bad_initial = basis_state(P2.layout, "00", "00")
-    process = P2.__class__(
-        layout=P2.layout,
-        initial_state=bad_initial,
-        u12=P2.u12,
-        initial_obs=P2.initial_obs,
-        final_obs=P2.final_obs,
-        solution_map=P2.solution_map,
-        blank_a="00",
-    )
+    process = ProcessDescription(u12=P2.u12, initial_state=bad_initial)
     with pytest.raises(InvariantError):
         solver_instance(process, "01", SelectionSplit(B_L, A_R))
