@@ -7,8 +7,9 @@ standard output and of standard error.  It takes no arguments:
     python scripts/cli_digest.py > digest.txt
 
 The list covers every subcommand, both output formats, n = 2-4, both
-unitaries, every ``epr`` mode and path with several seeds, ``complexity`` on
-the drawer problem and on both bundled files, and a few invalid argv.
+unitaries, ``ts-instance`` and ``grover-external`` in JSON at n = 5, every
+``epr`` mode and path with several seeds, ``complexity`` on the drawer
+problem and on both bundled files, and a few invalid argv.
 Problem-file paths are relative to the repository root, and the script runs
 from there, so the digests of two checkouts can be compared with ``diff``.
 An exception that escapes ``main`` is printed as ``raise:<type>``.
@@ -36,6 +37,7 @@ SPLITS = {
     3: ("A:[001]", "A:[011,101]", "B:[100,010]/A:[001]"),
     4: ("A:[0011,0101]",),
 }
+SPLIT_N5 = "B:[10000,01000]/A:[00111,00011,00001]"
 ERRORS = (
     [],
     ["--version"],
@@ -113,6 +115,13 @@ def argvs() -> list[list[str]]:
                 out.append(["search", "--n", str(n), "--target", target, "--variant", variant])
     # each generated argv in both output formats
     out = [argv + ["--output", fmt] for argv in out for fmt in ("table", "json")]
+    # the benchmark's size, n = 5: JSON only, every final rank and one full split
+    for unitary in UNITARIES:
+        for b in values(5, 13):
+            base = ["--n", "5", "--outcome", b, "--unitary", unitary]
+            for rank in range(1, 5):
+                out.append(["ts-instance", *base, "--final-rank", str(rank), "--output", "json"])
+            out.append(["grover-external", *base, "--split", SPLIT_N5, "--output", "json"])
     return out + [list(argv) for argv in ERRORS]
 
 

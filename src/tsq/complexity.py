@@ -284,5 +284,8 @@ def k_sweep(problem: OracleProblemSpec, ks, cap: int = DEFAULT_SEARCH_CAP) -> li
         reports.append(replace(by_rank[r], k=k))
     for earlier, later in zip(reports, reports[1:]):
         if earlier.k <= later.k and later.worst_case > earlier.worst_case:
-            raise InvariantError("worst-case count increased with k")
+            raise InvariantError(
+                f"worst-case count increased with k: {later.worst_case} at k={later.k}"
+                f" > {earlier.worst_case} at k={earlier.k}"
+            )
     return reports

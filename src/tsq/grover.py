@@ -133,7 +133,10 @@ def run_long(oracle: SearchOracle) -> SearchRun:
     phi = matched_phase(oracle.n, j)
     state, p = _success(oracle, j, phi)
     if 1 - p > CERTAINTY_EPS:
-        raise InvariantError(f"certainty not reached for n={oracle.n}: success {p!r}")
+        raise InvariantError(
+            f"certainty not reached for n={oracle.n}: success {p!r},"
+            f" 1 - p = {1 - p:.3e} > CERTAINTY_EPS = {CERTAINTY_EPS:.0e}"
+        )
     return SearchRun(oracle, "long", j, phi, state, p)
 
 

@@ -13,6 +13,7 @@ unrenormalized; renormalization is the caller's choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
@@ -59,6 +60,13 @@ class ParityObservable:
     @property
     def n_bits(self) -> int:
         return len(self.masks[0]) if self.masks else 0
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Read-only sector code of every value of n_bits bits (see gf2.parity_codes)."""
+        codes = gf2.parity_codes([gf2.bits_to_mask(m) for m in self.masks], self.n_bits)
+        codes.setflags(write=False)
+        return codes
 
     def outcome_bits(self, register_bits: str) -> tuple[int, ...]:
         value = int(register_bits, 2)
@@ -107,17 +115,24 @@ class ParityOutcome:
 
 
 def _register_codes(obs: ParityObservable, layout: RegisterLayout) -> np.ndarray:
-    """Sector code of every value of the observed register (see gf2.parity_codes)."""
+    """Sector code of every value of the observed register."""
     n = layout.bits(obs.register)
-    if obs.masks and obs.n_bits != n:
+    if not obs.masks:
+        return np.zeros(1 << n, dtype=np.int64)
+    if obs.n_bits != n:
         raise ValueError("observable does not fit the layout")
-    return gf2.parity_codes([gf2.bits_to_mask(m) for m in obs.masks], n)
+    return obs.codes
+
+
+def _keep(outcome: ParityOutcome, layout: RegisterLayout) -> np.ndarray:
+    """0/1 per value of the observed register: 1 where all parities match the outcome."""
+    code = gf2.bits_to_mask("".join(map(str, outcome.bits)))
+    return (_register_codes(outcome.observable, layout) == code).astype(np.float64)
 
 
 def projector_diagonal(outcome: ParityOutcome, layout: RegisterLayout) -> np.ndarray:
     """0/1 diagonal of the projector keeping labels that satisfy all parities."""
-    code = gf2.bits_to_mask("".join(map(str, outcome.bits)))
-    keep = (_register_codes(outcome.observable, layout) == code).astype(np.float64)
+    keep = _keep(outcome, layout)
     # spread over the joint index b * dim_a + a
     if outcome.observable.register == "B":
         return np.repeat(keep, layout.dim_a)
@@ -125,7 +140,12 @@ def projector_diagonal(outcome: ParityOutcome, layout: RegisterLayout) -> np.nda
 
 
 def project(outcome: ParityOutcome, s: StateVector) -> StateVector:
-    return StateVector(s.layout, s.amps * projector_diagonal(outcome, s.layout))
+    """Multiply the (dim_b, dim_a) amplitudes by the keep vector along the observed axis."""
+    keep = _keep(outcome, s.layout)
+    if outcome.observable.register == "B":
+        keep = keep[:, np.newaxis]
+    psi = s.amps.reshape(s.layout.dim_b, s.layout.dim_a)
+    return StateVector(s.layout, (psi * keep).reshape(-1))
 
 
 def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> StateVector:
@@ -137,6 +157,7 @@ def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> St
     if out.is_zero():
         raise InvariantError(
             f"impossible outcome {value_bits} for {obs.name()}: the projection annihilates the state"
+            f" (norm {out.norm():.3e} <= STATE_TOL = {STATE_TOL:.0e})"
         )
     return out
 
@@ -207,6 +228,10 @@ def postpone_projection(process, record: MeasurementRecord) -> PostponementRepor
     first = apply(process.u12, project(record.outcome, psi0))
     last = project(record.outcome, apply(process.u12, psi0))
     dev = float(np.max(np.abs(first.amps - last.amps)))
-    if dev > RESIDUAL_TOL * max(psi0.norm(), 1.0):
-        raise InvariantError(f"postponement not valid for this unitary (deviation {dev:.3e})")
+    tol = RESIDUAL_TOL * max(psi0.norm(), 1.0)
+    if dev > tol:
+        raise InvariantError(
+            f"postponement not valid for this unitary"
+            f" (deviation {dev:.3e} > RESIDUAL_TOL * max(|psi|, 1) = {tol:.3e})"
+        )
     return PostponementReport(dev, first, last)

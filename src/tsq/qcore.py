@@ -199,7 +199,9 @@ class UnitaryOp:
             raise ValueError(f"expected a stack of k x k blocks covering dimension {d}, got {m.shape}")
         dev = unitarity_deviation(m)
         if dev > OP_TOL:
-            raise InvariantError(f"matrix is not unitary: max |U+U - I| = {dev:.3e}")
+            raise InvariantError(
+                f"matrix is not unitary: max |U+U - I| = {dev:.3e} > OP_TOL = {OP_TOL:.0e}"
+            )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -226,20 +228,30 @@ def _regroup(blocks: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(m // j, k, k)
 
 
-def _apply_blocks(layout: RegisterLayout, blocks: np.ndarray, s: StateVector) -> StateVector:
-    """Multiply each k-amplitude slice of ``s`` by its block of ``blocks``."""
-    if layout != s.layout:
+def _block_shape(u: UnitaryOp, s: StateVector) -> tuple[int, int]:
+    """(m, k) of ``u``'s block stack, once ``s`` is checked to share its layout."""
+    if u.layout != s.layout:
         raise ValueError("layout mismatch between unitary and state")
-    m, k, _ = blocks.shape
-    return StateVector(s.layout, (blocks @ s.amps.reshape(m, k, 1)).reshape(-1))
+    return u.matrix.shape[:2]
 
 
 def apply(u: UnitaryOp, s: StateVector) -> StateVector:
-    return _apply_blocks(u.layout, u.matrix, s)
+    """Multiply each k-amplitude slice of ``s`` by its block."""
+    m, k = _block_shape(u, s)
+    return StateVector(s.layout, (u.matrix @ s.amps.reshape(m, k, 1)).reshape(-1))
 
 
 def apply_adjoint(u: UnitaryOp, s: StateVector) -> StateVector:
-    return _apply_blocks(u.layout, u.matrix.conj().transpose(0, 2, 1), s)
+    """U^H s as the conjugate of the row product s^H U, reading the blocks in place.
+
+    The conjugate is taken as 0.0 - imag: a zero imaginary part comes out +0.0,
+    as from the product with the conjugated blocks, where .conj() gives -0.0.
+    """
+    m, k = _block_shape(u, s)
+    w = (s.amps.conj().reshape(m, 1, k) @ u.matrix).reshape(-1)
+    im = w.imag
+    np.subtract(0.0, im, out=im)
+    return StateVector(s.layout, w)
 
 
 def identity_unitary(layout: RegisterLayout) -> UnitaryOp:
@@ -275,13 +287,22 @@ class DensityOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         scale = max(float(np.max(np.abs(m))), 1.0)
-        if np.max(np.abs(m - m.conj().T)) > OP_TOL * scale:
-            raise InvariantError("density matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if eigs.min() < -OP_TOL * scale:
-            raise InvariantError("density matrix is not positive semidefinite")
-        if m.trace().real <= 0:
-            raise InvariantError("density matrix has non-positive trace")
+        tol = OP_TOL * scale
+        dev = np.max(np.abs(m - m.conj().T))
+        if dev > tol:
+            raise InvariantError(
+                f"density matrix is not Hermitian: max |rho - rho+| = {dev:.3e}"
+                f" > OP_TOL * max(max |rho|, 1) = {tol:.3e}"
+            )
+        low = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
+        if low < -tol:
+            raise InvariantError(
+                f"density matrix is not positive semidefinite: least eigenvalue {low:.3e}"
+                f" < -OP_TOL * max(max |rho|, 1) = {-tol:.3e}"
+            )
+        trace = m.trace().real
+        if trace <= 0:
+            raise InvariantError(f"density matrix has non-positive trace: {trace:.3e} <= 0")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

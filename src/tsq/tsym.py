@@ -68,7 +68,9 @@ class ProcessDescription:
             if total - good > CORRELATION_TOL * total:
                 bits = format(b, f"0{layout.n_b}b")
                 raise InvariantError(
-                    f"unitary does not correlate setting {bits} sharply with solution {bits}"
+                    f"unitary does not correlate setting {bits} sharply with solution {bits}:"
+                    f" leaked fraction {(total - good) / total:.3e}"
+                    f" > CORRELATION_TOL = {CORRELATION_TOL:.0e}"
                 )
 
     @property
@@ -211,8 +213,13 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
     s3 = project_forced(split.final_part, b, s2)
     s4 = apply_adjoint(process.u12, s3)
     inst = ZigzagInstance(walk=(s0, s1, s2, s3, s4), split=split, outcome=b, perspective="external")
-    if inst.branch_settings() != (b,):
-        raise InvariantError("external bottom line is not the sharp setting branch")
+    settings = inst.branch_settings()
+    if settings != (b,):
+        raise InvariantError(
+            f"external bottom line is not the sharp setting branch {b}:"
+            f" settings {', '.join(settings)} carry more than"
+            f" BRANCH_MASS_TOL = {BRANCH_MASS_TOL:.0e} of the mass"
+        )
     return inst
 
 

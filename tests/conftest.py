@@ -32,6 +32,15 @@ def random_independent_masks(rng, n: int, r: int) -> list[int]:
             return masks
 
 
+def bitwise_equal(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal complex arrays whose real and imaginary parts also agree in sign, zeros included."""
+    return (
+        np.array_equal(x, y)
+        and np.array_equal(np.signbit(x.real), np.signbit(y.real))
+        and np.array_equal(np.signbit(x.imag), np.signbit(y.imag))
+    )
+
+
 def dense(u: UnitaryOp) -> np.ndarray:
     """The d x d matrix of ``u``, built from its diagonal blocks."""
     return block_diag(*u.matrix)

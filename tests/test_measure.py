@@ -18,6 +18,7 @@ from tsq.measure import (
 )
 from tsq.qcore import (
     RegisterLayout,
+    StateVector,
     apply,
     basis_state,
     max_abs_diff,
@@ -26,7 +27,13 @@ from tsq.qcore import (
     uniform_setting_state,
 )
 from tsq.tsym import xor_process
-from conftest import random_independent_masks, random_state, setting_values, state_from_terms
+from conftest import (
+    bitwise_equal,
+    random_independent_masks,
+    random_state,
+    setting_values,
+    state_from_terms,
+)
 
 L2 = RegisterLayout(2, 2)
 INITIAL = uniform_setting_state(L2)
@@ -154,6 +161,41 @@ def test_sector_masses_reject_observable_of_other_width(rng):
         sector_masses(s, ParityObservable("B", ("111",)))
     with pytest.raises(ValueError, match="does not fit the layout"):
         projector_diagonal(ParityObservable("A", ("1",)).outcome_for("1"), L2)
+    with pytest.raises(ValueError, match="does not fit the layout"):
+        project(ParityObservable("A", ("1",)).outcome_for("1"), s)
+    with pytest.raises(ValueError, match="does not fit the layout"):
+        project(ParityObservable("B", ("101",)).outcome_for("101"), s)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cached_codes_are_the_read_only_parity_codes(n, rng):
+    for r in range(n + 1):
+        masks = random_independent_masks(rng, n, r)
+        obs = ParityObservable("A", tuple(gf2.mask_to_bits(m, n) for m in masks))
+        assert np.array_equal(obs.codes, gf2.parity_codes(masks, obs.n_bits))
+        assert obs.codes is obs.codes
+        with pytest.raises(ValueError):
+            obs.codes[0] = 1
+        # the cache is no field: equality and hashing ignore it
+        fresh = ParityObservable("A", obs.masks)
+        assert obs == fresh and hash(obs) == hash(fresh)
+
+
+@pytest.mark.parametrize("register", ["B", "A"])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 1), (1, 4)])
+def test_project_equals_diagonal_product_bit_for_bit(shape, register, rng):
+    layout = RegisterLayout(*shape)
+    n = layout.bits(register)
+    amps = random_state(layout, rng).amps.copy()
+    amps[::3] = 0
+    amps[1::5] = -amps[1::5].real
+    s = StateVector(layout, amps)
+    for r in range(n + 1):
+        masks = random_independent_masks(rng, n, r)
+        obs = ParityObservable(register, tuple(gf2.mask_to_bits(m, n) for m in masks))
+        for outcome in all_outcomes(obs):
+            expected = s.amps * projector_diagonal(outcome, layout)
+            assert bitwise_equal(project(outcome, s).amps, expected)
 
 
 @pytest.mark.parametrize("register", ["B", "A"])

@@ -1,12 +1,32 @@
 """States, unitaries, and reduced densities on the two-register basis."""
 
+import functools
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
+from tsq import complexity
+from tsq.complexity import ComplexityReport, grover_problem, k_sweep
+from tsq.grover import SearchOracle, grover_process, matched_phase, run_long
+from tsq.measure import (
+    ParityObservable,
+    full_observable,
+    measure,
+    postpone_projection,
+    project_forced,
+)
 from tsq.qcore import (
+    BRANCH_MASS_TOL,
+    CERTAINTY_EPS,
+    CORRELATION_TOL,
+    OP_TOL,
+    RESIDUAL_TOL,
     STATE_TOL,
+    DensityOperator,
     InvariantError,
     RegisterLayout,
     StateVector,
@@ -23,7 +43,8 @@ from tsq.qcore import (
     unitarity_deviation,
     xor_copy_unitary,
 )
-from conftest import dense, random_state, state_from_terms
+from tsq.tsym import SelectionSplit, copy_process, external_instance, xor_process
+from conftest import bitwise_equal, dense, random_state, state_from_terms
 
 L2 = RegisterLayout(2, 2)
 
@@ -265,3 +286,129 @@ def test_block_stack_shape_validation():
     with pytest.raises(ValueError):
         UnitaryOp(L2, np.ones((4, 4, 2)))  # non-square blocks
     assert UnitaryOp(L2, np.eye(L2.dim)).matrix.shape == (1, L2.dim, L2.dim)
+
+
+# apply_adjoint against the product with the materialized conjugate-transposed stack
+
+def reference_adjoint(u: UnitaryOp, s: StateVector) -> np.ndarray:
+    m, k, _ = u.matrix.shape
+    return (u.matrix.conj().transpose(0, 2, 1) @ s.amps.reshape(m, k, 1)).reshape(-1)
+
+
+@functools.lru_cache(maxsize=None)
+def process_unitary(kind: str, n: int) -> UnitaryOp:
+    return (xor_process if kind == "xor" else grover_process)(n).u12
+
+
+def random_unitary(n: int, size: int, seed: int) -> UnitaryOp:
+    layout = RegisterLayout(n, n)
+    return UnitaryOp(layout, random_blocks(layout, block_sizes(layout)[size], seed))
+
+
+operators = st.one_of(
+    st.builds(process_unitary, st.sampled_from(["xor", "grover"]), st.integers(1, 5)),
+    st.builds(random_unitary, ns, st.integers(0, 2), seeds),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators, seeds, st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.booleans())
+def test_apply_adjoint_matches_conjugate_stack_bit_for_bit(u, seed, zero_fraction, real_only):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(u.layout.dim)
+    if not real_only:
+        amps = amps + 1j * rng.standard_normal(u.layout.dim)
+    amps[rng.random(u.layout.dim) < zero_fraction] = 0
+    s = StateVector(u.layout, amps)
+    assert bitwise_equal(apply_adjoint(u, s).amps, reference_adjoint(u, s))
+
+
+def test_apply_adjoint_allocates_no_block_stack():
+    u = xor_copy_unitary(RegisterLayout(6, 6))
+    s = random_state(u.layout, np.random.default_rng(6))
+    apply_adjoint(u, s)  # warm up numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        apply_adjoint(u, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < u.matrix.nbytes / 4
+
+
+# Every InvariantError states its residual and the threshold it broke.
+
+def _not_unitary(monkeypatch):
+    UnitaryOp(L2, np.eye(L2.dim) * 1.5)
+
+
+def _not_correlating(monkeypatch):
+    copy_process(identity_unitary(L2))
+
+
+def _phase_drift(monkeypatch):
+    monkeypatch.setattr("tsq.grover.matched_phase", lambda n, j: matched_phase(n, j) + 0.01)
+    run_long(SearchOracle(3, "000"))
+
+
+def _annihilated(monkeypatch):
+    project_forced(full_observable(L2, "B"), "01", basis_state(L2, "00", "00"))
+
+
+def _not_postponable(monkeypatch):
+    # a Hadamard on B mixes the sectors of the full B observable; |psi| = sqrt(2)
+    layout = RegisterLayout(1, 1)
+    hadamard_b = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2))
+    process = SimpleNamespace(u12=UnitaryOp(layout, hadamard_b))
+    s = uniform_setting_state(layout)
+    postpone_projection(process, measure(s, full_observable(layout, "B"), forced=(0,)))
+
+
+def _not_hermitian(monkeypatch):
+    DensityOperator("B", [[1, 1], [0, 1]])
+
+
+def _not_psd(monkeypatch):
+    DensityOperator("B", np.diag([1.0, -1.0]))
+
+
+def _zero_trace(monkeypatch):
+    DensityOperator("B", np.zeros((2, 2)))
+
+
+def _not_sharp(monkeypatch):
+    monkeypatch.setattr("tsq.tsym.apply_adjoint", lambda u, s: uniform_setting_state(u.layout))
+    split = SelectionSplit(ParityObservable("B", ("10",)), ParityObservable("A", ("01",)))
+    external_instance(xor_process(2), "01", split)
+
+
+def _count_grows(monkeypatch):
+    def fake(problem, k, cap):
+        r = round(k * problem.n)
+        return ComplexityReport(problem.name, r, k, (), (), r)
+
+    monkeypatch.setattr(complexity, "advanced_knowledge_prediction", fake)
+    k_sweep(grover_problem(2), [0, 1])
+
+
+INVARIANT_ERRORS = [
+    (_not_unitary, f"> OP_TOL = {OP_TOL:.0e}"),
+    (_not_correlating, f"> CORRELATION_TOL = {CORRELATION_TOL:.0e}"),
+    (_phase_drift, f"> CERTAINTY_EPS = {CERTAINTY_EPS:.0e}"),
+    (_annihilated, f"<= STATE_TOL = {STATE_TOL:.0e}"),
+    (_not_postponable, f"> RESIDUAL_TOL * max(|psi|, 1) = {RESIDUAL_TOL * np.sqrt(2):.3e}"),
+    (_not_hermitian, f"> OP_TOL * max(max |rho|, 1) = {OP_TOL:.3e}"),
+    (_not_psd, f"< -OP_TOL * max(max |rho|, 1) = {-OP_TOL:.3e}"),
+    (_zero_trace, "0.000e+00 <= 0"),
+    (_not_sharp, f"BRANCH_MASS_TOL = {BRANCH_MASS_TOL:.0e}"),
+    (_count_grows, "2 at k=1 > 0 at k=0"),
+]
+
+
+@pytest.mark.parametrize(
+    "trigger,threshold", INVARIANT_ERRORS, ids=[t.__name__.lstrip("_") for t, _ in INVARIANT_ERRORS]
+)
+def test_invariant_error_states_residual_and_threshold(trigger, threshold, monkeypatch):
+    with pytest.raises(InvariantError) as err:
+        trigger(monkeypatch)
+    assert threshold in str(err.value)
