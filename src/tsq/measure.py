@@ -139,21 +139,32 @@ def projector_diagonal(outcome: ParityOutcome, layout: RegisterLayout) -> np.nda
     return np.tile(keep, layout.dim_b)
 
 
-def project(outcome: ParityOutcome, s: StateVector) -> StateVector:
-    """Multiply the (dim_b, dim_a) amplitudes by the keep vector along the observed axis."""
-    keep = _keep(outcome, s.layout)
-    if outcome.observable.register == "B":
+def _masked(keep: np.ndarray, register: str, s: StateVector) -> StateVector:
+    """Multiply the (dim_b, dim_a) amplitudes by ``keep`` along the observed axis."""
+    if register == "B":
         keep = keep[:, np.newaxis]
     psi = s.amps.reshape(s.layout.dim_b, s.layout.dim_a)
-    return StateVector(s.layout, (psi * keep).reshape(-1))
+    return StateVector._fresh(s.layout, (psi * keep).reshape(-1))
+
+
+def project(outcome: ParityOutcome, s: StateVector) -> StateVector:
+    """Keep the amplitudes whose observed register value lies in the outcome's sector."""
+    return _masked(_keep(outcome, s.layout), outcome.observable.register, s)
 
 
 def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> StateVector:
     """Project ``s`` onto the outcome of ``obs`` for register value ``value_bits``.
 
-    Raises InvariantError when that outcome has no support in ``s``.
+    That outcome is the sector code of the value, ``codes[value]``: the codes
+    and ``outcome_bits`` share one bit order.  Raises ValueError when
+    ``value_bits`` is not a value of the observed register, and
+    InvariantError when the outcome has no support in ``s``.
     """
-    out = project(obs.outcome_for(value_bits), s)
+    n = s.layout.bits(obs.register)
+    if len(value_bits) != n or value_bits.strip("01"):
+        raise ValueError(f"{value_bits!r} is not a value of the {n}-bit register {obs.register}")
+    codes = _register_codes(obs, s.layout)
+    out = _masked((codes == codes[int(value_bits, 2)]).astype(np.float64), obs.register, s)
     if out.is_zero():
         raise InvariantError(
             f"impossible outcome {value_bits} for {obs.name()}: the projection annihilates the state"

@@ -11,6 +11,19 @@ per setting for a setting-controlled one (the solving unitaries).
 Amplitudes are stored unnormalized throughout; the norm is queried
 explicitly where it matters.  All values are immutable after construction
 and every operation is a pure function.
+
+Validation happens where values enter the package, not on every result.
+The public ``StateVector`` constructor copies its input and checks its shape
+and that its squared norm, summed unscaled by ``np.vdot``, is finite.  That
+one reduction refuses NaN and inf, and it bounds the norm |v| below
+sqrt(max float) ~ 1.34e154.  ``UnitaryOp`` checks unitarity (refusing NaN),
+so no entry of a block exceeds 1 + OP_TOL in modulus, and every partial sum
+of a block product is at most (1 + OP_TOL) * sqrt(k) * |v|: below 1e164
+for any block size k up to 2^64, far from overflow.  The product keeps the
+norm to within k rounding errors, and a 0/1 projection only zeroes
+amplitudes.  So ``apply``, ``apply_adjoint`` and the projections in
+``measure`` wrap their fresh arrays with ``StateVector._fresh``, which marks
+them read-only and neither copies nor re-checks them.
 """
 
 from __future__ import annotations
@@ -106,14 +119,24 @@ class StateVector:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.amps, dtype=np.complex128)
+        arr = np.array(self.amps, dtype=np.complex128)
         if arr.shape != (self.layout.dim,):
             raise ValueError(f"expected {self.layout.dim} amplitudes, got {arr.shape}")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
-        arr = arr.copy()
+        if not np.isfinite(np.vdot(arr, arr).real):
+            raise ValueError("amplitudes must be finite, with a norm below 1.34e154")
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
+
+    @classmethod
+    def _fresh(cls, layout: RegisterLayout, amps: np.ndarray) -> "StateVector":
+        """The state on ``amps``, a complex128 array of shape (dim,) that the
+        package just computed from checked inputs and holds the only reference
+        to: marked read-only, neither copied nor re-checked (module docstring)."""
+        amps.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "layout", layout)
+        object.__setattr__(state, "amps", amps)
+        return state
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -124,9 +147,9 @@ class StateVector:
     def terms(self, tol: float = STATE_TOL):
         """Yield (BasisLabel, amplitude) for every non-negligible term."""
         scale = max(self.norm(), 1.0)
-        for i, amp in enumerate(self.amps):
-            if abs(amp) > tol * scale:
-                yield self.layout.label(i), complex(amp)
+        kept = np.flatnonzero(np.abs(self.amps) > tol * scale)
+        for i, amp in zip(kept.tolist(), self.amps[kept].tolist()):
+            yield self.layout.label(i), amp
 
     def is_zero(self) -> bool:
         return self.norm() <= STATE_TOL
@@ -198,7 +221,7 @@ class UnitaryOp:
         if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[0] * m.shape[1] != d:
             raise ValueError(f"expected a stack of k x k blocks covering dimension {d}, got {m.shape}")
         dev = unitarity_deviation(m)
-        if dev > OP_TOL:
+        if not dev <= OP_TOL:
             raise InvariantError(
                 f"matrix is not unitary: max |U+U - I| = {dev:.3e} > OP_TOL = {OP_TOL:.0e}"
             )
@@ -238,7 +261,7 @@ def _block_shape(u: UnitaryOp, s: StateVector) -> tuple[int, int]:
 def apply(u: UnitaryOp, s: StateVector) -> StateVector:
     """Multiply each k-amplitude slice of ``s`` by its block."""
     m, k = _block_shape(u, s)
-    return StateVector(s.layout, (u.matrix @ s.amps.reshape(m, k, 1)).reshape(-1))
+    return StateVector._fresh(s.layout, (u.matrix @ s.amps.reshape(m, k, 1)).reshape(-1))
 
 
 def apply_adjoint(u: UnitaryOp, s: StateVector) -> StateVector:
@@ -251,7 +274,7 @@ def apply_adjoint(u: UnitaryOp, s: StateVector) -> StateVector:
     w = (s.amps.conj().reshape(m, 1, k) @ u.matrix).reshape(-1)
     im = w.imag
     np.subtract(0.0, im, out=im)
-    return StateVector(s.layout, w)
+    return StateVector._fresh(s.layout, w)
 
 
 def identity_unitary(layout: RegisterLayout) -> UnitaryOp:
@@ -289,19 +312,19 @@ class DensityOperator:
         scale = max(float(np.max(np.abs(m))), 1.0)
         tol = OP_TOL * scale
         dev = np.max(np.abs(m - m.conj().T))
-        if dev > tol:
+        if not dev <= tol:
             raise InvariantError(
                 f"density matrix is not Hermitian: max |rho - rho+| = {dev:.3e}"
                 f" > OP_TOL * max(max |rho|, 1) = {tol:.3e}"
             )
         low = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
-        if low < -tol:
+        if not low >= -tol:
             raise InvariantError(
                 f"density matrix is not positive semidefinite: least eigenvalue {low:.3e}"
                 f" < -OP_TOL * max(max |rho|, 1) = {-tol:.3e}"
             )
-        trace = m.trace().real
-        if trace <= 0:
+        trace = np.trace(m).real
+        if not trace > 0:
             raise InvariantError(f"density matrix has non-positive trace: {trace:.3e} <= 0")
         m = m.copy()
         m.setflags(write=False)

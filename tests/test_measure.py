@@ -12,6 +12,7 @@ from tsq.measure import (
     measure,
     postpone_projection,
     project,
+    project_forced,
     projector_diagonal,
     sector_masses,
     trivial_observable,
@@ -165,6 +166,24 @@ def test_sector_masses_reject_observable_of_other_width(rng):
         project(ParityObservable("A", ("1",)).outcome_for("1"), s)
     with pytest.raises(ValueError, match="does not fit the layout"):
         project(ParityObservable("B", ("101",)).outcome_for("101"), s)
+
+
+@pytest.mark.parametrize(
+    "obs,value",
+    [
+        (ParityObservable("B", ("1",)), "11"),
+        (ParityObservable("B", ("1",)), ""),
+        (ParityObservable("A", ("11",)), "1"),
+        (ParityObservable("A", ("11",)), "012"),
+        (ParityObservable("A", ("11",)), "0b"),
+        (trivial_observable("B"), "000"),
+    ],
+)
+def test_project_forced_refuses_value_of_other_width(obs, value):
+    layout = RegisterLayout(1, 2)
+    s = random_state(layout, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="is not a value of the"):
+        project_forced(obs, value, s)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
-from tsq import complexity
+from tsq import complexity, gf2
 from tsq.complexity import ComplexityReport, grover_problem, k_sweep
 from tsq.grover import SearchOracle, grover_process, matched_phase, run_long
 from tsq.measure import (
@@ -17,7 +17,9 @@ from tsq.measure import (
     full_observable,
     measure,
     postpone_projection,
+    project,
     project_forced,
+    projector_diagonal,
 )
 from tsq.qcore import (
     BRANCH_MASS_TOL,
@@ -44,7 +46,14 @@ from tsq.qcore import (
     xor_copy_unitary,
 )
 from tsq.tsym import SelectionSplit, copy_process, external_instance, xor_process
-from conftest import bitwise_equal, dense, random_state, state_from_terms
+from conftest import (
+    bitwise_equal,
+    dense,
+    random_independent_masks,
+    random_state,
+    setting_values,
+    state_from_terms,
+)
 
 L2 = RegisterLayout(2, 2)
 
@@ -204,11 +213,60 @@ def test_proportionality():
     assert resid <= 1e-12
 
 
+def one_amplitude(i: int, value: complex) -> np.ndarray:
+    amps = np.zeros(L2.dim, dtype=np.complex128)
+    amps[i] = value
+    return amps
+
+
 def test_state_validation():
-    with pytest.raises(ValueError):
-        StateVector(L2, np.zeros(5))
-    with pytest.raises(ValueError):
-        StateVector(L2, np.full(L2.dim, np.nan))
+    refused = [
+        np.zeros(5),
+        np.zeros((4, 4)),  # the right size in the wrong shape
+        np.full(L2.dim, np.nan),
+        one_amplitude(3, np.nan),
+        one_amplitude(3, np.inf),
+        one_amplitude(5, complex(0, -np.inf)),
+        np.full(L2.dim, 1e154),  # finite, but the squared norm overflows
+    ]
+    for amps in refused:
+        with pytest.raises(ValueError):
+            StateVector(L2, amps)
+
+
+def test_public_constructor_copies_and_freezes():
+    amps = np.arange(L2.dim, dtype=np.complex128)
+    s = StateVector(L2, amps)
+    amps[0] = 7
+    assert s.amps[0] == 0 and not s.amps.flags.writeable
+
+
+def test_operators_refuse_nan():
+    m = np.eye(4, dtype=np.complex128)
+    m[0, 0] = np.nan
+    with pytest.raises(InvariantError, match="not unitary"):
+        UnitaryOp(RegisterLayout(1, 1), m)
+    blocks = np.ones((L2.dim, 1, 1), dtype=np.complex128)
+    blocks[5] = np.nan
+    with pytest.raises(InvariantError, match="not unitary"):
+        UnitaryOp(L2, blocks)
+    with pytest.raises(InvariantError, match="not Hermitian"):
+        DensityOperator("B", [[np.nan, 0], [0, 1]])
+
+
+def test_density_psd_check_refuses_nan_eigenvalues():
+    # Hermitian, but (m + m^H) / 2 overflows, so eigvalsh returns NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvariantError, match="not positive semidefinite: least eigenvalue nan"):
+            DensityOperator("B", np.full((2, 2), 1e308))
+
+
+def test_density_trace_check_refuses_nan(monkeypatch):
+    # a matrix that passes the Hermitian and PSD checks has a finite or +inf
+    # trace, so the NaN is injected into the trace reduction
+    monkeypatch.setattr(np, "trace", lambda m: complex(np.nan, 0))
+    with pytest.raises(InvariantError, match="non-positive trace: nan"):
+        DensityOperator("B", np.eye(2))
 
 
 # Block-diagonal operators against the dense oracle built from their blocks.
@@ -334,6 +392,103 @@ def test_apply_adjoint_allocates_no_block_stack():
     finally:
         tracemalloc.stop()
     assert peak < u.matrix.nbytes / 4
+
+
+# apply, apply_adjoint and the projections build their states without the
+# public constructor's copy and checks; the public path is the reference.
+
+def fresh_and_frozen(out: StateVector, *inputs: np.ndarray) -> bool:
+    return not out.amps.flags.writeable and not any(np.shares_memory(out.amps, x) for x in inputs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["xor", "grover"]), st.integers(1, 5), seeds)
+def test_fast_path_states_equal_public_constructor_bit_for_bit(kind, n, seed):
+    u = process_unitary(kind, n)
+    layout = u.layout
+    m, k = u.matrix.shape[:2]
+    rng = np.random.default_rng(seed)
+    amps = random_state(layout, rng).amps.copy()
+    amps[rng.random(layout.dim) < 0.3] = 0
+    s = StateVector(layout, amps)
+
+    out = apply(u, s)
+    assert bitwise_equal(out.amps, StateVector(layout, (u.matrix @ s.amps.reshape(m, k, 1)).ravel()).amps)
+    assert fresh_and_frozen(out, s.amps, u.matrix)
+    back = apply_adjoint(u, out)
+    assert bitwise_equal(back.amps, StateVector(layout, reference_adjoint(u, out)).amps)
+    assert fresh_and_frozen(back, out.amps, u.matrix)
+
+    for register in ("B", "A"):
+        for r in range(n + 1):
+            masks = random_independent_masks(rng, n, r)
+            obs = ParityObservable(register, tuple(gf2.mask_to_bits(x, n) for x in masks))
+            for v in setting_values(n):
+                outcome = obs.outcome_for(v)
+                expected = StateVector(layout, projector_diagonal(outcome, layout) * out.amps)
+                projected = project(outcome, out)
+                assert bitwise_equal(projected.amps, expected.amps)
+                assert fresh_and_frozen(projected, out.amps)
+                if expected.is_zero():
+                    with pytest.raises(InvariantError, match="impossible outcome"):
+                        project_forced(obs, v, out)
+                    continue
+                forced = project_forced(obs, v, out)
+                assert bitwise_equal(forced.amps, expected.amps)
+                assert fresh_and_frozen(forced, out.amps)
+
+
+# States at the norm bound of the public constructor, and term listing.
+
+def hadamard_b(layout: RegisterLayout) -> UnitaryOp:
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    return UnitaryOp(layout, np.kron(np.kron(h, np.eye(layout.dim_b // 2)), np.eye(layout.dim_a)))
+
+
+def test_overflowing_amplitudes_never_leave_apply_non_finite():
+    # finite amplitudes whose Hadamard image overflows: refused on the way in
+    layout = RegisterLayout(1, 1)
+    u = hadamard_b(layout)
+    with pytest.raises(ValueError):
+        s = StateVector(layout, [1.5e308, 1.5e308, 0, 0])
+        for out in (apply(u, s), apply_adjoint(u, s)):
+            assert np.all(np.isfinite(out.amps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), seeds, st.sampled_from(["hadamard", "xor", "grover"]))
+def test_largest_admitted_states_stay_finite(n, seed, kind):
+    # scaled so that the squared norm sits just below the largest float
+    layout = RegisterLayout(n, n)
+    u = hadamard_b(layout) if kind == "hadamard" else process_unitary(kind, n)
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps[rng.integers(layout.dim, size=2)] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    if not amps.any():
+        amps[0] = 1
+    s = StateVector(layout, amps * (1.3e154 / np.linalg.norm(amps)))
+    for out in (apply(u, s), apply_adjoint(u, s), apply(u, apply(u, s))):
+        assert np.all(np.isfinite(out.amps))
+
+
+def slow_terms(s: StateVector, tol: float = STATE_TOL):
+    """The element-by-element loop StateVector.terms replaces."""
+    scale = max(s.norm(), 1.0)
+    return [(s.layout.label(i), complex(a)) for i, a in enumerate(s.amps) if abs(a) > tol * scale]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), seeds, st.sampled_from([0.0, 1e-13, 1e-12, 1e-11, 1e-9]))
+def test_terms_match_elementwise_loop(n, seed, small):
+    layout = RegisterLayout(n, n)
+    rng = np.random.default_rng(seed)
+    amps = random_state(layout, rng).amps * (rng.random(layout.dim) < 0.5)
+    amps[rng.random(layout.dim) < 0.3] = small
+    s = StateVector(layout, amps)
+    for tol in (STATE_TOL, 1e-9):
+        terms = list(s.terms(tol))
+        assert terms == slow_terms(s, tol)
+        assert all(type(amp) is complex for _, amp in terms)
 
 
 # Every InvariantError states its residual and the threshold it broke.
