@@ -7,9 +7,10 @@ standard output and of standard error.  It takes no arguments:
     python scripts/cli_digest.py > digest.txt
 
 The list covers every subcommand, both output formats, n = 2-4, both
-unitaries, ``ts-instance`` and ``grover-external`` in JSON at n = 5, every
-``epr`` mode and path with several seeds, ``complexity`` on the drawer
-problem and on both bundled files, and a few invalid argv.
+unitaries, ``ts-instance`` and ``grover-external`` in JSON at n = 5,
+``ts-instance`` in JSON at n = 7 and 8, every ``epr`` mode and path with
+several seeds, ``complexity`` on the drawer problem and on both bundled
+files, and a few invalid argv.
 Problem-file paths are relative to the repository root, and the script runs
 from there, so the digests of two checkouts can be compared with ``diff``.
 An exception that escapes ``main`` is printed as ``raise:<type>``.
@@ -122,6 +123,12 @@ def argvs() -> list[list[str]]:
             for rank in range(1, 5):
                 out.append(["ts-instance", *base, "--final-rank", str(rank), "--output", "json"])
             out.append(["grover-external", *base, "--split", SPLIT_N5, "--output", "json"])
+    # the largest sizes under the default cap, n = 7 and 8: JSON only
+    for n in (7, 8):
+        for unitary in UNITARIES:
+            for b in (values(n)[1], values(n)[-1]):
+                base = ["--n", str(n), "--outcome", b, "--unitary", unitary]
+                out.append(["ts-instance", *base, "--final-rank", "3", "--output", "json"])
     return out + [list(argv) for argv in ERRORS]
 
 

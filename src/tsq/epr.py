@@ -70,7 +70,7 @@ class EprScenario:
 
     @cached_property
     def u12(self) -> UnitaryOp:
-        return self.u02.compose(self.u01.adjoint())
+        return UnitaryOp(self.layout, self.u02.matrix @ self.u01.matrix.conj().T)
 
     def psi_t1(self) -> StateVector:
         return apply(self.u01, self.psi_t0)

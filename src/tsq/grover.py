@@ -9,10 +9,11 @@ matches both phases in closed form so the success probability reaches
 1 - eps with eps <= ``qcore.CERTAINTY_EPS``.
 
 ``as_process_unitary`` lifts the family of single-target networks to a
-block-controlled unitary on the joint B (x) A space, giving the
+setting-controlled unitary on the joint B (x) A space, giving the
 time-symmetrization engine a physically realized solving unitary to consume
 in place of the canonical XOR copy.  As the diffusion commutes with X_b and
-H X_b = Z_b H, the network for target b is X_b N_0 Z_b, N_0 targeting 0...0.
+H X_b = Z_b H, the network for target b is X_b N_0 Z_b, N_0 targeting 0...0,
+and the lift stores N_0 alone as a ``qcore.CopyUnitary``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ import numpy as np
 
 from .qcore import (
     CERTAINTY_EPS,
+    CopyUnitary,
     InvariantError,
     RegisterLayout,
-    UnitaryOp,
     dim_cap,
+    hadamard,
 )
 from .tsym import ProcessDescription, copy_process
 
@@ -140,14 +142,6 @@ def run_long(oracle: SearchOracle) -> SearchRun:
     return SearchRun(oracle, "long", j, phi, state, p)
 
 
-def hadamard(d: int, dtype=int) -> np.ndarray:
-    """Sylvester's Hadamard matrix of order d, a power of two: H[i, j] = (-1)^popcount(i & j)."""
-    h = np.ones((1, 1), dtype=dtype)
-    while len(h) < d:
-        h = np.block([[h, h], [h, -h]])
-    return h
-
-
 def search_network(oracle: SearchOracle) -> np.ndarray:
     """Matrix of the full certainty network on register A: Hadamards then
     the phase-matched iterations.  Maps |0..0> to ~|target|."""
@@ -168,15 +162,11 @@ def _iteration_matrix(oracle: SearchOracle, phase: float) -> np.ndarray:
     return diff @ o
 
 
-def as_process_unitary(n: int) -> UnitaryOp:
-    """Block-controlled lift: block b of the returned operator is the network
-    for target b, X_b N_0 Z_b, i.e. N_0[i xor b, j] (-1)^popcount(b and j).
-    Every block is a signed row permutation of N_0, so the search runs once."""
-    layout = RegisterLayout(n, n)
-    values = np.arange(layout.dim_a)
-    blocks = search_network(SearchOracle(n, "0" * n))[values[:, np.newaxis] ^ values]
-    blocks *= hadamard(layout.dim_a)[:, np.newaxis, :]
-    return UnitaryOp(layout, blocks)
+def as_process_unitary(n: int) -> CopyUnitary:
+    """Setting-controlled lift: on setting b the returned operator acts as the
+    network for target b, X_b N_0 Z_b, so the search runs once, for N_0."""
+    network = search_network(SearchOracle(n, "0" * n))
+    return CopyUnitary(RegisterLayout(n, n), network, signed=True)
 
 
 def grover_process(n: int) -> ProcessDescription:

@@ -1,12 +1,13 @@
-"""Complex state vectors and block-diagonal unitaries over a two-register basis.
+"""Complex state vectors and unitaries over a two-register basis.
 
 Registers are named B (problem setter / first subsystem) and A (problem
 solver / second subsystem).  The joint computational basis is ordered with
 the B bits as the most significant block: index(|b>|a>) = b * 2^n_a + a.
 
-A state is a dense amplitude vector.  A unitary is stored as the stack of
-its diagonal blocks: one block for a dense operator, one dim_a x dim_a block
-per setting for a setting-controlled one (the solving unitaries).
+A state is a dense amplitude vector.  A unitary is either a dense d x d
+matrix (``UnitaryOp``) or a solving unitary that copies the setting b into
+register A (``CopyUnitary``): X_b N Z_b^signed on setting b, stored as the
+one 2^n_a x 2^n_a network N with an XOR gather and a sign mask.
 
 Amplitudes are stored unnormalized throughout; the norm is queried
 explicitly where it matters.  All values are immutable after construction
@@ -16,21 +17,23 @@ Validation happens where values enter the package, not on every result.
 The public ``StateVector`` constructor copies its input and checks its shape
 and that its squared norm, summed unscaled by ``np.vdot``, is finite.  That
 one reduction refuses NaN and inf, and it bounds the norm |v| below
-sqrt(max float) ~ 1.34e154.  ``UnitaryOp`` checks unitarity (refusing NaN),
-so no entry of a block exceeds 1 + OP_TOL in modulus, and every partial sum
-of a block product is at most (1 + OP_TOL) * sqrt(k) * |v|: below 1e164
-for any block size k up to 2^64, far from overflow.  The product keeps the
-norm to within k rounding errors, and a 0/1 projection only zeroes
-amplitudes.  So ``apply``, ``apply_adjoint`` and the projections in
-``measure`` wrap their fresh arrays with ``StateVector._fresh``, which marks
-them read-only and neither copies nor re-checks them.
+sqrt(max float) ~ 1.34e154.  Both unitary forms check their k x k matrix for
+unitarity (refusing NaN), so no entry exceeds 1 + OP_TOL in modulus, and
+every partial sum of a product with it is at most (1 + OP_TOL) * sqrt(k) * |v|:
+below 1e164 for any k up to 2^64, far from overflow.  The signs and the XOR
+gather of a ``CopyUnitary`` are exact, and its only product is with N, so
+the bound holds with k = dim_a.  The product keeps the norm to within k
+rounding errors, and a 0/1 projection only zeroes amplitudes.  So ``apply``,
+``apply_adjoint`` and the projections in ``measure`` wrap their fresh arrays
+with ``StateVector._fresh``, which marks them read-only and neither copies
+nor re-checks them.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,7 +41,7 @@ import numpy as np
 # Relative thresholds are scaled by max(norm, 1) (or by the total mass) where
 # they are used.
 OP_TOL = 1e-10           # operator checks (unitarity, hermiticity, PSD): a product
-                         # of k x k blocks (k <= d) accumulates k rounding errors
+                         # with a k x k matrix (k <= d) accumulates k rounding errors
 STATE_TOL = 1e-12        # state equality and the zero state: a few ulps per amplitude
 RESIDUAL_TOL = 1e-10     # recovery and postponement residuals: a few applications
                          # of a unitary, so an operator-level error budget
@@ -190,110 +193,124 @@ def proportionality(s: StateVector, reference: StateVector) -> tuple[complex, fl
     return c, resid
 
 
-def unitarity_deviation(blocks: np.ndarray) -> float:
-    """max |U_i^H U_i - I| over a stack of k x k blocks U_i.
+def hadamard(d: int, dtype=int) -> np.ndarray:
+    """Sylvester's Hadamard matrix of order d, a power of two: H[i, j] = (-1)^popcount(i & j)."""
+    h = np.ones((1, 1), dtype=dtype)
+    while len(h) < d:
+        h = np.block([[h, h], [h, -h]])
+    return h
 
-    The off-diagonal blocks of U^H U are exact zeros, so this is the
-    deviation of the whole block-diagonal operator.
-    """
-    gram = blocks.conj().transpose(0, 2, 1) @ blocks
-    gram -= np.eye(blocks.shape[1])
+
+def unitarity_deviation(m: np.ndarray) -> float:
+    """max |U^H U - I| over the entries of a square matrix U."""
+    gram = m.conj().T @ m
+    gram -= np.eye(len(m))
     return float(np.max(np.abs(gram)))
+
+
+def _checked_unitary(matrix, k: int) -> np.ndarray:
+    """A read-only complex copy of ``matrix``, once it is a k x k unitary."""
+    m = np.array(matrix, dtype=np.complex128)
+    if m.shape != (k, k):
+        raise ValueError(f"expected a {k} x {k} matrix, got {m.shape}")
+    dev = unitarity_deviation(m)
+    if not dev <= OP_TOL:
+        raise InvariantError(
+            f"matrix is not unitary: max |U+U - I| = {dev:.3e} > OP_TOL = {OP_TOL:.0e}"
+        )
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
 class UnitaryOp:
-    """Block-diagonal unitary on the joint space; unitarity checked on construction.
-
-    ``matrix`` is the stack of the m diagonal k x k blocks, m * k = d: block i
-    acts on the joint indices [i*k, (i+1)*k).  A 2-D d x d matrix is taken as
-    the single block of a dense operator.
-    """
+    """Dense d x d unitary on the joint space; unitarity checked on construction."""
 
     layout: RegisterLayout
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.ndim == 2:
-            m = m[np.newaxis]
-        d = self.layout.dim
-        if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[0] * m.shape[1] != d:
-            raise ValueError(f"expected a stack of k x k blocks covering dimension {d}, got {m.shape}")
-        dev = unitarity_deviation(m)
-        if not dev <= OP_TOL:
-            raise InvariantError(
-                f"matrix is not unitary: max |U+U - I| = {dev:.3e} > OP_TOL = {OP_TOL:.0e}"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _checked_unitary(self.matrix, self.layout.dim))
 
-    def compose(self, other: "UnitaryOp") -> "UnitaryOp":
-        """self applied after other, multiplied block by block at the larger block size."""
-        if self.layout != other.layout:
-            raise ValueError("layout mismatch")
-        k = max(self.matrix.shape[1], other.matrix.shape[1])
-        return UnitaryOp(self.layout, _regroup(self.matrix, k) @ _regroup(other.matrix, k))
+    def _apply(self, psi: np.ndarray) -> np.ndarray:
+        return self.matrix @ psi
 
-    def adjoint(self) -> "UnitaryOp":
-        return UnitaryOp(self.layout, self.matrix.conj().transpose(0, 2, 1))
+    def _apply_adjoint(self, psi: np.ndarray) -> np.ndarray:
+        """U^H psi as the conjugate of the row product psi^H U, so that no
+        conjugate of the d x d matrix is built.  The conjugate is taken as
+        0.0 - imag: a zero imaginary part comes out +0.0, as from the product
+        with the conjugated matrix, where .conj() gives -0.0."""
+        w = psi.conj() @ self.matrix
+        im = w.imag
+        np.subtract(0.0, im, out=im)
+        return w
 
 
-def _regroup(blocks: np.ndarray, k: int) -> np.ndarray:
-    """The same block-diagonal operator as a stack of k x k blocks, k a multiple
-    of the current block size: each run of consecutive blocks becomes one."""
-    m, k0, _ = blocks.shape
-    j = k // k0
-    runs = blocks.reshape(m // j, j, k0, k0)
-    out = np.zeros((m // j, j, k0, j, k0), dtype=blocks.dtype)
-    for i in range(j):
-        out[:, i, :, i, :] = runs[:, i]
-    return out.reshape(m // j, k, k)
+@dataclass(frozen=True)
+class CopyUnitary:
+    """Solving unitary that copies the setting b of B into register A.
+
+    On setting b it acts on A as X_b N Z_b^signed, where X_b |a> = |a xor b>,
+    Z_b |a> = (-1)^popcount(a and b) |a> and N, ``matrix``, is one
+    2^n_a x 2^n_a network (None for the identity).  N maps |0...0> to
+    |0...0> exactly when the unitary copies every setting sharply; with no
+    network and no signs it is the XOR copy, the canonical solving unitary and
+    its own inverse.  The XOR gather and the signs are built once; the signs
+    multiply the real and imaginary parts by +-1.0, an exact negation.
+    """
+
+    layout: RegisterLayout
+    matrix: Optional[np.ndarray] = field(default=None, repr=False)
+    signed: bool = False
+    _xor: np.ndarray = field(init=False, repr=False, compare=False)
+    _signs: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        layout = self.layout
+        if layout.n_b != layout.n_a:
+            raise ValueError("setting and solution registers need the same width")
+        if self.matrix is not None:
+            object.__setattr__(self, "matrix", _checked_unitary(self.matrix, layout.dim_a))
+        # joint index b * dim_a + (a xor b) at b * dim_a + a: the gather of X_b, its own inverse
+        i = np.arange(layout.dim)
+        object.__setattr__(self, "_xor", i ^ (i >> layout.n_a))
+        signs = np.repeat(hadamard(layout.dim_a, dtype=float), 2, axis=1) if self.signed else None
+        object.__setattr__(self, "_signs", signs)  # row b: Z_b, once per real and imaginary part
+
+    def _apply(self, psi: np.ndarray) -> np.ndarray:
+        x = psi.reshape(self.layout.dim_b, self.layout.dim_a)
+        if self._signs is not None:
+            x = (x.view(np.float64) * self._signs).view(np.complex128)
+        if self.matrix is not None:
+            x = x @ self.matrix.T
+        return x.reshape(-1)[self._xor]
+
+    def _apply_adjoint(self, psi: np.ndarray) -> np.ndarray:
+        x = psi[self._xor].reshape(self.layout.dim_b, self.layout.dim_a)
+        if self.matrix is not None:
+            x = x @ self.matrix.conj()  # N^H on each row; conj(N) is the size of one state
+        if self._signs is not None:
+            parts = x.view(np.float64)
+            parts *= self._signs
+        return x.reshape(-1)
 
 
-def _block_shape(u: UnitaryOp, s: StateVector) -> tuple[int, int]:
-    """(m, k) of ``u``'s block stack, once ``s`` is checked to share its layout."""
+def apply(u: UnitaryOp | CopyUnitary, s: StateVector) -> StateVector:
+    """U s."""
     if u.layout != s.layout:
         raise ValueError("layout mismatch between unitary and state")
-    return u.matrix.shape[:2]
+    return StateVector._fresh(s.layout, u._apply(s.amps))
 
 
-def apply(u: UnitaryOp, s: StateVector) -> StateVector:
-    """Multiply each k-amplitude slice of ``s`` by its block."""
-    m, k = _block_shape(u, s)
-    return StateVector._fresh(s.layout, (u.matrix @ s.amps.reshape(m, k, 1)).reshape(-1))
-
-
-def apply_adjoint(u: UnitaryOp, s: StateVector) -> StateVector:
-    """U^H s as the conjugate of the row product s^H U, reading the blocks in place.
-
-    The conjugate is taken as 0.0 - imag: a zero imaginary part comes out +0.0,
-    as from the product with the conjugated blocks, where .conj() gives -0.0.
-    """
-    m, k = _block_shape(u, s)
-    w = (s.amps.conj().reshape(m, 1, k) @ u.matrix).reshape(-1)
-    im = w.imag
-    np.subtract(0.0, im, out=im)
-    return StateVector._fresh(s.layout, w)
+def apply_adjoint(u: UnitaryOp | CopyUnitary, s: StateVector) -> StateVector:
+    """U^H s."""
+    if u.layout != s.layout:
+        raise ValueError("layout mismatch between unitary and state")
+    return StateVector._fresh(s.layout, u._apply_adjoint(s.amps))
 
 
 def identity_unitary(layout: RegisterLayout) -> UnitaryOp:
-    return UnitaryOp(layout, np.ones((layout.dim, 1, 1)))
-
-
-def xor_copy_unitary(layout: RegisterLayout) -> UnitaryOp:
-    """Permutation |b>_B |a>_A -> |b>_B |a xor b>_A, one block per setting b.
-
-    The canonical solving unitary: it copies the setting into a blank A
-    register and is its own inverse.
-    """
-    if layout.n_b != layout.n_a:
-        raise ValueError("xor copy needs n_b == n_a")
-    a = np.arange(layout.dim_a)
-    b = a[:, np.newaxis]
-    blocks = np.zeros((layout.dim_b, layout.dim_a, layout.dim_a))
-    blocks[b, a ^ b, a] = 1.0
-    return UnitaryOp(layout, blocks)
+    return UnitaryOp(layout, np.eye(layout.dim))
 
 
 @dataclass(frozen=True)

@@ -32,15 +32,14 @@ from .qcore import (
     BRANCH_MASS_TOL,
     CORRELATION_TOL,
     RESIDUAL_TOL,
+    CopyUnitary,
     InvariantError,
     RegisterLayout,
     StateVector,
-    UnitaryOp,
     apply,
     apply_adjoint,
     proportionality,
     uniform_setting_state,
-    xor_copy_unitary,
 )
 
 
@@ -49,29 +48,23 @@ class ProcessDescription:
     """A process is its solving unitary, which copies the setting into a blank
     A register (|b>|0...0> to |b>|b>: the solution of b is b), and its initial state."""
 
-    u12: UnitaryOp
+    u12: CopyUnitary
     initial_state: StateVector
 
     def __post_init__(self):
-        layout = self.layout
-        if layout.n_b != layout.n_a:
-            raise ValueError("setting and solution registers need the same width")
-        # u12 maps |b>|0...0> to one column of the block holding that index;
-        # every amplitude of that column off |b>|b> must vanish.
-        k = self.u12.matrix.shape[1]
-        for b in range(layout.dim_b):
-            block, col = divmod(b * layout.dim_a, k)
-            out = self.u12.matrix[block, :, col]
-            row = b * layout.dim_a + b - block * k
-            good = abs(out[row]) ** 2 if 0 <= row < k else 0.0
-            total = np.linalg.norm(out) ** 2
-            if total - good > CORRELATION_TOL * total:
-                bits = format(b, f"0{layout.n_b}b")
-                raise InvariantError(
-                    f"unitary does not correlate setting {bits} sharply with solution {bits}:"
-                    f" leaked fraction {(total - good) / total:.3e}"
-                    f" > CORRELATION_TOL = {CORRELATION_TOL:.0e}"
-                )
+        # |b>|0...0> goes to |b> X_b N |0...0>: every setting leaks as much as 0...0
+        if self.u12.matrix is None:
+            return
+        out = self.u12.matrix[:, 0]
+        total = np.linalg.norm(out) ** 2
+        leaked = total - abs(out[0]) ** 2
+        if leaked > CORRELATION_TOL * total:
+            bits = "0" * self.n
+            raise InvariantError(
+                f"unitary does not correlate setting {bits} sharply with solution {bits}:"
+                f" leaked fraction {leaked / total:.3e}"
+                f" > CORRELATION_TOL = {CORRELATION_TOL:.0e}"
+            )
 
     @property
     def layout(self) -> RegisterLayout:
@@ -82,14 +75,14 @@ class ProcessDescription:
         return self.layout.n_b
 
 
-def copy_process(u12: UnitaryOp) -> ProcessDescription:
+def copy_process(u12: CopyUnitary) -> ProcessDescription:
     """Process of the copying unitary ``u12`` from the uniform setting state."""
     return ProcessDescription(u12=u12, initial_state=uniform_setting_state(u12.layout))
 
 
 def xor_process(n: int) -> ProcessDescription:
     """Canonical process: XOR-copy unitary, solution = setting."""
-    return copy_process(xor_copy_unitary(RegisterLayout(n, n)))
+    return copy_process(CopyUnitary(RegisterLayout(n, n)))
 
 
 @dataclass(frozen=True)

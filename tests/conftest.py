@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from tsq import gf2
-from tsq.qcore import RegisterLayout, StateVector, UnitaryOp
+from tsq.qcore import CopyUnitary, RegisterLayout, StateVector, UnitaryOp, hadamard
 
 
 def state_from_terms(layout: RegisterLayout, terms) -> StateVector:
@@ -41,9 +41,32 @@ def bitwise_equal(x: np.ndarray, y: np.ndarray) -> bool:
     )
 
 
-def dense(u: UnitaryOp) -> np.ndarray:
-    """The d x d matrix of ``u``, built from its diagonal blocks."""
-    return block_diag(*u.matrix)
+def copy_blocks(layout: RegisterLayout, network=None, signed: bool = False) -> np.ndarray:
+    """Slow reference for a copying unitary: the stack of its blocks X_b N Z_b^signed,
+    one 2^n x 2^n block per setting b, built entry by entry as a block stack.
+
+    With no network these are the 0/1 xor-copy blocks, block b mapping |a> to
+    |a xor b>.  Otherwise block b is N with its rows permuted by i xor b, and,
+    when signed, its columns signed by (-1)^popcount(b and j): for the search
+    network N_0 of target 0...0, the network for target b.
+    """
+    a = np.arange(layout.dim_a)
+    b = a[:, np.newaxis]
+    if network is None:
+        blocks = np.zeros((layout.dim_b, layout.dim_a, layout.dim_a))
+        blocks[b, a ^ b, a] = 1.0
+    else:
+        blocks = np.asarray(network)[a ^ b]
+    if signed:
+        blocks = blocks * hadamard(layout.dim_a)[:, np.newaxis, :]
+    return blocks
+
+
+def dense(u: UnitaryOp | CopyUnitary) -> np.ndarray:
+    """The d x d matrix of ``u``; a copying unitary is expanded from its blocks."""
+    if isinstance(u, UnitaryOp):
+        return u.matrix
+    return block_diag(*copy_blocks(u.layout, u.matrix, u.signed))
 
 
 @pytest.fixture

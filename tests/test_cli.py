@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -121,7 +122,7 @@ def test_non_monotone_sweep_exits_3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("unitary", ["xor", "grover-long"])
 def test_ts_instance_n7_runs_with_block_operators(unitary, capsys):
-    # a dense 2^14 x 2^14 solving unitary would take 4.3 GB; the blocks fit easily
+    # a dense 2^14 x 2^14 solving unitary would take 4.3 GB; one 2^7 x 2^7 network fits easily
     outcome = "0110101"
     argv = ["ts-instance", "--n", "7", "--outcome", outcome, "--final-rank", "3",
             "--unitary", unitary, "--output", "json"]
@@ -131,6 +132,22 @@ def test_ts_instance_n7_runs_with_block_operators(unitary, capsys):
     low = int(outcome, 2) & 0b111
     expected = [format(b, "07b") for b in range(1 << 7) if b & 0b111 == low]
     assert payload["scalars"]["branch_settings"] == expected
+
+
+@pytest.mark.parametrize("unitary", ["xor", "grover-long"])
+def test_ts_instance_n8_stores_one_network(unitary, capsys):
+    # n=8 is the largest size under the default cap; a block per setting
+    # would take 256 networks, 268 MB, before any state is built
+    argv = ["ts-instance", "--n", "8", "--outcome", "01101001", "--final-rank", "3",
+            "--unitary", unitary, "--output", "json"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads(capsys.readouterr().out)["scalars"]["branch_settings"]) == 32
+    assert peak < 32 * 2**20
 
 
 def test_seeded_epr_is_deterministic(capsys):

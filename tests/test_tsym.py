@@ -7,11 +7,10 @@ from hypothesis import example, given, strategies as st
 from tsq import gf2
 from tsq.measure import ParityObservable
 from tsq.qcore import (
+    CopyUnitary,
     InvariantError,
     RegisterLayout,
-    UnitaryOp,
     basis_state,
-    identity_unitary,
     max_abs_diff,
     states_close,
 )
@@ -27,7 +26,7 @@ from tsq.tsym import (
     uneven_instance,
     xor_process,
 )
-from conftest import dense, setting_values, state_from_terms
+from conftest import setting_values, state_from_terms
 
 P2 = xor_process(2)
 P3 = xor_process(3)
@@ -64,20 +63,18 @@ def reference_complete_split(process, final_part, initial_bases):
 
 
 def test_copy_process_refuses_unequal_widths():
-    with pytest.raises(ValueError):
-        copy_process(identity_unitary(RegisterLayout(2, 3)))
+    with pytest.raises(ValueError, match="same width"):
+        copy_process(CopyUnitary(RegisterLayout(2, 3)))
 
 
-@pytest.mark.parametrize("form", ["blocks", "dense"])
-def test_one_non_correlating_block_raises(form):
-    # the xor-copy blocks with setting 10's block replaced by the identity:
-    # |10>|00> stays at |10>|00> instead of reaching |10>|10>
-    blocks = np.array(P2.u12.matrix)
-    copy_process(UnitaryOp(P2.layout, blocks))
-    blocks[2] = np.eye(4)
-    u = UnitaryOp(P2.layout, dense(UnitaryOp(P2.layout, blocks)) if form == "dense" else blocks)
-    with pytest.raises(InvariantError, match="setting 10"):
-        copy_process(u)
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+def test_non_correlating_network_raises(signed):
+    # a network that swaps |00> and |01>: N |00> = |01>, so every setting b
+    # reaches |b>|b xor 01> and leaks all its mass; the first setting is named
+    swap = np.eye(4)[[1, 0, 2, 3]]
+    copy_process(CopyUnitary(P2.layout, np.eye(4)[[0, 2, 1, 3]], signed))  # fixes |00>
+    with pytest.raises(InvariantError, match="setting 00 sharply with solution 00: leaked fraction 1.000e"):
+        copy_process(CopyUnitary(P2.layout, swap, signed))
 
 
 def test_selection_injectivity():
