@@ -82,15 +82,16 @@ def uniform_search_state(n: int) -> np.ndarray:
 
 
 def grover_iterate(state: np.ndarray, oracle: SearchOracle, phase_pair: tuple[float, float]) -> np.ndarray:
-    """One generalized iteration: oracle phase alpha, then diffusion phase beta."""
+    """One generalized iteration: oracle phase alpha, then diffusion phase beta.
+    ``state`` may also be a matrix, whose columns are iterated at once."""
     alpha, beta = phase_pair
     state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (oracle.dim,):
+    if state.shape[:1] != (oracle.dim,):
         raise ValueError(f"state must have {oracle.dim} amplitudes")
     out = state.copy()
     out[oracle.target_index] *= np.exp(1j * alpha)
     # D(beta) = (1 - e^{i beta}) |u><u| - I ; beta = pi gives 2|u><u| - I
-    mean = out.mean()
+    mean = out.mean(axis=0)
     return (1 - np.exp(1j * beta)) * mean - out
 
 
@@ -146,20 +147,10 @@ def search_network(oracle: SearchOracle) -> np.ndarray:
     """Matrix of the full certainty network on register A: Hadamards then
     the phase-matched iterations.  Maps |0..0> to ~|target|."""
     run = run_long(oracle)
-    g = _iteration_matrix(oracle, run.phase)
     m = hadamard(oracle.dim, dtype=np.complex128) / math.sqrt(oracle.dim)
     for _ in range(run.iterations):
-        m = g @ m
+        m = grover_iterate(m, oracle, (run.phase, run.phase))
     return m
-
-
-def _iteration_matrix(oracle: SearchOracle, phase: float) -> np.ndarray:
-    d = oracle.dim
-    o = np.eye(d, dtype=np.complex128)
-    o[oracle.target_index, oracle.target_index] = np.exp(1j * phase)
-    u = np.full((d, d), 1 / d, dtype=np.complex128)
-    diff = (1 - np.exp(1j * phase)) * u - np.eye(d)
-    return diff @ o
 
 
 def as_process_unitary(n: int) -> CopyUnitary:

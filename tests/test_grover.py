@@ -123,6 +123,36 @@ def test_search_network_matrix():
     assert abs(m[oracle.target_index, 0]) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
+def iteration_matrix(oracle: SearchOracle, phase: float) -> np.ndarray:
+    """Slow reference: the dense matrix of one iteration, diffusion after oracle."""
+    d = oracle.dim
+    o = np.eye(d, dtype=np.complex128)
+    o[oracle.target_index, oracle.target_index] = np.exp(1j * phase)
+    diff = (1 - np.exp(1j * phase)) * np.full((d, d), 1 / d) - np.eye(d)
+    return diff @ o
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_search_network_matches_iteration_matrix_product(n):
+    oracle = SearchOracle(n, format((1 << n) - 2, f"0{n}b"))
+    run = run_long(oracle)
+    reference = hadamard(oracle.dim, dtype=np.complex128) / math.sqrt(oracle.dim)
+    for _ in range(run.iterations):
+        reference = iteration_matrix(oracle, run.phase) @ reference
+    assert np.max(np.abs(search_network(oracle) - reference)) <= 1e-12
+
+
+def test_grover_iterate_acts_on_each_column(rng):
+    oracle = SearchOracle(3, "101")
+    columns = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+    together = grover_iterate(columns, oracle, (0.7, 1.9))
+    for j in range(5):
+        alone = grover_iterate(columns[:, j], oracle, (0.7, 1.9))
+        assert np.max(np.abs(together[:, j] - alone)) <= 1e-14 * np.linalg.norm(alone)
+    with pytest.raises(ValueError):
+        grover_iterate(columns.T, oracle, (0.7, 1.9))
+
+
 def test_lifted_unitary_correlates_every_setting():
     u = as_process_unitary(2)
     layout = u.layout
