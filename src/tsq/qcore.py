@@ -7,7 +7,7 @@ the B bits as the most significant block: index(|b>|a>) = b * 2^n_a + a.
 A state is a dense amplitude vector.  A unitary is either a dense d x d
 matrix (``UnitaryOp``) or a solving unitary that copies the setting b into
 register A (``CopyUnitary``): X_b N Z_b^signed on setting b, stored as the
-one 2^n_a x 2^n_a network N with an XOR gather and a sign mask.
+one 2^n_a x 2^n_a network N with an XOR gather and signs.
 
 Amplitudes are stored unnormalized throughout; the norm is queried
 explicitly where it matters.  All values are immutable after construction

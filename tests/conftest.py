@@ -43,7 +43,7 @@ def bitwise_equal(x: np.ndarray, y: np.ndarray) -> bool:
 
 def copy_blocks(layout: RegisterLayout, network=None, signed: bool = False) -> np.ndarray:
     """Slow reference for a copying unitary: the stack of its blocks X_b N Z_b^signed,
-    one 2^n x 2^n block per setting b, built entry by entry as a block stack.
+    one 2^n x 2^n block per setting b.
 
     With no network these are the 0/1 xor-copy blocks, block b mapping |a> to
     |a xor b>.  Otherwise block b is N with its rows permuted by i xor b, and,
