@@ -13,6 +13,23 @@ set's count is memoized by its mask for the length of one call.  A query is
 abandoned once one of its branches reaches the best count found so far, and
 an advice basis once one of its classes reaches the best worst case.  The
 tests keep the frozenset recursion as the slow reference.
+
+Two lower bounds on the count of a solvable candidate set M prune the
+search without changing any count (Buhrman & de Wolf, "Complexity measures
+and decision tree complexity: a survey", TCS 2002):
+
+- Leaves: a tree of depth t whose queries have at most a answers has at
+  most a^t leaves, and each leaf holds one solution, so t >= log_a s(M),
+  where s(M) is the number of distinct solutions in M.
+- Elimination: the worst branch of a query q keeps at least |M| - E_q(M)
+  settings, where E_q(M) = min_i |M minus P_i| over q's parts P_i.  E_q
+  never grows on a subset, so it is at most e = max_q (N - largest part of
+  q) on every set, and the worst path of the tree removes at most e
+  settings a query.  It ends in a solved set, which holds at most c
+  settings (the largest same-solution class), so t >= (|M| - c) / e.
+
+On the drawer problem (a = 2, e = 1, c = 1) the second bound is m - 1, the
+exact count, so every count is found from its first splitting query.
 """
 
 from __future__ import annotations
@@ -130,6 +147,20 @@ class _DecisionTree:
             self.mask(c for c in problem.settings if problem.solution[c] == problem.solution[b])
             for b in problem.settings
         ]
+        # The constants of ``bound``: a, the most answers of one query; e,
+        # the most settings one query removes from its largest part; c, the
+        # largest same-solution class.  Classes are counted only when shared.
+        arity = max(map(len, self.partitions), default=2)
+        total = len(self.index)
+        self.removed = max(
+            (total - max(map(int.bit_count, parts)) for parts in self.partitions), default=1
+        )
+        self.largest_class = max(map(int.bit_count, self.same_solution))
+        self.classes = tuple(set(self.same_solution)) if self.largest_class > 1 else ()
+        # depth[s]: the least t with arity^t >= s
+        self.depth = [0] * (total + 1)
+        for s in range(2, total + 1):
+            self.depth[s] = self.depth[-(-s // arity)] + 1
         self.memo: dict[int, int] = {}
 
     def mask(self, settings) -> int:
@@ -146,13 +177,30 @@ class _DecisionTree:
             cells = [cell & part for cell in cells for part in parts if cell & part]
         return not all(self.solved(cell) for cell in cells)
 
+    def bound(self, members: int) -> int:
+        """max(ceil(log_a s(M)), ceil((|M| - c) / e)), the two lower bounds
+        of the module docstring on the count of the solvable set ``members``;
+        s(M) is |M| when no solution is shared."""
+        size = members.bit_count()
+        solutions = sum(1 for cls in self.classes if members & cls) if self.classes else size
+        return max(self.depth[solutions], -((self.largest_class - size) // self.removed))
+
     def count(self, members: int) -> int:
         """Exact query count of the candidate set ``members``.
 
-        A query is abandoned as soon as one of its branches needs as many
-        queries as the best query found so far; that cannot change the min.
-        A set of m settings needs at most m - 1 queries, so m stands for
-        "no splitting query yet" and never cuts the first one short.
+        The count is 1 + the least worst branch over the queries, and no
+        count is below its ``bound``, so two cuts cannot change it:
+        - a query is skipped without recursing when the count of a branch
+          in the memo, or the ``bound`` of one not in it, reaches the best
+          worst branch found so far, since its worst branch is no smaller;
+          the branches not in the memo are counted only after every branch
+          has passed that test, and abandoned once one reaches the best;
+        - the scan stops once the best worst branch reaches
+          ``bound(members) - 1``, since no query can do better.
+        A set of m settings needs at most m - 1 queries and has a bound
+        below m, so m stands for "no splitting query yet": the first
+        splitting query is counted in full, and a set holding two settings
+        that no query tells apart raises.
         """
         memo = self.memo
         if members in memo:
@@ -161,23 +209,34 @@ class _DecisionTree:
             memo[members] = 0
             return 0
         best = none_yet = members.bit_count()
+        floor = self.bound(members) - 1
         for parts in self.partitions:
             branches = [members & part for part in parts if members & part]
             if len(branches) == 1:
                 continue  # query does not split this set
             worst = 0
+            uncounted = []
             for branch in branches:
                 c = memo.get(branch)  # a hit costs no call
                 if c is None:
-                    c = self.count(branch)
-                if c > worst:
+                    if self.bound(branch) >= best:
+                        break
+                    uncounted.append(branch)
+                elif c > worst:
                     worst = c
                     if worst >= best:
                         break
-            if worst < best:
-                best = worst
-                if best == 0:
-                    break
+            else:
+                for branch in uncounted:
+                    c = self.count(branch)
+                    if c > worst:
+                        worst = c
+                        if worst >= best:
+                            break
+                if worst < best:
+                    best = worst
+                    if best <= floor:
+                        break
         if best == none_yet:
             raise ValueError(NO_SPLIT)
         memo[members] = 1 + best

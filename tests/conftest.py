@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from tsq import gf2
+from tsq.complexity import OracleProblemSpec
 from tsq.qcore import CopyUnitary, RegisterLayout, StateVector, UnitaryOp, hadamard
 
 
@@ -17,6 +18,15 @@ def state_from_terms(layout: RegisterLayout, terms) -> StateVector:
 def setting_values(n: int) -> list[str]:
     """Every value of an n-bit register, in numeric order."""
     return [format(b, f"0{n}b") for b in range(1 << n)]
+
+
+def drawer_problem(settings, flips=()) -> OracleProblemSpec:
+    """The drawer problem over ``settings``: query q answers 1 on setting q
+    only, and the solution is the setting.  Each (setting, query) pair in
+    ``flips`` has its answer flipped."""
+    settings = tuple(settings)
+    answer = {(b, q): str(int(b == q) ^ ((b, q) in flips)) for b in settings for q in settings}
+    return OracleProblemSpec("drawer", settings, settings, answer, {b: b for b in settings})
 
 
 def random_state(layout: RegisterLayout, rng) -> StateVector:

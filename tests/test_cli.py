@@ -17,6 +17,7 @@ from tsq import complexity, gf2
 from tsq.cli import SchemaError, load_problem, main, parse_split
 from tsq.complexity import decision_tree_complexity
 from tsq.tsym import enumerate_splits, xor_process
+from conftest import drawer_problem, setting_values
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -251,6 +252,27 @@ def test_problem_file_via_cli(capsys, tmp_path):
         "complexity", "--problem", "file", "--problem-file", str(bad), "--k", "0",
     ]) == 2
     capsys.readouterr()
+
+
+def test_24_setting_drawer_file_finishes(tmp_path):
+    # the largest drawer file the default cap admits, at three advice ranks
+    problem = drawer_problem(setting_values(5)[:24])
+    path = tmp_path / "drawer-24.json"
+    path.write_text(json.dumps({
+        "name": "drawer-24",
+        "settings": problem.settings,
+        "queries": problem.queries,
+        "answer": {b: {q: problem.answer[(b, q)] for q in problem.queries} for b in problem.settings},
+        "solution": dict(problem.solution),
+    }))
+    done = subprocess.run(
+        [sys.executable, "-m", "tsq.cli", "complexity", "--problem", "file",
+         "--problem-file", str(path), "--k", "0", "--k", "0.2", "--k", "0.4", "--output", "json"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    reports = json.loads(done.stdout)["scalars"]["reports"]
+    assert [r["worst_case"] for r in reports] == [23, 11, 5]
 
 
 def test_version_flag(capsys):

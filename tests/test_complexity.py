@@ -10,6 +10,7 @@ from tsq.complexity import (
     ComplexityReport,
     OracleProblemSpec,
     SearchCapError,
+    _DecisionTree,
     advanced_knowledge_prediction,
     advice_classes,
     decision_tree_complexity,
@@ -17,6 +18,8 @@ from tsq.complexity import (
     k_sweep,
 )
 from tsq.grover import SearchOracle, run_long
+from tsq.tsym import enumerate_splits, solver_instance, xor_process
+from conftest import drawer_problem, setting_values
 
 
 def reference_complexity(problem: OracleProblemSpec, candidates) -> int:
@@ -93,12 +96,22 @@ def test_decision_tree_cap():
         decision_tree_complexity(p, p.settings, cap=8)
 
 
+def flipped_drawer(rng, settings) -> OracleProblemSpec:
+    """A drawer problem with 1-3 of its answers flipped at random."""
+    pairs = [(b, q) for b in settings for q in settings]
+    picks = rng.choice(len(pairs), size=int(rng.integers(1, 4)), replace=False)
+    return drawer_problem(settings, {pairs[i] for i in picks})
+
+
 def test_memoized_matches_unmemoized():
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        p = random_problem(rng, int(rng.integers(3, 11)))
-        with_memo = decision_tree_complexity(p, p.settings)
-        without = reference_complexity(p, p.settings)
+    problems = [random_problem(rng, int(rng.integers(3, 11))) for _ in range(5)]
+    # near-drawer tables, where the elimination bound is tight and the scan
+    # of most candidate sets stops at their first splitting query
+    problems += [flipped_drawer(rng, setting_values(3)[:7]) for _ in range(6)]
+    for p in problems:
+        with_memo = outcome(decision_tree_complexity, p, p.settings)
+        without = outcome(reference_complexity, p, p.settings)
         assert with_memo == without
 
 
@@ -174,16 +187,17 @@ def test_prediction_never_exceeds_realized_search():
 
 
 @st.composite
-def small_problems(draw, max_settings: int = 10):
+def small_problems(draw, max_settings: int = 10, max_symbols: int = 3):
     """Random problems: up to ``max_settings`` settings of n bits, 1-5 queries
-    with 2- or 3-valued answers, and solutions that settings may share."""
+    with 2 to ``max_symbols`` answer values, and solutions that settings may
+    share."""
     n = draw(st.integers(1, 4))
     values = draw(st.lists(
         st.integers(0, (1 << n) - 1), min_size=2, max_size=min(max_settings, 1 << n), unique=True,
     ))
     points = tuple(format(b, f"0{n}b") for b in values)
     queries = tuple(f"q{j}" for j in range(draw(st.integers(1, 5))))
-    symbols = "012"[: draw(st.integers(2, 3))]
+    symbols = "0123"[: draw(st.integers(2, max_symbols))]
     answer = {(b, q): draw(st.sampled_from(symbols)) for b in points for q in queries}
     solution = {b: draw(st.sampled_from("wxyz")) for b in points}
     return OracleProblemSpec("random", points, queries, answer, solution)
@@ -205,6 +219,33 @@ def test_bitmask_engine_matches_frozenset_recursion(problem, data):
         fast = outcome(decision_tree_complexity, problem, candidates)
         slow = outcome(reference_complexity, problem, candidates)
         assert fast == slow
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_problems(max_symbols=4))
+def test_bound_is_admissible(problem):
+    # no solvable candidate set needs fewer queries than its bound
+    tree = _DecisionTree(problem)
+    for members in range(1, 1 << len(problem.settings)):
+        subset = [b for i, b in enumerate(problem.settings) if members >> i & 1]
+        exact = outcome(reference_complexity, problem, subset)
+        if exact != NO_SPLIT:
+            assert tree.bound(members) <= exact
+
+
+def test_solver_branch_is_the_advice_class_of_its_count():
+    # the two halves of the claim: the solver's bottom-line branch for a
+    # final part of rank r is b's advice class under that part's masks, and
+    # the drawer search over that class needs 2^(n-r) - 1 queries
+    for n in range(1, 5):
+        process, problem = xor_process(n), grover_problem(n)
+        for r in range(n + 1):
+            for split in enumerate_splits(process, n - r):
+                classes = advice_classes(problem, split.final_part.masks)
+                for b in problem.settings:
+                    (members,) = [c.members for c in classes if b in c.members]
+                    assert solver_instance(process, b, split).branch_settings() == members
+                    assert decision_tree_complexity(problem, members) == 2 ** (n - r) - 1
 
 
 def exhaustive_prediction(problem: OracleProblemSpec, k: float) -> ComplexityReport:
