@@ -20,13 +20,14 @@ and decision tree complexity: a survey", TCS 2002):
 
 - Leaves: a tree of depth t whose queries have at most a answers has at
   most a^t leaves, and each leaf holds one solution, so t >= log_a s(M),
-  where s(M) is the number of distinct solutions in M.
+  where s(M), the number of distinct solutions in M, is at least
+  |M| / c for c the size of the largest same-solution class.
 - Elimination: the worst branch of a query q keeps at least |M| - E_q(M)
   settings, where E_q(M) = min_i |M minus P_i| over q's parts P_i.  E_q
   never grows on a subset, so it is at most e = max_q (N - largest part of
   q) on every set, and the worst path of the tree removes at most e
   settings a query.  It ends in a solved set, which holds at most c
-  settings (the largest same-solution class), so t >= (|M| - c) / e.
+  settings, so t >= (|M| - c) / e.
 
 On the drawer problem (a = 2, e = 1, c = 1) the second bound is m - 1, the
 exact count, so every count is found from its first splitting query.
@@ -149,14 +150,13 @@ class _DecisionTree:
         ]
         # The constants of ``bound``: a, the most answers of one query; e,
         # the most settings one query removes from its largest part; c, the
-        # largest same-solution class.  Classes are counted only when shared.
+        # largest same-solution class.
         arity = max(map(len, self.partitions), default=2)
         total = len(self.index)
         self.removed = max(
             (total - max(map(int.bit_count, parts)) for parts in self.partitions), default=1
         )
         self.largest_class = max(map(int.bit_count, self.same_solution))
-        self.classes = tuple(set(self.same_solution)) if self.largest_class > 1 else ()
         # depth[s]: the least t with arity^t >= s
         self.depth = [0] * (total + 1)
         for s in range(2, total + 1):
@@ -178,11 +178,11 @@ class _DecisionTree:
         return not all(self.solved(cell) for cell in cells)
 
     def bound(self, members: int) -> int:
-        """max(ceil(log_a s(M)), ceil((|M| - c) / e)), the two lower bounds
-        of the module docstring on the count of the solvable set ``members``;
-        s(M) is |M| when no solution is shared."""
+        """max(ceil(log_a ceil(|M| / c)), ceil((|M| - c) / e)), the two lower
+        bounds of the module docstring on the count of the solvable set
+        ``members``."""
         size = members.bit_count()
-        solutions = sum(1 for cls in self.classes if members & cls) if self.classes else size
+        solutions = -(-size // self.largest_class)
         return max(self.depth[solutions], -((self.largest_class - size) // self.removed))
 
     def count(self, members: int) -> int:
@@ -190,11 +190,9 @@ class _DecisionTree:
 
         The count is 1 + the least worst branch over the queries, and no
         count is below its ``bound``, so two cuts cannot change it:
-        - a query is skipped without recursing when the count of a branch
-          in the memo, or the ``bound`` of one not in it, reaches the best
-          worst branch found so far, since its worst branch is no smaller;
-          the branches not in the memo are counted only after every branch
-          has passed that test, and abandoned once one reaches the best;
+        - a query is abandoned once the count of a branch, or the
+          ``bound`` of a branch not yet counted, reaches the best worst
+          branch found so far, since its worst branch is no smaller;
         - the scan stops once the best worst branch reaches
           ``bound(members) - 1``, since no query can do better.
         A set of m settings needs at most m - 1 queries and has a bound
@@ -215,28 +213,18 @@ class _DecisionTree:
             if len(branches) == 1:
                 continue  # query does not split this set
             worst = 0
-            uncounted = []
             for branch in branches:
                 c = memo.get(branch)  # a hit costs no call
-                if c is None:
-                    if self.bound(branch) >= best:
-                        break
-                    uncounted.append(branch)
-                elif c > worst:
+                if c is None:  # a bound that reaches the best needs no count
+                    c = self.count(branch) if self.bound(branch) < best else best
+                if c > worst:
                     worst = c
                     if worst >= best:
                         break
-            else:
-                for branch in uncounted:
-                    c = self.count(branch)
-                    if c > worst:
-                        worst = c
-                        if worst >= best:
-                            break
-                if worst < best:
-                    best = worst
-                    if best <= floor:
-                        break
+            if worst < best:
+                best = worst
+                if best <= floor:
+                    break
         if best == none_yet:
             raise ValueError(NO_SPLIT)
         memo[members] = 1 + best
