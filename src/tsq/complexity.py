@@ -303,20 +303,26 @@ def advanced_knowledge_prediction(
     values = [int(b, 2) for b in problem.settings]
     best: Optional[ComplexityReport] = None
     for basis in gf2.subspaces(n, r):
-        classes: dict[tuple[int, ...], int] = {}  # parity bits -> mask of their settings
+        # parity code, first mask in the top bit, so int order is bit-tuple order
+        classes: dict[int, int] = {}  # parity code -> mask of its settings
         for i, v in enumerate(values):
-            bits = tuple(gf2.parity(m, v) for m in basis)
-            classes[bits] = classes.get(bits, 0) | 1 << i
+            code = 0
+            for m in basis:
+                code = code << 1 | (m & v).bit_count() & 1
+            classes[code] = classes.get(code, 0) | 1 << i
         per_class = []
-        for bits in sorted(classes):
-            count = tree.count(classes[bits])
+        for code in sorted(classes):
+            count = tree.count(classes[code])
             if best is not None and count >= best.worst_case:
                 break
-            per_class.append((bits, count))
+            per_class.append((code, count))
         else:
             worst = max(count for _, count in per_class)
             masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
-            best = ComplexityReport(problem.name, r, k, masks, tuple(per_class), worst)
+            rows = tuple(
+                (tuple(code >> (r - 1 - j) & 1 for j in range(r)), count) for code, count in per_class
+            )
+            best = ComplexityReport(problem.name, r, k, masks, rows, worst)
     return best
 
 

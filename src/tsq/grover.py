@@ -6,7 +6,9 @@ The generalized iteration applies a selective phase alpha to the marked item
 uniform state; alpha = beta = pi is the textbook algorithm.  The certainty
 variant picks the iteration count J = ceil of the standard optimal count and
 matches both phases in closed form so the success probability reaches
-1 - eps with eps <= ``qcore.CERTAINTY_EPS``.
+1 - eps with eps <= ``qcore.CERTAINTY_EPS``.  Oracle and diffusion keep the
+plane of the target and the uniform state and act as -1 off it, so each run
+is computed as a power of one 2x2 matrix.
 
 ``as_process_unitary`` lifts the family of single-target networks to a
 setting-controlled unitary on the joint B (x) A space, giving the
@@ -18,6 +20,7 @@ and the lift stores N_0 alone as a ``qcore.CopyUnitary``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -76,14 +79,11 @@ class SearchRun:
         return self.iterations
 
 
-def uniform_search_state(n: int) -> np.ndarray:
-    d = 1 << n
-    return np.full(d, 1 / math.sqrt(d), dtype=np.complex128)
-
-
 def grover_iterate(state: np.ndarray, oracle: SearchOracle, phase_pair: tuple[float, float]) -> np.ndarray:
     """One generalized iteration: oracle phase alpha, then diffusion phase beta.
-    ``state`` may also be a matrix, whose columns are iterated at once."""
+    ``state`` may also be a matrix, whose columns are iterated at once.  The
+    reference iteration over all 2^n amplitudes; the package runs the search
+    on its invariant plane (``_plane``)."""
     alpha, beta = phase_pair
     state = np.asarray(state, dtype=np.complex128)
     if state.shape[:1] != (oracle.dim,):
@@ -99,11 +99,49 @@ def _theta(n: int) -> float:
     return math.asin(1 / math.sqrt(1 << n))
 
 
+def _uniform(d: int) -> tuple[float, float]:
+    """The uniform state in (|t>, |r>): (sin theta, cos theta)."""
+    return 1 / math.sqrt(d), math.sqrt((d - 1) / d)
+
+
+def _plane(oracle: SearchOracle, iterations: int, phase: float) -> tuple:
+    """Matrix of ``iterations`` iterations in the basis (|t>, |r>), |r> the
+    uniform state of the other d - 1 items.  Oracle and diffusion both keep
+    this plane and act as -1 off it, so the run is a power of one 2x2 matrix,
+    taken here by squaring."""
+    s, c = _uniform(oracle.dim)
+    e = cmath.exp(1j * phase)
+    w = 1 - e
+    # D(phase) O(phase) with D = w |u><u| - I and O = diag(e, 1)
+    step = ((w * s * s - 1) * e, w * s * c), (w * s * c * e, w * c * c - 1)
+    out = (1, 0), (0, 1)
+    j = iterations
+    while j:
+        if j & 1:
+            out = _mul(out, step)
+        step = _mul(step, step)
+        j >>= 1
+    return out
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """Product of two 2x2 matrices held as row tuples."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return (
+        (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+        (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
+    )
+
+
 def _success(oracle: SearchOracle, iterations: int, phase: float) -> tuple[np.ndarray, float]:
-    state = uniform_search_state(oracle.n)
-    for _ in range(iterations):
-        state = grover_iterate(state, oracle, (phase, phase))
-    p = float(abs(state[oracle.target_index]) ** 2 / np.vdot(state, state).real)
+    d = oracle.dim
+    (m00, m01), (m10, m11) = _plane(oracle, iterations, phase)
+    s, c = _uniform(d)
+    a_t, a_r = m00 * s + m01 * c, m10 * s + m11 * c
+    p = abs(a_t) ** 2 / (abs(a_t) ** 2 + abs(a_r) ** 2)
+    state = np.full(d, a_r / math.sqrt(d - 1), dtype=np.complex128)
+    state[oracle.target_index] = a_t
     return state, p
 
 
@@ -145,11 +183,28 @@ def run_long(oracle: SearchOracle) -> SearchRun:
 
 def search_network(oracle: SearchOracle) -> np.ndarray:
     """Matrix of the full certainty network on register A: Hadamards then
-    the phase-matched iterations.  Maps |0..0> to ~|target|."""
+    the phase-matched iterations.  Maps |0..0> to ~|target|.
+
+    With B = [|t>, |r>] and sign s = (-1)^J off the plane, the iterations
+    are s I + B (M - s I) B^H, so the network is the Hadamard matrix plus
+    one rank-2 update: N = s H/sqrt(d) + B (M - s I) B^H H/sqrt(d)."""
     run = run_long(oracle)
-    m = hadamard(oracle.dim, dtype=np.complex128) / math.sqrt(oracle.dim)
-    for _ in range(run.iterations):
-        m = grover_iterate(m, oracle, (run.phase, run.phase))
+    d, t = oracle.dim, oracle.target_index
+    sign = -1 if run.iterations & 1 else 1
+    (m00, m01), (m10, m11) = _plane(oracle, run.iterations, run.phase)
+    m = hadamard(d, dtype=np.complex128) * (sign / math.sqrt(d))
+    # rows of B^H H/sqrt(d): row t of H/sqrt(d), and (sqrt(d) e_0 - row t)/sqrt(d - 1),
+    # as the columns of H sum to d e_0
+    row_t = sign * m[t]
+    row_r = -row_t
+    row_r[0] += math.sqrt(d)
+    row_r /= math.sqrt(d - 1)
+    k_t = (m00 - sign) * row_t + m01 * row_r
+    k_r = m10 * row_t + (m11 - sign) * row_r
+    # B (k_t; k_r): |r> is 1/sqrt(d - 1) on every item but t
+    k_r /= math.sqrt(d - 1)
+    m += k_r
+    m[t] += k_t - k_r
     return m
 
 

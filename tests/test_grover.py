@@ -17,9 +17,9 @@ from tsq.grover import (
     run_grover,
     run_long,
     search_network,
-    uniform_search_state,
+    _success,
 )
-from tsq.qcore import CERTAINTY_EPS, InvariantError, apply, basis_state, hadamard
+from tsq.qcore import CERTAINTY_EPS, STATE_TOL, InvariantError, apply, basis_state, hadamard
 from tsq.tsym import enumerate_splits, solver_instance, xor_process
 from conftest import copy_blocks, setting_values
 
@@ -28,6 +28,11 @@ def closed_form_success(n: int, iterations: int) -> float:
     """Independent oracle: sin^2((2J+1) theta) for standard pi phases."""
     theta = math.asin(1 / math.sqrt(1 << n))
     return math.sin((2 * iterations + 1) * theta) ** 2
+
+
+def uniform_search_state(n: int) -> np.ndarray:
+    d = 1 << n
+    return np.full(d, 1 / math.sqrt(d), dtype=np.complex128)
 
 
 def simulate(oracle: SearchOracle, iterations: int, phase: float) -> float:
@@ -181,3 +186,33 @@ def test_grover_process_interop_with_xor_branch_sets():
                 solver_instance(gp, b, split).branch_settings()
                 == solver_instance(xp, b, split).branch_settings()
             )
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_plane_matches_the_iteration_loop(n, rng):
+    # slow reference: grover_iterate over all 2^n amplitudes
+    for _ in range(4):
+        oracle = SearchOracle(n, format(int(rng.integers(1 << n)), f"0{n}b"))
+        phase, iterations = float(rng.uniform(0, 2 * math.pi)), int(rng.integers(0, 30))
+        reference = uniform_search_state(n)
+        for _ in range(iterations):
+            reference = grover_iterate(reference, oracle, (phase, phase))
+        p = float(abs(reference[oracle.target_index]) ** 2 / np.vdot(reference, reference).real)
+        state, success = _success(oracle, iterations, phase)
+        assert np.max(np.abs(state - reference)) <= STATE_TOL
+        assert abs(success - p) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_grover_success_is_the_closed_form_for_every_target(n, monkeypatch):
+    monkeypatch.setenv("TSQ_DIM_CAP", str(1 << 20))
+    runs = [run_grover(SearchOracle(n, t)) for t in ("0" * n, format(1, f"0{n}b"), "1" * n)]
+    assert len({run.success_probability for run in runs}) == 1
+    p = runs[0].success_probability
+    assert abs(p - closed_form_success(n, runs[0].iterations)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_search_network_is_unitary(n):
+    m = search_network(SearchOracle(n, format(5, f"0{n}b")))
+    assert np.max(np.abs(m.conj().T @ m - np.eye(1 << n))) <= 1e-13
