@@ -153,7 +153,7 @@ def _run_grover_solver(params: dict) -> Report:
     b = params["outcome"]
     report = Report(scenario={"kind": "grover-solver", **params}, seed=None)
     initial = process.initial_state
-    correlated = apply(process.u12, initial)
+    correlated = process.forward
     selected = project(full_observable(process.layout, "A").outcome_for(b), correlated)
     _add_table(
         report,

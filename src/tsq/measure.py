@@ -140,7 +140,8 @@ def projector_diagonal(outcome: ParityOutcome, layout: RegisterLayout) -> np.nda
 
 
 def _masked(keep: np.ndarray, register: str, s: StateVector) -> StateVector:
-    """Multiply the (dim_b, dim_a) amplitudes by ``keep`` along the observed axis."""
+    """Multiply the (dim_b, dim_a) amplitudes by ``keep`` (0/1, float or bool:
+    either is cast to complex 0 or 1) along the observed axis."""
     if register == "B":
         keep = keep[:, np.newaxis]
     psi = s.amps.reshape(s.layout.dim_b, s.layout.dim_a)
@@ -164,8 +165,8 @@ def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> St
     if len(value_bits) != n or value_bits.strip("01"):
         raise ValueError(f"{value_bits!r} is not a value of the {n}-bit register {obs.register}")
     codes = _register_codes(obs, s.layout)
-    out = _masked((codes == codes[int(value_bits, 2)]).astype(np.float64), obs.register, s)
-    if out.is_zero():
+    out = _masked(codes == codes[int(value_bits, 2)], obs.register, s)
+    if np.vdot(out.amps, out.amps).real <= STATE_TOL**2:  # out.is_zero() without the square root
         raise InvariantError(
             f"impossible outcome {value_bits} for {obs.name()}: the projection annihilates the state"
             f" (norm {out.norm():.3e} <= STATE_TOL = {STATE_TOL:.0e})"
@@ -214,10 +215,13 @@ def measure(
             raise ImpossibleOutcomeError(f"impossible outcome {forced} for {obs.name()}")
         bits = forced
     else:
-        rng = np.random.default_rng(seed)
+        # the inverse CDF of one uniform draw: what rng.choice(len(keys), p=...)
+        # computes, without its per-call validation of p
         keys = sorted(masses)
         weights = np.array([masses[k] for k in keys])
-        bits = keys[rng.choice(len(keys), p=weights / weights.sum())]
+        cdf = np.cumsum(weights / weights.sum())
+        u = np.random.default_rng(seed).random()
+        bits = keys[int(np.searchsorted(cdf / cdf[-1], u, side="right"))]
     outcome = ParityOutcome(obs, bits)
     return MeasurementRecord(time_tag, outcome, s, project(outcome, s))
 

@@ -195,9 +195,13 @@ def proportionality(s: StateVector, reference: StateVector) -> tuple[complex, fl
 
 def hadamard(d: int, dtype=int) -> np.ndarray:
     """Sylvester's Hadamard matrix of order d, a power of two: H[i, j] = (-1)^popcount(i & j)."""
-    h = np.ones((1, 1), dtype=dtype)
-    while len(h) < d:
-        h = np.block([[h, h], [h, -h]])
+    h = np.empty((d, d), dtype=dtype)
+    h[0, 0] = 1
+    k = 1
+    while k < d:  # double the top-left k x k block in place
+        h[:k, k : 2 * k] = h[k : 2 * k, :k] = h[:k, :k]
+        np.negative(h[:k, :k], out=h[k : 2 * k, k : 2 * k])
+        k *= 2
     return h
 
 

@@ -22,6 +22,7 @@ with the final partial outcome: the solver's advance knowledge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -65,6 +66,12 @@ class ProcessDescription:
                 f" leaked fraction {leaked / total:.3e}"
                 f" > CORRELATION_TOL = {CORRELATION_TOL:.0e}"
             )
+
+    @cached_property
+    def forward(self) -> StateVector:
+        """U_12 applied to the initial state: the forward leg that every solver
+        instance of the process shares, computed once."""
+        return apply(self.u12, self.initial_state)
 
     @property
     def layout(self) -> RegisterLayout:
@@ -121,13 +128,18 @@ def _observable(register: str, basis: tuple[int, ...], n: int) -> ParityObservab
 def complete_split(
     process: ProcessDescription, final_part: ParityObservable, initial_bases
 ) -> Optional[SelectionSplit]:
-    """Pair ``final_part`` with the first of ``initial_bases`` that makes the
-    combined selection injective; None if none does."""
+    """Pair ``final_part`` with the first of ``initial_bases`` (int masks) that
+    makes the combined selection injective; None if none does.
+
+    The test is ``selection_is_injective``'s rank, taken on the ints, so only
+    the basis that passes becomes an observable.
+    """
     n = process.n
+    low = process.layout.dim_b - 1
+    final = [gf2.bits_to_mask(m) & low for m in final_part.masks]
     for basis in initial_bases:
-        split = SelectionSplit(_observable("B", basis, n), final_part)
-        if selection_is_injective(process, split):
-            return split
+        if gf2.rank(final + [m & low for m in basis]) == n:
+            return SelectionSplit(_observable("B", basis, n), final_part)
     return None
 
 
@@ -191,8 +203,8 @@ class ZigzagInstance(Zigzag):
     def branch_settings(self) -> tuple[str, ...]:
         """Setting values surviving in the bottom-line input state."""
         s = self.bottom_line[0]
-        psi = np.abs(s.amps.reshape(s.layout.dim_b, s.layout.dim_a)) ** 2
-        mass = psi.sum(axis=1)
+        parts = s.amps.view(np.float64).reshape(s.layout.dim_b, 2 * s.layout.dim_a)
+        mass = np.einsum("ij,ij->i", parts, parts)  # squared modulus summed per setting
         keep = mass > BRANCH_MASS_TOL * mass.sum()
         n = s.layout.n_b
         return tuple(format(b, f"0{n}b") for b in np.nonzero(keep)[0])
@@ -219,7 +231,7 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
 def solver_instance(process: ProcessDescription, b: str, split: SelectionSplit) -> ZigzagInstance:
     """Zigzag with the initial projection postponed (problem-solver view)."""
     s0 = process.initial_state
-    s1 = apply(process.u12, s0)
+    s1 = process.forward
     s2 = project_forced(split.final_part, b, s1)
     s3 = apply_adjoint(process.u12, s2)
     return ZigzagInstance(walk=(s0, None, s1, s2, s3), split=split, outcome=b, perspective="solver")

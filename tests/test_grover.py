@@ -114,8 +114,8 @@ def test_matched_phase_infeasible_iteration_count():
 
 @pytest.mark.parametrize("d", [1 << k for k in range(11)])
 def test_hadamard_matches_scipy(d):
-    # slow reference: scipy's Sylvester construction
-    for dtype in (int, np.complex128):
+    # slow reference: scipy's Sylvester construction, at every dtype src uses
+    for dtype in (int, float, np.complex128):
         ours, ref = hadamard(d, dtype=dtype), scipy.linalg.hadamard(d, dtype=dtype)
         assert np.array_equal(ours, ref)
         assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()  # signed zeros too

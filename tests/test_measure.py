@@ -1,5 +1,7 @@
 """Parity observables, projectors, Born sampling, and postponement."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from tsq.measure import (
     trivial_observable,
 )
 from tsq.qcore import (
+    STATE_TOL,
+    InvariantError,
     RegisterLayout,
     StateVector,
     apply,
@@ -143,6 +147,19 @@ def test_born_rule_sampling():
         assert abs(c / trials - 0.25) <= 0.02
 
 
+@pytest.mark.parametrize("masks", [("11",), ("10", "01"), ("01", "11")])
+def test_seeded_draw_matches_generator_choice(masks):
+    # reference: Generator.choice over the normalized sector weights
+    obs = ParityObservable("B", masks)
+    s = random_state(L2, np.random.default_rng(len(masks)))
+    masses = sector_masses(s, obs)
+    keys = sorted(masses)
+    weights = np.array([masses[k] for k in keys])
+    for seed in range(200):
+        want = keys[np.random.default_rng(seed).choice(len(keys), p=weights / weights.sum())]
+        assert measure(s, obs, seed=seed).outcome.bits == want
+
+
 def test_sector_masses_match_manual_sum(rng):
     s = random_state(L2, rng)
     obs = ParityObservable("B", ("11",))
@@ -184,6 +201,24 @@ def test_project_forced_refuses_value_of_other_width(obs, value):
     s = random_state(layout, np.random.default_rng(3))
     with pytest.raises(ValueError, match="is not a value of the"):
         project_forced(obs, value, s)
+
+
+@pytest.mark.parametrize("residue", [0.0, 0.9 * STATE_TOL])
+def test_project_forced_raises_when_the_outcome_annihilates_the_state(residue):
+    # the sector of A = 01 holds norm ``residue``, at most STATE_TOL
+    s = state_from_terms(L2, [("00", "00", 1), ("01", "01", residue)])
+    message = (
+        "impossible outcome 01 for A: the projection annihilates the state"
+        f" (norm {residue:.3e} <= STATE_TOL = 1e-12)"
+    )
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        project_forced(full_observable(L2, "A"), "01", s)
+
+
+def test_project_forced_keeps_a_sector_just_above_the_zero_threshold():
+    s = state_from_terms(L2, [("00", "00", 1), ("01", "01", 1.1 * STATE_TOL)])
+    out = project_forced(full_observable(L2, "A"), "01", s)
+    assert out.amplitude("01", "01") == 1.1 * STATE_TOL and out.norm() > STATE_TOL
 
 
 @pytest.mark.parametrize("n", range(1, 7))

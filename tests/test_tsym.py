@@ -5,11 +5,16 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from tsq import gf2
-from tsq.measure import ParityObservable
+from tsq.grover import grover_process
+from tsq.measure import ParityObservable, project
 from tsq.qcore import (
+    BRANCH_MASS_TOL,
     CopyUnitary,
     InvariantError,
     RegisterLayout,
+    StateVector,
+    apply,
+    apply_adjoint,
     basis_state,
     max_abs_diff,
     states_close,
@@ -17,6 +22,7 @@ from tsq.qcore import (
 from tsq.tsym import (
     ProcessDescription,
     SelectionSplit,
+    ZigzagInstance,
     copy_process,
     enumerate_splits,
     external_instance,
@@ -26,7 +32,7 @@ from tsq.tsym import (
     uneven_instance,
     xor_process,
 )
-from conftest import setting_values, state_from_terms
+from conftest import random_state, setting_values, state_from_terms
 
 P2 = xor_process(2)
 P3 = xor_process(3)
@@ -295,3 +301,95 @@ def test_inconsistent_projection_raises():
     process = ProcessDescription(u12=P2.u12, initial_state=bad_initial)
     with pytest.raises(InvariantError):
         solver_instance(process, "01", SelectionSplit(B_L, A_R))
+
+
+PROCESSES = {
+    f"{kind}-{n}": make(n)
+    for kind, make in (("xor", xor_process), ("grover-long", grover_process))
+    for n in range(1, 6)
+}
+
+
+@pytest.mark.parametrize("key", PROCESSES)
+def test_forward_is_the_applied_initial_state_computed_once(key):
+    process = PROCESSES[key]
+    forward = process.forward
+    assert np.array_equal(forward.amps, apply(process.u12, process.initial_state).amps)
+    assert process.forward is forward
+
+
+def sampled_splits(process):
+    """Every split for n <= 4; for n = 5 the first, a middle and the last of each rank."""
+    for r in range(process.n + 1):
+        splits = enumerate_splits(process, r)
+        yield from splits if process.n <= 4 else {splits[0], splits[len(splits) // 2], splits[-1]}
+
+
+@pytest.mark.parametrize("key", PROCESSES)
+def test_walks_equal_explicit_legs(key):
+    # slow reference: every leg an explicit apply, project or apply_adjoint call
+    process = PROCESSES[key]
+    u, s0 = process.u12, process.initial_state
+    for split in sampled_splits(process):
+        for b in setting_values(process.n):
+            initial, final = split.initial_part.outcome_for(b), split.final_part.outcome_for(b)
+            forward = apply(u, s0)
+            selected = project(final, forward)
+            solver_want = (s0, None, forward, selected, apply_adjoint(u, selected))
+            s1 = project(initial, s0)
+            s2 = apply(u, s1)
+            s3 = project(final, s2)
+            external_want = (s0, s1, s2, s3, apply_adjoint(u, s3))
+            for inst, want in (
+                (solver_instance(process, b, split), solver_want),
+                (external_instance(process, b, split), external_want),
+            ):
+                for got, ref in zip(inst.walk, want, strict=True):
+                    assert (got is None) == (ref is None)
+                    assert got is None or np.array_equal(got.amps, ref.amps)
+
+
+def reference_branch_settings(state) -> tuple[str, ...]:
+    """Slow reference for branch_settings: |amplitude|^2 summed per setting."""
+    layout = state.layout
+    mass = (np.abs(state.amps.reshape(layout.dim_b, layout.dim_a)) ** 2).sum(axis=1)
+    kept = np.nonzero(mass > BRANCH_MASS_TOL * mass.sum())[0]
+    return tuple(format(b, f"0{layout.n_b}b") for b in kept)
+
+
+def bottom_line_instance(state) -> ZigzagInstance:
+    """An instance whose bottom-line input is ``state``."""
+    split = SelectionSplit(ParityObservable("B", ()), ParityObservable("A", ()))
+    walk = (state, None, None, None, None)
+    return ZigzagInstance(walk=walk, split=split, outcome="", perspective="solver")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (5, 5)])
+def test_branch_settings_match_reference_on_random_states(shape, rng):
+    layout = RegisterLayout(*shape)
+    for _ in range(20):
+        state = random_state(layout, rng)
+        # silence a random half of the settings, and scale the rest over decades
+        kept = rng.random((layout.dim_b, 1)) < 0.5
+        amps = state.amps.reshape(layout.dim_b, layout.dim_a) * kept
+        amps = amps * 10.0 ** rng.uniform(-5, 0, size=(layout.dim_b, 1))
+        state = StateVector(layout, amps.reshape(-1))
+        assert bottom_line_instance(state).branch_settings() == reference_branch_settings(state)
+
+
+@pytest.mark.parametrize("side", [1 + 1e-6, 1 - 1e-6])
+def test_branch_settings_at_the_mass_threshold(side, rng):
+    # setting 10 carries a fraction BRANCH_MASS_TOL * side of the total mass,
+    # spread over its A values and over real and imaginary parts
+    layout = RegisterLayout(2, 2)
+    fraction = BRANCH_MASS_TOL * side
+    amps = np.zeros((layout.dim_b, layout.dim_a), dtype=np.complex128)
+    amps[0] = random_state(RegisterLayout(1, 1), rng).amps
+    small = random_state(RegisterLayout(1, 1), rng).amps
+    big = np.vdot(amps[0], amps[0]).real
+    small = small * np.sqrt(fraction / (1 - fraction) * big / np.vdot(small, small).real)
+    amps[2] = small
+    state = StateVector(layout, amps.reshape(-1))
+    want = ("00", "10") if side > 1 else ("00",)
+    assert reference_branch_settings(state) == want
+    assert bottom_line_instance(state).branch_settings() == want
