@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__, gf2, render
 from .complexity import grover_problem, k_sweep, OracleProblemSpec
@@ -42,11 +42,16 @@ class SchemaError(ValueError):
 
 @dataclass
 class Report:
+    """One scenario's result.  Each table is its text lines, built on demand,
+    and its named states; a report renders only the format asked for."""
+
     scenario: dict
     seed: Optional[int]
-    tables: dict = field(default_factory=dict)    # label -> amplitude rows
-    rendered: dict = field(default_factory=dict)  # label -> text lines
+    tables: dict = field(default_factory=dict)  # label -> (text-lines builder, {name: state})
     scalars: dict = field(default_factory=dict)
+
+    def add_table(self, label: str, lines: Callable[[], list[str]], states: Optional[dict] = None) -> None:
+        self.tables[label] = (lines, states or {})
 
     def to_json(self) -> str:
         payload = {
@@ -54,33 +59,34 @@ class Report:
             "tool_version": __version__,
             "scenario": self.scenario,
             "seed": self.seed,
-            "tables": self.tables,
+            "tables": {
+                f"{label} / {name}": render.state_rows(state)
+                for label, (_, states) in self.tables.items()
+                for name, state in states.items()
+            },
             "scalars": self.scalars,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         chunks = []
-        for label, lines in self.rendered.items():
+        for label, (lines, _) in self.tables.items():
             chunks.append(f"## {label}")
-            chunks.extend(lines)
+            chunks.extend(lines())
             chunks.append("")
         for key in sorted(self.scalars):
             chunks.append(f"{key}: {self.scalars[key]}")
         return "\n".join(chunks).rstrip() + "\n"
 
 
-def _add_table(report: Report, label: str, lines: list[str], states: dict) -> None:
-    report.rendered[label] = lines
-    for name, state in states.items():
-        report.tables[f"{label} / {name}"] = render.state_rows(state)
-
-
 def _add_instance(report: Report, inst) -> None:
     """The zigzag table of one instance, headed by its split's part names."""
     left, right = inst.split.initial_part.name(), inst.split.final_part.name()
-    table = render.zigzag_table(left, right, inst.walk)
-    _add_table(report, f"{inst.perspective} zigzag", table, dict(inst.trajectory))
+    report.add_table(
+        f"{inst.perspective} zigzag",
+        lambda: render.zigzag_table(left, right, inst.walk),
+        dict(inst.trajectory),
+    )
     report.scalars["instance"] = inst.name()
 
 
@@ -137,10 +143,9 @@ def _run_grover_external(params: dict) -> Report:
     initial = process.initial_state
     selected = project(full_observable(process.layout, "B").outcome_for(b), initial)
     output = apply(process.u12, selected)
-    _add_table(
-        report,
+    report.add_table(
         "external description",
-        render.zigzag_table("B", "A", (initial, selected, output, None, None)),
+        lambda: render.zigzag_table("B", "A", (initial, selected, output, None, None)),
         {"initial": initial, "t1 selected": selected, "t2 output": output},
     )
     if params.get("split"):
@@ -155,22 +160,20 @@ def _run_grover_solver(params: dict) -> Report:
     initial = process.initial_state
     correlated = process.forward
     selected = project(full_observable(process.layout, "A").outcome_for(b), correlated)
-    _add_table(
-        report,
+    report.add_table(
         "relativized description",
-        render.zigzag_table("B", "A", (initial, None, correlated, selected, None)),
+        lambda: render.zigzag_table("B", "A", (initial, None, correlated, selected, None)),
         {"initial": initial, "t2 correlated": correlated, "t2 selected": selected},
     )
     if params.get("split"):
         inst = solver_instance(process, b, parse_split(process, params["split"]))
         _add_instance(report, inst)
-        _add_table(
-            report,
+        report.add_table(
             "bottom line (backward)",
-            render.bottom_line_table(inst, "backward"),
+            lambda: render.bottom_line_table(inst, "backward"),
             {"input": inst.bottom_line[0], "output": inst.bottom_line[1]},
         )
-        _add_table(report, "bottom line (forward)", render.bottom_line_table(inst, "forward"), {})
+        report.add_table("bottom line (forward)", lambda: render.bottom_line_table(inst, "forward"))
         report.scalars["branch_settings"] = list(inst.branch_settings())
     return report
 
@@ -180,6 +183,13 @@ def _run_ts_instance(params: dict) -> Report:
     b = params["outcome"]
     report = Report(scenario={"kind": "ts-instance", **params}, seed=None)
     if params.get("final_rank") is not None:
+        # the rank picks the canonical split and the solver's perspective itself
+        if params.get("split"):
+            raise ValueError("--final-rank picks its own split; it cannot be combined with --split")
+        if params.get("perspective") == "external":
+            raise ValueError(
+                "--final-rank builds a solver instance; it cannot be combined with --perspective external"
+            )
         inst = uneven_instance(process, b, params["final_rank"])
     else:
         if not params.get("split"):
@@ -210,8 +220,11 @@ def _run_epr(params: dict) -> Report:
     else:
         parts = ("B", "A")
         trace = direct_trace(scenario, outcome, via_t0=via_t0)
-    table = render.zigzag_table(*parts, trace.walk, via=via_t0)
-    _add_table(report, f"{trace.kind} trace", table, dict(trace.states))
+    report.add_table(
+        f"{trace.kind} trace",
+        lambda: render.zigzag_table(*parts, trace.walk, via=via_t0),
+        dict(trace.states),
+    )
     check = emulation_check(scenario, outcome)
     report.scalars["emulation_max_deviation"] = check.max_deviation
     if trace.kind in ("ts-direct", "ts-via-t0"):
@@ -230,12 +243,14 @@ def _run_complexity(params: dict) -> Report:
     ks = params["k"]
     reports = k_sweep(problem, ks)
     report = Report(scenario={"kind": "complexity", **params, "problem": problem.name}, seed=None)
-    lines = [f"{'k':>6}  {'rank':>4}  {'worst_case':>10}  masks"]
-    for r in reports:
-        lines.append(
+
+    def lines():
+        return [f"{'k':>6}  {'rank':>4}  {'worst_case':>10}  masks"] + [
             f"{r.k:>6g}  {r.advice_rank:>4}  {r.worst_case:>10}  [{','.join(r.masks) or '-'}]"
-        )
-    report.rendered["complexity"] = lines
+            for r in reports
+        ]
+
+    report.add_table("complexity", lines)
     report.scalars["reports"] = [
         {
             "k": r.k,
@@ -265,12 +280,12 @@ def _run_search(params: dict) -> Report:
             "query_count": run.query_count,
         }
     )
-    report.rendered["search"] = [
+    report.add_table("search", lambda: [
         f"variant: {run.variant}",
         f"iterations (queries): {run.iterations}",
         f"phase: {run.phase:.12g}",
         f"success probability: {run.success_probability:.12g}",
-    ]
+    ])
     return report
 
 

@@ -93,6 +93,8 @@ def grover_problem(n: int) -> OracleProblemSpec:
     """Ball in one of 2^n drawers; a query opens one drawer.  Refused when
     the 2^n settings exceed ``DEFAULT_SEARCH_CAP``, before the 4^n answers
     are tabulated."""
+    if n < 1:
+        raise ValueError(f"the drawer problem needs at least one bit, got n={n}")
     _check_setting_cap(1 << n, DEFAULT_SEARCH_CAP)
     settings = tuple(format(b, f"0{n}b") for b in range(1 << n))
     return OracleProblemSpec(

@@ -174,12 +174,16 @@ def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> St
     return out
 
 
-def sector_masses(s: StateVector, obs: ParityObservable) -> dict[tuple[int, ...], float]:
-    """Born weight (squared-amplitude mass) of all 2^rank parity sectors, in code order."""
+def _sector_weights(s: StateVector, obs: ParityObservable) -> np.ndarray:
+    """Born weight of every parity sector, indexed by its code."""
     probs = np.abs(s.amps.reshape(s.layout.dim_b, s.layout.dim_a)) ** 2
     per_value = probs.sum(axis=1 if obs.register == "B" else 0)
-    masses = np.bincount(_register_codes(obs, s.layout), per_value, minlength=1 << obs.rank)
-    return dict(zip(product((0, 1), repeat=obs.rank), masses.tolist()))
+    return np.bincount(_register_codes(obs, s.layout), per_value, minlength=1 << obs.rank)
+
+
+def sector_masses(s: StateVector, obs: ParityObservable) -> dict[tuple[int, ...], float]:
+    """Born weight (squared-amplitude mass) of all 2^rank parity sectors, in code order."""
+    return dict(zip(product((0, 1), repeat=obs.rank), _sector_weights(s, obs).tolist()))
 
 
 @dataclass(frozen=True)
@@ -207,21 +211,22 @@ def measure(
         raise ValueError("cannot measure the zero state")
     if (forced is None) == (seed is None):
         raise ValueError("pass exactly one of forced= or seed=")
-    masses = sector_masses(s, obs)
-    total = sum(masses.values())
+    weights = _sector_weights(s, obs)
     if forced is not None:
-        forced = tuple(int(b) for b in forced)
-        if masses.get(forced, 0.0) <= STATE_TOL**2 * total:
-            raise ImpossibleOutcomeError(f"impossible outcome {forced} for {obs.name()}")
-        bits = forced
+        bits = tuple(int(b) for b in forced)
+        # bits that are no outcome of obs have no mass
+        is_outcome = len(bits) == obs.rank and set(bits) <= {0, 1}
+        mass = weights[sum(bit << k for k, bit in enumerate(reversed(bits)))] if is_outcome else 0.0
+        if mass <= STATE_TOL**2 * sum(weights.tolist()):
+            raise ImpossibleOutcomeError(f"impossible outcome {bits} for {obs.name()}")
     else:
-        # the inverse CDF of one uniform draw: what rng.choice(len(keys), p=...)
-        # computes, without its per-call validation of p
-        keys = sorted(masses)
-        weights = np.array([masses[k] for k in keys])
+        # the inverse CDF of one uniform draw over the codes: what
+        # rng.choice(len(weights), p=...) computes, without its per-call
+        # validation of p
         cdf = np.cumsum(weights / weights.sum())
         u = np.random.default_rng(seed).random()
-        bits = keys[int(np.searchsorted(cdf / cdf[-1], u, side="right"))]
+        code = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+        bits = tuple((code >> k) & 1 for k in reversed(range(obs.rank)))
     outcome = ParityOutcome(obs, bits)
     return MeasurementRecord(time_tag, outcome, s, project(outcome, s))
 

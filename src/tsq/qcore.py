@@ -31,6 +31,7 @@ nor re-checks them.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -114,6 +115,13 @@ class BasisLabel(NamedTuple):
     a_bits: str
 
 
+@functools.cache
+def _bit_strings(width: int) -> tuple[str, ...]:
+    """Every value of a ``width``-bit register as its bit string, indexed by
+    value.  Widths are bounded by the dimension cap, so the tables are few."""
+    return tuple(format(v, f"0{width}b") for v in range(1 << width))
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Unnormalized complex amplitudes over the joint basis, canonical order."""
@@ -151,8 +159,10 @@ class StateVector:
         """Yield (BasisLabel, amplitude) for every non-negligible term."""
         scale = max(self.norm(), 1.0)
         kept = np.flatnonzero(np.abs(self.amps) > tol * scale)
+        b_bits, a_bits = _bit_strings(self.layout.n_b), _bit_strings(self.layout.n_a)
+        n_a, a_mask = self.layout.n_a, self.layout.dim_a - 1
         for i, amp in zip(kept.tolist(), self.amps[kept].tolist()):
-            yield self.layout.label(i), amp
+            yield BasisLabel(b_bits[i >> n_a], a_bits[i & a_mask]), amp
 
     def is_zero(self) -> bool:
         return self.norm() <= STATE_TOL

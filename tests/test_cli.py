@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsq import complexity, gf2
+from tsq import complexity, gf2, render
 from tsq.cli import SchemaError, load_problem, main, parse_split
 from tsq.complexity import decision_tree_complexity
 from tsq.tsym import enumerate_splits, xor_process
@@ -40,11 +40,42 @@ GOLDEN_COMMANDS = {
 }
 
 
+def _refuse_to_render(*args, **kwargs):
+    raise AssertionError("rendered a format that was not asked for")
+
+
 @pytest.mark.parametrize("golden_name", sorted(GOLDEN_COMMANDS))
-def test_golden_output(golden_name, capsys):
+def test_golden_output(golden_name, capsys, monkeypatch):
+    # a text report builds no JSON rows
+    monkeypatch.setattr(render, "state_rows", _refuse_to_render)
     assert main(GOLDEN_COMMANDS[golden_name]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / golden_name).read_text()
+
+
+RENDER_ONCE_COMMANDS = [
+    *GOLDEN_COMMANDS.values(),
+    ["grover-external", "--n", "3", "--outcome", "110", "--split", "B:[100,010]/A:[001]"],
+    ["grover-solver", "--n", "3", "--outcome", "011", "--split", "A:[011,101]", "--unitary", "grover-long"],
+    ["ts-instance", "--n", "3", "--outcome", "101", "--final-rank", "2"],
+    ["ts-instance", "--n", "2", "--outcome", "10", "--split", "A:[11]", "--perspective", "solver"],
+    ["epr", "--mode", "ts", "--path", "via-t0", "--outcome", "11", "--seed", "7"],
+    ["complexity", "--n", "2", "--k", "0", "--k", "0.5"],
+    ["complexity", "--problem", "file", "--problem-file", str(PROBLEMS / "grover-n2-reduced.json"), "--k", "1"],
+    ["search", "--n", "5", "--target", "01101", "--variant", "grover"],
+]
+
+
+@pytest.mark.parametrize("argv", RENDER_ONCE_COMMANDS, ids=" ".join)
+def test_report_renders_only_the_requested_format(argv, capsys, monkeypatch):
+    # a text report builds no JSON rows, and a JSON report formats no state
+    for fmt, unused in (("table", "state_rows"), ("json", "format_state")):
+        assert main([*argv, "--output", fmt]) == 0
+        want = capsys.readouterr().out
+        with monkeypatch.context() as patched:
+            patched.setattr(render, unused, _refuse_to_render)
+            assert main([*argv, "--output", fmt]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_json_report_is_deterministic(capsys):
@@ -107,6 +138,25 @@ def test_exit_code_config_errors(capsys):
     assert main(["search", "--n", "30", "--target", "0" * 30]) == 2
     assert main(["complexity", "--n", "40", "--k", "0.5"]) == 2
     capsys.readouterr()
+
+
+def test_drawer_problem_needs_one_bit(capsys):
+    assert main(["complexity", "--n", "-3", "--k", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: the drawer problem needs at least one bit, got n=-3\n"
+
+
+def test_final_rank_refuses_a_split_and_the_external_perspective(capsys):
+    # the rank picks the canonical split and always builds a solver instance
+    argv = ["ts-instance", "--n", "2", "--outcome", "01", "--final-rank", "1"]
+    for extra, conflict in (
+        (["--split", "A:[01]"], "--split"),
+        (["--split", "B:[10]/A:[01]", "--perspective", "solver"], "--split"),
+        (["--perspective", "external"], "--perspective external"),
+    ):
+        assert main([*argv, *extra]) == 2
+        assert f"cannot be combined with {conflict}\n" in capsys.readouterr().err
+    assert main([*argv, "--perspective", "solver"]) == 0
+    assert "solver zigzag" in capsys.readouterr().out
 
 
 def test_non_monotone_sweep_exits_3(monkeypatch, capsys):

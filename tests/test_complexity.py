@@ -74,6 +74,13 @@ def test_grover_problem_shape():
     assert p.answer[("01", "10")] == "0"
 
 
+@pytest.mark.parametrize("n", [0, -3, -100])
+def test_grover_problem_needs_one_bit(n):
+    # refused before the size cap, whose 1 << n cannot take a negative n
+    with pytest.raises(ValueError, match=f"needs at least one bit, got n={n}"):
+        grover_problem(n)
+
+
 def test_decision_tree_base_cases():
     p = grover_problem(2)
     assert decision_tree_complexity(p, ["01"]) == 0

@@ -128,6 +128,61 @@ def test_measure_impossible_outcome():
         measure(basis_state(L2, "01", "00"), full_observable(L2, "B"), forced=(1, 1))
 
 
+def reference_draw(s, obs, seed):
+    """The seeded draw over the sector_masses dict: its keys sorted into code
+    order, and the inverse CDF of one uniform draw."""
+    masses = sector_masses(s, obs)
+    keys = sorted(masses)
+    weights = np.array([masses[k] for k in keys])
+    cdf = np.cumsum(weights / weights.sum())
+    u = np.random.default_rng(seed).random()
+    return keys[int(np.searchsorted(cdf / cdf[-1], u, side="right"))]
+
+
+def sector_of(s, obs, bits) -> np.ndarray:
+    """True at the joint indices whose observed register value has outcome ``bits``."""
+    masks = [gf2.bits_to_mask(m) for m in obs.masks]
+    values = [divmod(i, s.layout.dim_a)[0 if obs.register == "B" else 1] for i in range(s.layout.dim)]
+    return np.array([tuple(gf2.parity(m, v) for m in masks) == bits for v in values])
+
+
+L3 = RegisterLayout(3, 3)
+RANK_ENDS = [
+    trivial_observable("B"),
+    trivial_observable("A"),
+    full_observable(L3, "B"),
+    ParityObservable("A", ("011", "101", "111")),
+]
+
+
+@pytest.mark.parametrize("obs", RANK_ENDS, ids=lambda obs: obs.name())
+def test_measure_at_both_ends_of_the_rank_range(obs, rng):
+    s = random_state(L3, rng)
+    masses = sector_masses(s, obs)
+    for seed in range(50):
+        rec = measure(s, obs, seed=seed)
+        assert rec.outcome.bits == reference_draw(s, obs, seed)
+        assert np.array_equal(rec.post_state.amps, np.where(sector_of(s, obs, rec.outcome.bits), s.amps, 0))
+    for bits in masses:
+        rec = measure(s, obs, forced=bits)
+        assert rec.outcome.bits == bits
+        assert np.array_equal(rec.post_state.amps, np.where(sector_of(s, obs, bits), s.amps, 0))
+
+
+@pytest.mark.parametrize("obs", RANK_ENDS, ids=lambda obs: obs.name())
+def test_measure_refuses_forced_outcomes_without_mass(obs, rng):
+    # a sector emptied of mass, and bits that are no outcome of obs
+    s = random_state(L3, rng)
+    empty = (1,) * obs.rank
+    s = StateVector(L3, np.where(sector_of(s, obs, empty), 0, s.amps)) if obs.rank else s
+    # one bit too many, and a bit that is not 0 or 1
+    refused = [(0,) * (obs.rank + 1), (2,) * max(obs.rank, 1)] + ([empty] if obs.rank else [])
+    for bits in refused:
+        message = f"impossible outcome {bits} for {obs.name()}"
+        with pytest.raises(ImpossibleOutcomeError, match=re.escape(message)):
+            measure(s, obs, forced=bits)
+
+
 def test_measure_selector_contract():
     with pytest.raises(ValueError):
         measure(INITIAL, full_observable(L2, "B"))

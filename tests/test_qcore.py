@@ -23,6 +23,7 @@ from tsq.measure import (
 )
 from tsq.qcore import (
     BRANCH_MASS_TOL,
+    BasisLabel,
     CERTAINTY_EPS,
     CORRELATION_TOL,
     OP_TOL,
@@ -531,6 +532,18 @@ def test_terms_match_elementwise_loop(n, seed, small):
         terms = list(s.terms(tol))
         assert terms == slow_terms(s, tol)
         assert all(type(amp) is complex for _, amp in terms)
+
+
+@pytest.mark.parametrize("n_b, n_a", [(n_b, n_a) for n_b in range(1, 5) for n_a in range(1, 5)])
+def test_terms_labels_match_layout_label(n_b, n_a):
+    # the per-width bit-string tables against the per-index label
+    layout = RegisterLayout(n_b, n_a)
+    rng = np.random.default_rng(100 * n_b + n_a)
+    s = StateVector(layout, random_state(layout, rng).amps * (rng.random(layout.dim) < 0.6))
+    for tol in (0.0, STATE_TOL):
+        terms = list(s.terms(tol))
+        assert terms == slow_terms(s, tol)
+        assert all(type(label) is BasisLabel for label, _ in terms)
 
 
 # Every InvariantError states its residual and the threshold it broke.
