@@ -9,8 +9,9 @@ standard output and of standard error.  It takes no arguments:
 The list covers every subcommand, both output formats, n = 2-4, both
 unitaries, ``ts-instance`` and ``grover-external`` in JSON at n = 5,
 ``ts-instance`` in JSON at n = 7 and 8, every ``epr`` mode and path with
-several seeds, ``complexity`` on the drawer problem and on both bundled
-files, and a few invalid argv.
+several seeds, ``complexity`` on the drawer problem, on both bundled files
+and at every advice rank on a 16-setting random table under ``tests/data/``,
+and a few invalid argv.
 Problem-file paths are relative to the repository root, and the script runs
 from there, so the digests of two checkouts can be compared with ``diff``.
 An exception that escapes ``main`` is printed as ``raise:<type>``.
@@ -32,6 +33,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from tsq import cli  # noqa: E402
 
 PROBLEM_FILES = ("src/tsq/problems/grover-n2.json", "src/tsq/problems/grover-n2-reduced.json")
+RANDOM_TABLE = "tests/data/random-16x8.json"  # 16 settings, 8 binary queries
 UNITARIES = ("xor", "grover-long")
 SPLITS = {
     2: ("A:[01]", "A:[10]", "A:[11]", "B:[10]/A:[01]", "B:[11]/A:[01]"),
@@ -72,6 +74,7 @@ ERRORS = (
     ["complexity", "--k", "2"],
     ["complexity", "--problem", "file", "--k", "0"],
     ["complexity", "--problem", "file", "--problem-file", "no/such/file.json", "--k", "0"],
+    ["complexity", "--problem", "file", "--problem-file", "tests/data/signed-settings.json", "--k", "1"],
     [
         "complexity", "--problem", "grover", "--n", "3",
         "--problem-file", "src/tsq/problems/grover-n2.json", "--k", "0.5",
@@ -110,6 +113,8 @@ def argvs() -> list[list[str]]:
         out += [["complexity", "--n", str(n), *k] for k in ks]
     for path in PROBLEM_FILES:
         out += [["complexity", "--problem", "file", "--problem-file", path, *k] for k in ks]
+    for k in ("0", "0.25", "0.5", "0.75", "1"):
+        out.append(["complexity", "--problem", "file", "--problem-file", RANDOM_TABLE, "--k", k])
     for n in range(4, 9):
         for target in (values(n)[1], values(n)[-1]):
             for variant in ("long", "grover"):

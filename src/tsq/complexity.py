@@ -11,8 +11,11 @@ The search runs on int bitmasks over the setting indices: each query is
 precomputed as its answer partition of the settings, and each candidate
 set's count is memoized by its mask for the length of one call.  A query is
 abandoned once one of its branches reaches the best count found so far, and
-an advice basis once one of its classes reaches the best worst case.  The
-tests keep the frozenset recursion as the slow reference.
+an advice basis once the lower bound below, or else the count, of one of
+its classes reaches the best worst case.  A basis's classes are cut from the
+settings by per-bit parity masks, so no table over the 2^n values is built.
+The tests keep the frozenset recursion and ``advice_classes`` as the slow
+references.
 
 Two lower bounds on the count of a solvable candidate set M prune the
 search without changing any count (Buhrman & de Wolf, "Complexity measures
@@ -66,7 +69,7 @@ class OracleProblemSpec:
             raise ValueError("need at least two settings")
         if len(set(self.settings)) != len(self.settings):
             raise ValueError("duplicate settings")
-        if len({len(s) for s in self.settings}) != 1:
+        if len({len(s) for s in self.settings}) != 1 or any(s.strip("01") for s in self.settings):
             raise ValueError("settings must be bitstrings of equal length")
         missing = [
             (b, q) for b in self.settings for q in self.queries if (b, q) not in self.answer
@@ -146,10 +149,11 @@ class _DecisionTree:
             if len(parts) > 1:
                 partitions.setdefault(tuple(sorted(parts.values())), None)
         self.partitions = tuple(partitions)
-        self.same_solution = [
-            self.mask(c for c in problem.settings if problem.solution[c] == problem.solution[b])
-            for b in problem.settings
-        ]
+        by_solution: dict[str, int] = {}
+        for b, i in self.index.items():
+            s = problem.solution[b]
+            by_solution[s] = by_solution.get(s, 0) | 1 << i
+        self.same_solution = [by_solution[problem.solution[b]] for b in problem.settings]
         # The constants of ``bound``: a, the most answers of one query; e,
         # the most settings one query removes from its largest part; c, the
         # largest same-solution class.
@@ -280,6 +284,53 @@ def _advice_rank(problem: OracleProblemSpec, k: float) -> int:
     return round(k * problem.n)
 
 
+class _AdviceSplit:
+    """The advice classes of a basis, as int masks over the setting indices.
+
+    ``bit_odd[j]`` is the mask of the settings whose value has bit j set, so
+    the settings of odd parity under a mask m are the XOR of ``bit_odd`` over
+    the set bits of m.  Built for one call and dropped with it; ``odd``
+    keeps each mask's odd settings for that call.
+    """
+
+    def __init__(self, problem: OracleProblemSpec):
+        values = [int(b, 2) for b in problem.settings]
+        self.full = (1 << len(values)) - 1
+        self.bit_odd = [
+            sum(1 << i for i, v in enumerate(values) if v >> j & 1) for j in range(problem.n)
+        ]
+        self.odd: dict[int, int] = {}
+
+    def odd_settings(self, m: int) -> int:
+        odd = self.odd.get(m)
+        if odd is None:
+            odd = 0
+            for j, settings in enumerate(self.bit_odd):
+                if m >> j & 1:
+                    odd ^= settings
+            self.odd[m] = odd
+        return odd
+
+    def cells(self, basis: tuple[int, ...]) -> list[tuple[int, int]]:
+        """(parity code, settings mask) of each nonempty class, codes ascending.
+
+        The first mask's parity is the top bit of the code, so ascending codes
+        are bit-tuple order.  Each mask splits every cell into its even then
+        its odd settings and empty cells are dropped, so there are never more
+        cells than settings, whatever the rank.
+        """
+        cells = [(0, self.full)]
+        for m in basis:
+            odd = self.odd_settings(m)
+            cells = [
+                (code << 1 | bit, part)
+                for code, cell in cells
+                for bit, part in ((0, cell & ~odd), (1, cell & odd))
+                if part
+            ]
+        return cells
+
+
 def advanced_knowledge_prediction(
     problem: OracleProblemSpec, k: float, cap: int = DEFAULT_SEARCH_CAP
 ) -> ComplexityReport:
@@ -289,8 +340,12 @@ def advanced_knowledge_prediction(
     round(k * n).  Every one is admissible: each GF(2) subspace has a
     complement, with which it forms a full-rank selection.  Bases are tried
     in sorted order and only a strictly smaller worst case replaces the
-    best, so a basis is dropped as soon as one of its classes reaches the
-    best worst case.  One decision-tree table and memo serve every basis.
+    best, so a basis is dropped at its first class whose ``bound`` or, failing
+    that, whose count reaches the best worst case: no count is below its
+    bound, so the bound drops exactly the bases the count would, before the
+    class is searched.  A basis's classes come from per-bit parity masks
+    (``_AdviceSplit``), never from a table over all 2^n values.  One
+    decision-tree table and memo serve every basis.
     """
     r = _advice_rank(problem, k)
     _check_setting_cap(len(problem.settings), cap)
@@ -301,20 +356,14 @@ def advanced_knowledge_prediction(
     # the cut-off skips.
     if r < n and tree.confusable():
         raise ValueError(NO_SPLIT)
-    # Parities per setting: gf2.parity_codes would tabulate all 2^n values.
-    values = [int(b, 2) for b in problem.settings]
+    split = _AdviceSplit(problem)
     best: Optional[ComplexityReport] = None
     for basis in gf2.subspaces(n, r):
-        # parity code, first mask in the top bit, so int order is bit-tuple order
-        classes: dict[int, int] = {}  # parity code -> mask of its settings
-        for i, v in enumerate(values):
-            code = 0
-            for m in basis:
-                code = code << 1 | (m & v).bit_count() & 1
-            classes[code] = classes.get(code, 0) | 1 << i
         per_class = []
-        for code in sorted(classes):
-            count = tree.count(classes[code])
+        for code, members in split.cells(basis):
+            if best is not None and tree.bound(members) >= best.worst_case:
+                break
+            count = tree.count(members)
             if best is not None and count >= best.worst_case:
                 break
             per_class.append((code, count))

@@ -132,13 +132,22 @@ def complete_split(
     makes the combined selection injective; None if none does.
 
     The test is ``selection_is_injective``'s rank, taken on the ints, so only
-    the basis that passes becomes an observable.
+    the basis that passes becomes an observable.  The final part is reduced
+    once: the combined rank is its rank plus that of a basis whose masks have
+    the final part's pivot bits cleared.
     """
     n = process.n
     low = process.layout.dim_b - 1
-    final = [gf2.bits_to_mask(m) & low for m in final_part.masks]
+    rows = gf2.reduced_basis(gf2.bits_to_mask(m) & low for m in final_part.masks)
+    missing = n - len(rows)
     for basis in initial_bases:
-        if gf2.rank(final + [m & low for m in basis]) == n:
+        reduced = []
+        for m in basis:
+            m &= low
+            for row in rows:  # descending, so each row clears its own pivot bit
+                m = min(m, m ^ row)
+            reduced.append(m)
+        if gf2.rank(reduced) == missing:
             return SelectionSplit(_observable("B", basis, n), final_part)
     return None
 

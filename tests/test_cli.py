@@ -289,6 +289,24 @@ def test_malformed_problem_file_exits_2(shape, change, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("settings", [
+    ["+1", "-1"], ["+1", "10"], ["-1", "10"], ["0_1", "1_0"], ["ab", "10"],
+])
+def test_non_binary_settings_exit_2(settings, tmp_path, capsys):
+    # int(b, 2) reads "+1", "-1" and "0_1" as numbers; none is a bit string
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "settings": settings,
+        "queries": ["q"],
+        "answer": {b: {"q": str(i)} for i, b in enumerate(settings)},
+        "solution": {b: b for b in settings},
+    }))
+    with pytest.raises(SchemaError, match="settings must be bitstrings of equal length"):
+        load_problem(path)
+    assert main(["complexity", "--problem", "file", "--problem-file", str(path), "--k", "1"]) == 2
+    assert capsys.readouterr().err == "error: settings must be bitstrings of equal length\n"
+
+
 def test_problem_file_via_cli(capsys, tmp_path):
     assert main([
         "complexity", "--problem", "file",

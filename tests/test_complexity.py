@@ -1,8 +1,10 @@
 """Decision-tree query complexity and the advance-knowledge predictions."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tsq import gf2
 from tsq.complexity import (
@@ -10,6 +12,7 @@ from tsq.complexity import (
     ComplexityReport,
     OracleProblemSpec,
     SearchCapError,
+    _AdviceSplit,
     _DecisionTree,
     advanced_knowledge_prediction,
     advice_classes,
@@ -17,9 +20,12 @@ from tsq.complexity import (
     grover_problem,
     k_sweep,
 )
+from tsq.cli import load_problem
 from tsq.grover import SearchOracle, run_long
 from tsq.tsym import enumerate_splits, solver_instance, xor_process
 from conftest import drawer_problem, setting_values
+
+DATA = Path(__file__).parent / "data"
 
 
 def reference_complexity(problem: OracleProblemSpec, candidates) -> int:
@@ -218,6 +224,31 @@ def outcome(f, *args):
         return str(e)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_problems())
+def test_parity_mask_split_matches_advice_classes(problem):
+    # settings a strict subset of the 2^n values, in any order: every class
+    # of every basis, empty ones dropped, in the reference's code order
+    n = problem.n
+    assume(len(problem.settings) < 1 << n)
+    split = _AdviceSplit(problem)
+    for r in range(n + 1):
+        for basis in gf2.subspaces(n, r):
+            masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
+            want = [
+                (tuple(bit for _, bit in cls.constraints), cls.members)
+                for cls in advice_classes(problem, masks)
+            ]
+            got = [
+                (
+                    tuple(code >> (r - 1 - j) & 1 for j in range(r)),
+                    tuple(sorted(b for i, b in enumerate(problem.settings) if cell >> i & 1)),
+                )
+                for code, cell in split.cells(basis)
+            ]
+            assert got == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_problems(), st.data())
 def test_bitmask_engine_matches_frozenset_recursion(problem, data):
@@ -255,16 +286,19 @@ def test_solver_branch_is_the_advice_class_of_its_count():
                     assert decision_tree_complexity(problem, members) == 2 ** (n - r) - 1
 
 
-def exhaustive_prediction(problem: OracleProblemSpec, k: float) -> ComplexityReport:
-    """Every basis scored in full by the frozenset recursion; the first of equal bases wins."""
+def exhaustive_prediction(
+    problem: OracleProblemSpec, k: float, complexity=reference_complexity
+) -> ComplexityReport:
+    """Every basis scored in full, each class of ``advice_classes`` by
+    ``complexity`` (the frozenset recursion by default), with no cut; the
+    first of equal bases wins."""
     n = problem.n
     r = round(k * n)
     best = None
     for basis in gf2.subspaces(n, r):
         masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
         per_class = tuple(
-            (tuple(bit for _, bit in cls.constraints),
-             reference_complexity(problem, cls.members))
+            (tuple(bit for _, bit in cls.constraints), complexity(problem, cls.members))
             for cls in advice_classes(problem, masks)
         )
         worst = max(count for _, count in per_class)
@@ -279,6 +313,32 @@ def test_prediction_matches_exhaustive_reference(problem, numerator):
     k = min(numerator / problem.n, 1.0)
     fast = outcome(advanced_knowledge_prediction, problem, k)
     assert fast == outcome(exhaustive_prediction, problem, k)
+
+
+def random_binary_table(rng, n: int = 4, queries: int = 8) -> OracleProblemSpec:
+    """The benchmark's random tables: every n-bit setting, binary queries,
+    solution = setting, rows drawn again until no two settings answer alike."""
+    settings = tuple(setting_values(n))
+    names = tuple(f"q{j}" for j in range(queries))
+    while True:
+        rows = rng.integers(0, 2, size=(len(settings), queries))
+        if len({tuple(row) for row in rows}) == len(settings):
+            break
+    answer = {(b, q): str(rows[i, j]) for i, b in enumerate(settings) for j, q in enumerate(names)}
+    return OracleProblemSpec("random", settings, names, answer, {b: b for b in settings})
+
+
+def test_bound_first_cut_matches_uncut_reference_on_benchmark_tables():
+    # 16 settings and 8 binary queries, where the cut drops most bases; the
+    # frozenset recursion is too slow here, so the bitmask engine scores
+    # every class of every basis
+    rng = np.random.default_rng(2002)
+    problems = [load_problem(DATA / "random-16x8.json")]
+    problems += [random_binary_table(rng) for _ in range(19)]
+    for problem in problems:
+        for k in (0.0, 0.25, 0.5, 0.75, 1.0):
+            want = exhaustive_prediction(problem, k, decision_tree_complexity)
+            assert advanced_knowledge_prediction(problem, k) == want
 
 
 def test_prediction_tie_break_first_sorted_basis():

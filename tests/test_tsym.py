@@ -23,6 +23,7 @@ from tsq.tsym import (
     ProcessDescription,
     SelectionSplit,
     ZigzagInstance,
+    complete_split,
     copy_process,
     enumerate_splits,
     external_instance,
@@ -117,6 +118,29 @@ def test_selection_injectivity_matches_reference(case):
     n, split = case
     assert selection_is_injective(XOR[n], split) == reference_injective(XOR[n], split)
 
+
+
+@st.composite
+def completions(draw):
+    """A final part of any rank, its masks possibly wider than n, and
+    candidate initial bases of mixed ranks."""
+    n = draw(st.integers(1, 4))
+    final_part = draw(parity_part("A", n))
+    ranks = draw(st.lists(st.integers(0, n), max_size=3))
+    return n, final_part, [basis for r in ranks for basis in gf2.subspaces(n, r)]
+
+
+@given(completions())
+def test_complete_split_takes_the_first_injective_basis(case):
+    # a wide mask acts through its low n bits, so the reference is the
+    # per-setting injectivity loop, with no rank test on the uncut masks
+    n, final_part, initial_bases = case
+    candidates = (
+        SelectionSplit(ParityObservable("B", tuple(gf2.mask_to_bits(m, n) for m in basis)), final_part)
+        for basis in initial_bases
+    )
+    want = next((split for split in candidates if reference_injective(XOR[n], split)), None)
+    assert complete_split(XOR[n], final_part, initial_bases) == want
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_enumerate_splits_matches_rank_then_loop(n):
