@@ -59,6 +59,9 @@ ERRORS = (
     ["grover-solver", "--n", "2", "--outcome", "01", "--split", "A:[100]"],
     ["ts-instance", "--n", "2", "--outcome", "01", "--split", "B:[100]/A:[01]"],
     ["ts-instance", "--n", "2", "--outcome", "01", "--split", "B:[10]/A:[011]"],
+    ["grover-solver", "--n", "2", "--outcome", "01", "--split", "A:[0x]"],
+    ["ts-instance", "--n", "2", "--outcome", "01", "--split", "C:[10]/A:[01]"],
+    ["ts-instance", "--n", "2", "--outcome", "01", "--split", "A:[10]/A:[01]"],
     ["grover-solver", "--n", "0", "--outcome", "0"],
     ["grover-solver", "--n", "2", "--outcome", "012"],
     ["grover-external", "--n", "2", "--outcome", "1"],
@@ -74,6 +77,7 @@ ERRORS = (
     ["complexity", "--k", "2"],
     ["complexity", "--problem", "file", "--k", "0"],
     ["complexity", "--problem", "file", "--problem-file", "no/such/file.json", "--k", "0"],
+    ["complexity", "--problem", "file", "--problem-file", "tests/data", "--k", "0"],
     ["complexity", "--problem", "file", "--problem-file", "tests/data/signed-settings.json", "--k", "1"],
     [
         "complexity", "--problem", "grover", "--n", "3",

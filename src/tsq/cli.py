@@ -19,13 +19,12 @@ from . import __version__, gf2, render
 from .complexity import grover_problem, k_sweep, OracleProblemSpec
 from .epr import direct_trace, emulation_check, make_scenario, ts_trace
 from .grover import SearchOracle, grover_process, run_grover, run_long
-from .measure import ParityObservable, full_observable, project
+from .measure import ParityObservable, full_observable, project_forced
 from .qcore import InvariantError, RegisterLayout, apply, max_abs_diff
 from .tsym import (
     SelectionSplit,
     complete_split,
     external_instance,
-    selection_is_injective,
     solver_instance,
     uneven_instance,
     xor_process,
@@ -91,7 +90,12 @@ def _add_instance(report: Report, inst) -> None:
 
 
 def parse_split(process, text: str) -> SelectionSplit:
-    """Parse "B:[10]/A:[01]" or just "A:[01]" (initial part auto-completed)."""
+    """Parse "B:[10]/A:[01]" or just "A:[01]" (initial part auto-completed).
+
+    The text names A and optionally B, once each, and every mask is n
+    characters of 0 and 1.  A given initial part is ``complete_split``'s one candidate.
+    """
+    n = process.n
     parts = {}
     for chunk in text.split("/"):
         chunk = chunk.strip()
@@ -102,20 +106,22 @@ def parse_split(process, text: str) -> SelectionSplit:
         masks = masks.strip()
         if not (masks.startswith("[") and masks.endswith("]")):
             raise ValueError(f"bad split syntax {text!r}")
+        if reg not in ("A", "B") or reg in parts:
+            raise ValueError(f"split {text!r} must name register A and optionally B, once each")
         mask_list = tuple(m.strip() for m in masks[1:-1].split(",") if m.strip())
+        if any(len(m) != n or m.strip("01") for m in mask_list):
+            raise ValueError(f"split masks must be {n} characters of 0 and 1")
         parts[reg] = mask_list
     if "A" not in parts:
         raise ValueError("split must name the final part, e.g. A:[01]")
     final_part = ParityObservable("A", parts["A"])
     if "B" in parts:
-        split = SelectionSplit(ParityObservable("B", parts["B"]), final_part)
-        if not selection_is_injective(process, split):
-            raise ValueError(f"split {text!r} is redundant (selection not injective)")
-        return split
-    initial_bases = gf2.subspaces(process.n, process.n - final_part.rank)
+        initial_bases = [tuple(map(gf2.bits_to_mask, ParityObservable("B", parts["B"]).masks))]
+    else:
+        initial_bases = gf2.subspaces(n, n - final_part.rank)
     split = complete_split(process, final_part, initial_bases)
-    if split is None:
-        raise ValueError(f"no complementary initial part exists for {text!r}")
+    if split is None:  # every final part has a complement, so the initial part was given
+        raise ValueError(f"split {text!r} is redundant (selection not injective)")
     return split
 
 
@@ -141,7 +147,7 @@ def _run_grover_external(params: dict) -> Report:
     b = params["outcome"]
     report = Report(scenario={"kind": "grover-external", **params}, seed=None)
     initial = process.initial_state
-    selected = project(full_observable(process.layout, "B").outcome_for(b), initial)
+    selected = project_forced(full_observable(process.layout, "B"), b, initial)
     output = apply(process.u12, selected)
     report.add_table(
         "external description",
@@ -159,7 +165,7 @@ def _run_grover_solver(params: dict) -> Report:
     report = Report(scenario={"kind": "grover-solver", **params}, seed=None)
     initial = process.initial_state
     correlated = process.forward
-    selected = project(full_observable(process.layout, "A").outcome_for(b), correlated)
+    selected = project_forced(full_observable(process.layout, "A"), b, correlated)
     report.add_table(
         "relativized description",
         lambda: render.zigzag_table("B", "A", (initial, None, correlated, selected, None)),
@@ -300,13 +306,22 @@ _RUNNERS = {
 
 
 def load_problem(path: Path) -> OracleProblemSpec:
-    """Read an oracle problem from the JSON schema used by `complexity`."""
+    """Read an oracle problem from the JSON schema used by `complexity`.
+
+    Only the JSON shape is checked here; the answer rows are flattened into
+    (setting, query) pairs, and ``OracleProblemSpec`` checks that every
+    answer and solution is present.  Any refusal is a SchemaError.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SchemaError(f"problem file not found: {path}")
+    except OSError as e:
+        raise SchemaError(f"problem file cannot be read: {e}")
     except json.JSONDecodeError as e:
         raise SchemaError(f"problem file is not valid JSON: {e}")
+    except RecursionError:
+        raise SchemaError("problem file is nested too deeply to read")
     if not isinstance(data, dict):
         raise SchemaError("problem file must hold a JSON object")
     for key in ("settings", "queries", "answer", "solution"):
@@ -318,31 +333,16 @@ def load_problem(path: Path) -> OracleProblemSpec:
     for key in ("answer", "solution"):
         if not isinstance(data[key], dict):
             raise SchemaError(f"{key!r} must be an object")
-    settings = tuple(data["settings"])
-    queries = tuple(data["queries"])
-    answer = {}
-    for b in settings:
-        row = data["answer"].get(b)
-        if row is None:
-            raise SchemaError(f"answer table missing setting {b!r}")
+    for b, row in data["answer"].items():
         if not isinstance(row, dict):
             raise SchemaError(f"answer row of setting {b!r} must be an object")
-        for q in queries:
-            if q not in row:
-                raise SchemaError(f"answer table missing entry for (setting, query) ({b!r}, {q!r})")
-            answer[(b, q)] = str(row[q])
-    solution = {}
-    for b in settings:
-        if b not in data["solution"]:
-            raise SchemaError(f"solution missing setting {b!r}")
-        solution[b] = str(data["solution"][b])
     try:
         return OracleProblemSpec(
             name=data.get("name", Path(path).stem),
-            settings=settings,
-            queries=queries,
-            answer=answer,
-            solution=solution,
+            settings=data["settings"],
+            queries=data["queries"],
+            answer={(b, q): str(v) for b, row in data["answer"].items() for q, v in row.items()},
+            solution={b: str(v) for b, v in data["solution"].items()},
         )
     except ValueError as e:
         raise SchemaError(str(e))

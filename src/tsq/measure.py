@@ -113,6 +113,11 @@ class ParityOutcome:
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("outcome bits must be 0 or 1")
 
+    @property
+    def code(self) -> int:
+        """Sector code (see gf2.parity_codes): the first mask's bit is the most significant."""
+        return sum(bit << k for k, bit in enumerate(reversed(self.bits)))
+
 
 def _register_codes(obs: ParityObservable, layout: RegisterLayout) -> np.ndarray:
     """Sector code of every value of the observed register."""
@@ -124,15 +129,9 @@ def _register_codes(obs: ParityObservable, layout: RegisterLayout) -> np.ndarray
     return obs.codes
 
 
-def _keep(outcome: ParityOutcome, layout: RegisterLayout) -> np.ndarray:
-    """0/1 per value of the observed register: 1 where all parities match the outcome."""
-    code = gf2.bits_to_mask("".join(map(str, outcome.bits)))
-    return (_register_codes(outcome.observable, layout) == code).astype(np.float64)
-
-
 def projector_diagonal(outcome: ParityOutcome, layout: RegisterLayout) -> np.ndarray:
     """0/1 diagonal of the projector keeping labels that satisfy all parities."""
-    keep = _keep(outcome, layout)
+    keep = (_register_codes(outcome.observable, layout) == outcome.code).astype(np.float64)
     # spread over the joint index b * dim_a + a
     if outcome.observable.register == "B":
         return np.repeat(keep, layout.dim_a)
@@ -150,7 +149,8 @@ def _masked(keep: np.ndarray, register: str, s: StateVector) -> StateVector:
 
 def project(outcome: ParityOutcome, s: StateVector) -> StateVector:
     """Keep the amplitudes whose observed register value lies in the outcome's sector."""
-    return _masked(_keep(outcome, s.layout), outcome.observable.register, s)
+    keep = _register_codes(outcome.observable, s.layout) == outcome.code
+    return _masked(keep, outcome.observable.register, s)
 
 
 def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> StateVector:
@@ -215,8 +215,8 @@ def measure(
     if forced is not None:
         bits = tuple(int(b) for b in forced)
         # bits that are no outcome of obs have no mass
-        is_outcome = len(bits) == obs.rank and set(bits) <= {0, 1}
-        mass = weights[sum(bit << k for k, bit in enumerate(reversed(bits)))] if is_outcome else 0.0
+        outcome = ParityOutcome(obs, bits) if len(bits) == obs.rank and set(bits) <= {0, 1} else None
+        mass = weights[outcome.code] if outcome else 0.0
         if mass <= STATE_TOL**2 * sum(weights.tolist()):
             raise ImpossibleOutcomeError(f"impossible outcome {bits} for {obs.name()}")
     else:
@@ -226,8 +226,7 @@ def measure(
         cdf = np.cumsum(weights / weights.sum())
         u = np.random.default_rng(seed).random()
         code = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
-        bits = tuple((code >> k) & 1 for k in reversed(range(obs.rank)))
-    outcome = ParityOutcome(obs, bits)
+        outcome = ParityOutcome(obs, tuple((code >> k) & 1 for k in reversed(range(obs.rank))))
     return MeasurementRecord(time_tag, outcome, s, project(outcome, s))
 
 

@@ -114,11 +114,10 @@ def selection_is_injective(process: ProcessDescription, split: SelectionSplit) -
 
     The outcome pair of setting b is the parities of b under the masks of both
     parts, since the solution of b is b; they pin b down iff the masks span
-    F_2^n.  A mask acts on an n-bit value through its low n bits only.
+    F_2^n, which is ``complete_split``'s rank test on the one initial basis.
     """
-    low = process.layout.dim_b - 1
-    masks = split.initial_part.masks + split.final_part.masks
-    return gf2.rank(gf2.bits_to_mask(m) & low for m in masks) == process.n
+    basis = tuple(gf2.bits_to_mask(m) for m in split.initial_part.masks)
+    return complete_split(process, split.final_part, [basis]) is not None
 
 
 def _observable(register: str, basis: tuple[int, ...], n: int) -> ParityObservable:
@@ -131,19 +130,18 @@ def complete_split(
     """Pair ``final_part`` with the first of ``initial_bases`` (int masks) that
     makes the combined selection injective; None if none does.
 
-    The test is ``selection_is_injective``'s rank, taken on the ints, so only
-    the basis that passes becomes an observable.  The final part is reduced
-    once: the combined rank is its rank plus that of a basis whose masks have
-    the final part's pivot bits cleared.
+    The selection is injective iff the n-bit masks of both parts span F_2^n.
+    This is the one rank test of the package, taken on the ints, so only the
+    basis that passes becomes an observable.  The final part is reduced
+    once: the combined rank is its rank plus that of a basis whose masks
+    have the final part's pivot bits cleared.
     """
     n = process.n
-    low = process.layout.dim_b - 1
-    rows = gf2.reduced_basis(gf2.bits_to_mask(m) & low for m in final_part.masks)
+    rows = gf2.reduced_basis(gf2.bits_to_mask(m) for m in final_part.masks)
     missing = n - len(rows)
     for basis in initial_bases:
         reduced = []
         for m in basis:
-            m &= low
             for row in rows:  # descending, so each row clears its own pivot bit
                 m = min(m, m ^ row)
             reduced.append(m)

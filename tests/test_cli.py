@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -210,6 +211,26 @@ def test_seeded_epr_is_deterministic(capsys):
     assert json.loads(first)["seed"] == 1
 
 
+MASK_ERROR = "error: split masks must be 2 characters of 0 and 1\n"
+
+
+@pytest.mark.parametrize("split, message", [
+    # a mask of another width, or not binary, gets the one mask message
+    ("A:[011]", MASK_ERROR),
+    ("A:[100]", MASK_ERROR),
+    ("B:[100]/A:[01]", MASK_ERROR),
+    ("B:[10]/A:[011]", MASK_ERROR),
+    ("A:[0x]", MASK_ERROR),
+    # another register, or one named twice, gets the one register message
+    ("C:[10]/A:[01]", "error: split 'C:[10]/A:[01]' must name register A and optionally B, once each\n"),
+    ("A:[10]/A:[01]", "error: split 'A:[10]/A:[01]' must name register A and optionally B, once each\n"),
+    ("A:[10]/a:[01]", "error: split 'A:[10]/a:[01]' must name register A and optionally B, once each\n"),
+])
+def test_split_text_is_checked_where_it_enters(split, message, capsys):
+    assert main(["ts-instance", "--n", "2", "--outcome", "01", "--split", split]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_parse_split_auto_complement():
     process = xor_process(2)
     split = parse_split(process, "A:[01]")
@@ -251,15 +272,36 @@ def test_load_problem_schema_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SchemaError):
         load_problem(bad)
-    incomplete = tmp_path / "incomplete.json"
-    incomplete.write_text(json.dumps({
+    # a missing answer row, entry or solution is refused by the spec, naming the setting
+    complete = {
         "settings": ["00", "01"],
-        "queries": ["00"],
-        "answer": {"00": {"00": "1"}},
+        "queries": ["00", "01"],
+        "answer": {"00": {"00": "1", "01": "0"}, "01": {"00": "0", "01": "1"}},
         "solution": {"00": "00", "01": "01"},
-    }))
-    with pytest.raises(SchemaError, match="01"):
-        load_problem(incomplete)
+    }
+    incomplete = tmp_path / "incomplete.json"
+    missing = "answer table missing entry for (setting, query) "
+    for change, message in (
+        ({"answer": {"00": complete["answer"]["00"]}}, missing + "('01', '00')"),
+        ({"answer": {**complete["answer"], "01": {"00": "0"}}}, missing + "('01', '01')"),
+        ({"solution": {"00": "00"}}, "solution missing for setting 01"),
+    ):
+        incomplete.write_text(json.dumps({**complete, **change}))
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_problem(incomplete)
+
+
+@pytest.mark.parametrize("kind", ["directory", "deeply nested"])
+def test_unreadable_problem_file_exits_2(kind, tmp_path, capsys):
+    # a path that cannot be read as a file, or JSON nested past the recursion
+    # limit of the decoder, is a schema error and not a traceback
+    path = tmp_path
+    if kind == "deeply nested":
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["complexity", "--problem", "file", "--problem-file", str(path), "--k", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 VALID_PROBLEM = json.loads((PROBLEMS / "grover-n2-reduced.json").read_text())

@@ -305,6 +305,11 @@ def test_project_equals_diagonal_product_bit_for_bit(shape, register, rng):
         for outcome in all_outcomes(obs):
             expected = s.amps * projector_diagonal(outcome, layout)
             assert bitwise_equal(project(outcome, s).amps, expected)
+        # the forced path, for every register value whose sector has mass
+        for value in setting_values(n):
+            expected = project(obs.outcome_for(value), s)
+            if not expected.is_zero():
+                assert bitwise_equal(project_forced(obs, value, s).amps, expected.amps)
 
 
 @pytest.mark.parametrize("register", ["B", "A"])
