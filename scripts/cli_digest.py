@@ -70,6 +70,10 @@ ERRORS = (
     ["grover-external", "--n", "2", "--outcome", "11", "--split", "B:[10]/A:[10]"],
     ["ts-instance", "--n", "2", "--outcome", "01"],
     ["ts-instance", "--n", "2", "--outcome", "01", "--final-rank", "3"],
+    ["grover-solver", "--n", "2", "--outcome", "01", "--split", ""],
+    ["grover-external", "--n", "2", "--outcome", "01", "--split", ""],
+    ["ts-instance", "--n", "2", "--outcome", "01", "--split", ""],
+    ["ts-instance", "--n", "2", "--outcome", "01", "--final-rank", "1", "--split", ""],
     ["search", "--n", "4", "--target", "00000"],
     ["search", "--n", "4"],
     ["search", "--n", "30", "--target", "0" * 30],

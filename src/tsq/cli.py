@@ -53,19 +53,26 @@ class Report:
         self.tables[label] = (lines, states or {})
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "tables": {
-                f"{label} / {name}": render.state_rows(state)
-                for label, (_, states) in self.tables.items()
-                for name, state in states.items()
-            },
-            "scalars": self.scalars,
+        """The bytes of ``json.dumps(payload, indent=2, sort_keys=True)``.  The
+        values whose keys sort before "tables" are dumped by the stdlib as one
+        object; the tables follow, each distinct state's amplitude rows written
+        once by ``render.state_rows``, and then the tool version."""
+        keyed = {
+            f"{label} / {name}": state
+            for label, (_, states) in self.tables.items()
+            for name, state in states.items()
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        # a state shown in two tables of the report is scanned once
+        distinct = {id(state): state for state in keyed.values()}
+        rows = {key: render.state_rows(state) for key, state in distinct.items()}
+        entries = ",\n".join(f"    {json.dumps(key)}: {rows[id(keyed[key])]}" for key in sorted(keyed))
+        tables = f"{{\n{entries}\n  }}" if entries else "{}"
+        head = json.dumps(
+            {"scalars": self.scalars, "scenario": self.scenario,
+             "schema_version": SCHEMA_VERSION, "seed": self.seed},
+            indent=2, sort_keys=True,
+        )[:-2]  # strip the closing "\n}"
+        return f'{head},\n  "tables": {tables},\n  "tool_version": {json.dumps(__version__)}\n}}'
 
     def to_text(self) -> str:
         chunks = []
@@ -154,7 +161,7 @@ def _run_grover_external(params: dict) -> Report:
         lambda: render.zigzag_table("B", "A", (initial, selected, output, None, None)),
         {"initial": initial, "t1 selected": selected, "t2 output": output},
     )
-    if params.get("split"):
+    if params.get("split") is not None:
         _add_instance(report, external_instance(process, b, parse_split(process, params["split"])))
     return report
 
@@ -171,7 +178,7 @@ def _run_grover_solver(params: dict) -> Report:
         lambda: render.zigzag_table("B", "A", (initial, None, correlated, selected, None)),
         {"initial": initial, "t2 correlated": correlated, "t2 selected": selected},
     )
-    if params.get("split"):
+    if params.get("split") is not None:
         inst = solver_instance(process, b, parse_split(process, params["split"]))
         _add_instance(report, inst)
         report.add_table(
@@ -190,7 +197,7 @@ def _run_ts_instance(params: dict) -> Report:
     report = Report(scenario={"kind": "ts-instance", **params}, seed=None)
     if params.get("final_rank") is not None:
         # the rank picks the canonical split and the solver's perspective itself
-        if params.get("split"):
+        if params.get("split") is not None:
             raise ValueError("--final-rank picks its own split; it cannot be combined with --split")
         if params.get("perspective") == "external":
             raise ValueError(
@@ -198,7 +205,7 @@ def _run_ts_instance(params: dict) -> Report:
             )
         inst = uneven_instance(process, b, params["final_rank"])
     else:
-        if not params.get("split"):
+        if params.get("split") is None:
             raise ValueError("ts-instance needs either --split or --final-rank")
         split = parse_split(process, params["split"])
         if params.get("perspective", "solver") == "external":

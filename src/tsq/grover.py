@@ -52,7 +52,7 @@ class SearchOracle:
         if self.n < 1:
             raise ValueError("need at least one bit")
         if len(self.target) != self.n or set(self.target) - {"0", "1"}:
-            raise ValueError(f"target {self.target!r} is not an {self.n}-bit string")
+            raise ValueError(f"target {self.target!r} must be {self.n} characters of 0 and 1")
         if self.dim > dim_cap():
             raise ValueError(f"search space 2^{self.n} exceeds the cap {dim_cap()}")
 

@@ -65,12 +65,19 @@ def format_state(s: StateVector) -> str:
     )
 
 
-def state_rows(s: StateVector) -> list[dict]:
-    """Lossless amplitude rows for JSON reports."""
-    return [
-        {"b": label.b_bits, "a": label.a_bits, "re": amp.real, "im": amp.imag}
+def state_rows(s: StateVector) -> str:
+    """Lossless amplitude rows for JSON reports, as finished JSON text at the
+    depth of a report table: the bytes ``json.dumps(..., indent=2,
+    sort_keys=True)`` writes for the list of {"a", "b", "im", "re"} rows.
+    Floats go through ``float.__repr__``, as ``json`` writes finite floats;
+    amplitudes are finite because ``StateVector`` refuses NaN and inf."""
+    num = float.__repr__
+    rows = ",\n      ".join(
+        f'{{\n        "a": "{label.a_bits}",\n        "b": "{label.b_bits}",\n'
+        f'        "im": {num(amp.imag)},\n        "re": {num(amp.real)}\n      }}'
         for label, amp in s.terms(RENDER_TOL)
-    ]
+    )
+    return f"[\n      {rows}\n    ]" if rows else "[]"
 
 
 def three_column(header: tuple[str, str, str], rows: list[tuple[str, str, str]]) -> list[str]:

@@ -11,12 +11,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tsq import complexity, gf2, render
+from tsq import __version__, cli, complexity, gf2, render
 from tsq.cli import SchemaError, load_problem, main, parse_split
 from tsq.complexity import decision_tree_complexity
+from tsq.qcore import RENDER_TOL, RegisterLayout, StateVector
 from tsq.tsym import enumerate_splits, xor_process
 from conftest import drawer_problem, setting_values
 
@@ -77,6 +79,103 @@ def test_report_renders_only_the_requested_format(argv, capsys, monkeypatch):
             patched.setattr(render, unused, _refuse_to_render)
             assert main([*argv, "--output", fmt]) == 0
         assert capsys.readouterr().out == want
+
+
+def reference_state_rows(s: StateVector) -> list[dict]:
+    """The amplitude rows of a JSON report as the stdlib encoder takes them."""
+    return [
+        {"b": label.b_bits, "a": label.a_bits, "re": amp.real, "im": amp.imag}
+        for label, amp in s.terms(RENDER_TOL)
+    ]
+
+
+def reference_json(report: cli.Report) -> str:
+    payload = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "tool_version": __version__,
+        "scenario": report.scenario,
+        "seed": report.seed,
+        "tables": {
+            f"{label} / {name}": reference_state_rows(state)
+            for label, (_, states) in report.tables.items()
+            for name, state in states.items()
+        },
+        "scalars": report.scalars,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def json_reports(monkeypatch, argv) -> tuple[str, list]:
+    """Standard output of ``main`` on ``argv`` in JSON, and the reports it wrote."""
+    reports, to_json = [], cli.Report.to_json
+    monkeypatch.setattr(cli.Report, "to_json", lambda self: reports.append(self) or to_json(self))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--output", "json"]) == 0
+    return out.getvalue(), reports
+
+
+N5_JSON_COMMANDS = [
+    [command, "--n", "5", "--outcome", "01101", *extra, "--unitary", unitary]
+    for unitary in ("xor", "grover-long")
+    for command, extra in (
+        ("ts-instance", ["--final-rank", "2"]),
+        ("grover-external", ["--split", "B:[10000,01000]/A:[00111,00011,00001]"]),
+    )
+]
+
+
+@pytest.mark.parametrize("argv", RENDER_ONCE_COMMANDS + N5_JSON_COMMANDS, ids=" ".join)
+def test_json_report_is_the_stdlib_encoding(argv, monkeypatch):
+    # the report writes its rows itself, byte for byte as the stdlib indent encoder
+    out, reports = json_reports(monkeypatch, argv)
+    assert out == reference_json(*reports) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["grover-solver", "--n", "2", "--outcome", "01", "--split", "A:[01]"],
+    ["epr", "--mode", "ts", "--outcome", "01"],
+])
+def test_json_report_writes_each_state_once(argv, monkeypatch):
+    scanned, state_rows = [], render.state_rows
+    monkeypatch.setattr(render, "state_rows", lambda s: scanned.append(s) or state_rows(s))
+    _, (report,) = json_reports(monkeypatch, argv)
+    shown = [s for _, states in report.tables.values() for s in states.values()]
+    assert sorted(map(id, scanned)) == sorted({id(s) for s in shown})
+
+
+# parts of amplitudes: signed zeros, plain values, and magnitudes whose repr
+# takes an exponent; rendered_states also puts amplitudes at the threshold
+PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-5, -1e-5, 3e17, -3e17]) | st.floats(
+    -1e6, 1e6, allow_nan=False
+)
+
+
+@st.composite
+def rendered_states(draw):
+    layout = RegisterLayout(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    amps = np.array(
+        [complex(draw(PARTS), draw(PARTS)) for _ in range(layout.dim)], dtype=np.complex128
+    )
+    if draw(st.booleans()):
+        # one amplitude just above or below RENDER_TOL * max(norm, 1), on a signed axis
+        i = draw(st.integers(0, layout.dim - 1))
+        amps[i] = 0
+        scale = max(float(np.linalg.norm(amps)), 1.0)
+        size = RENDER_TOL * scale * draw(st.sampled_from([1 - 1e-6, 1 + 1e-6]))
+        amps[i] = size * draw(st.sampled_from([1, -1, 1j, -1j]))
+    return StateVector(layout, amps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rendered_states())
+@example(StateVector(RegisterLayout(1, 1), np.zeros(4)))  # no kept terms
+@example(StateVector(RegisterLayout(1, 1), [1e-10, -1e-10j, 0, 0]))  # none above the threshold
+@example(StateVector(RegisterLayout(1, 2), [complex(-0.0, 1e-5), complex(3e17, -0.0), 0, 1, 0, 0, 0, 0]))
+def test_state_rows_are_the_stdlib_encoding(state):
+    table = '{\n  "tables": {\n    "t": ' + render.state_rows(state) + "\n  }\n}"
+    reference = {"tables": {"t": reference_state_rows(state)}}
+    assert table == json.dumps(reference, indent=2, sort_keys=True)
 
 
 def test_json_report_is_deterministic(capsys):
@@ -153,6 +252,7 @@ def test_final_rank_refuses_a_split_and_the_external_perspective(capsys):
         (["--split", "A:[01]"], "--split"),
         (["--split", "B:[10]/A:[01]", "--perspective", "solver"], "--split"),
         (["--perspective", "external"], "--perspective external"),
+        (["--split", ""], "--split"),
     ):
         assert main([*argv, *extra]) == 2
         assert f"cannot be combined with {conflict}\n" in capsys.readouterr().err
@@ -229,6 +329,13 @@ MASK_ERROR = "error: split masks must be 2 characters of 0 and 1\n"
 def test_split_text_is_checked_where_it_enters(split, message, capsys):
     assert main(["ts-instance", "--n", "2", "--outcome", "01", "--split", split]) == 2
     assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("command", ["grover-external", "grover-solver", "ts-instance"])
+def test_empty_split_is_refused(command, capsys):
+    # an explicit empty split was once taken as no split at all
+    assert main([command, "--n", "2", "--outcome", "01", "--split", ""]) == 2
+    assert capsys.readouterr() == ("", "error: bad split syntax ''\n")
 
 
 def test_parse_split_auto_complement():

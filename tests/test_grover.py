@@ -47,6 +47,8 @@ def test_oracle_validation():
         SearchOracle(2, "012")
     with pytest.raises(ValueError):
         SearchOracle(2, "0")
+    with pytest.raises(ValueError, match=r"^target '00000' must be 4 characters of 0 and 1$"):
+        SearchOracle(4, "00000")
 
 
 def test_one_iteration_solves_four_drawers():
