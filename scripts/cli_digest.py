@@ -8,10 +8,12 @@ standard output and of standard error.  It takes no arguments:
 
 The list covers every subcommand, both output formats, n = 2-4, both
 unitaries, ``ts-instance`` and ``grover-external`` in JSON at n = 5,
-``ts-instance`` in JSON at n = 7 and 8, every ``epr`` mode and path with
-several seeds, ``complexity`` on the drawer problem, on both bundled files
-and at every advice rank on a 16-setting random table under ``tests/data/``,
-and a few invalid argv.
+``ts-instance`` in JSON at n = 7 and 8, ``ts-instance`` and
+``grover-solver`` in JSON with an A-only split at n = 5-8, every ``epr``
+mode and path with several seeds, ``complexity`` on the drawer problem, on
+both bundled files and at every advice rank on a 16-setting random table
+under ``tests/data/`` (one k per call, and all of them in one call), and a
+few invalid argv.
 Problem-file paths are relative to the repository root, and the script runs
 from there, so the digests of two checkouts can be compared with ``diff``.
 An exception that escapes ``main`` is printed as ``raise:<type>``.
@@ -41,6 +43,13 @@ SPLITS = {
     4: ("A:[0011,0101]",),
 }
 SPLIT_N5 = "B:[10000,01000]/A:[00111,00011,00001]"
+# final parts named by bases that are not reduced, for the A-only completion
+A_ONLY_SPLITS = {
+    5: ("A:[00011,10001]", "A:[11000,01100,00110]"),
+    6: ("A:[000011,100001,010001]", "A:[110000,011000,001100]"),
+    7: ("A:[0000011,1000001]", "A:[1100000,0110000,0011000,0001100]"),
+    8: ("A:[00000011,10000001,01000001]", "A:[11000000,01100000,00110000,00011000]"),
+}
 ERRORS = (
     [],
     ["--version"],
@@ -121,8 +130,12 @@ def argvs() -> list[list[str]]:
         out += [["complexity", "--n", str(n), *k] for k in ks]
     for path in PROBLEM_FILES:
         out += [["complexity", "--problem", "file", "--problem-file", path, *k] for k in ks]
-    for k in ("0", "0.25", "0.5", "0.75", "1"):
+    five_ks = ("0", "0.25", "0.5", "0.75", "1")
+    for k in five_ks:
         out.append(["complexity", "--problem", "file", "--problem-file", RANDOM_TABLE, "--k", k])
+    # every k on one problem object
+    out.append(["complexity", "--problem", "file", "--problem-file", RANDOM_TABLE,
+                *(arg for k in five_ks for arg in ("--k", k))])
     for n in range(4, 9):
         for target in (values(n)[1], values(n)[-1]):
             for variant in ("long", "grover"):
@@ -136,6 +149,13 @@ def argvs() -> list[list[str]]:
             for rank in range(1, 5):
                 out.append(["ts-instance", *base, "--final-rank", str(rank), "--output", "json"])
             out.append(["grover-external", *base, "--split", SPLIT_N5, "--output", "json"])
+    # A-only splits at n = 5-8, completed from the final part: JSON only
+    for n, splits in A_ONLY_SPLITS.items():
+        for unitary in UNITARIES:
+            base = ["--n", str(n), "--outcome", values(n)[1], "--unitary", unitary]
+            for split in splits:
+                for command in ("ts-instance", "grover-solver"):
+                    out.append([command, *base, "--split", split, "--output", "json"])
     # the largest sizes under the default cap, n = 7 and 8: JSON only
     for n in (7, 8):
         for unitary in UNITARIES:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from . import __version__, gf2, render
+from . import __version__, render
 from .complexity import grover_problem, k_sweep, OracleProblemSpec
 from .epr import direct_trace, emulation_check, make_scenario, ts_trace
 from .grover import SearchOracle, grover_process, run_grover, run_long
@@ -25,6 +25,7 @@ from .tsym import (
     SelectionSplit,
     complete_split,
     external_instance,
+    selection_is_injective,
     solver_instance,
     uneven_instance,
     xor_process,
@@ -97,10 +98,13 @@ def _add_instance(report: Report, inst) -> None:
 
 
 def parse_split(process, text: str) -> SelectionSplit:
-    """Parse "B:[10]/A:[01]" or just "A:[01]" (initial part auto-completed).
+    """Parse "B:[10]/A:[01]" or just "A:[01]".
 
     The text names A and optionally B, once each, and every mask is n
-    characters of 0 and 1.  A given initial part is ``complete_split``'s one candidate.
+    characters of 0 and 1.  A missing initial part is the final part's first
+    complement in sorted basis order (``complete_split``), built from the
+    pivots of its reduced basis, however the masks name the subspace; a
+    given one must pass ``selection_is_injective``.
     """
     n = process.n
     parts = {}
@@ -122,12 +126,10 @@ def parse_split(process, text: str) -> SelectionSplit:
     if "A" not in parts:
         raise ValueError("split must name the final part, e.g. A:[01]")
     final_part = ParityObservable("A", parts["A"])
-    if "B" in parts:
-        initial_bases = [tuple(map(gf2.bits_to_mask, ParityObservable("B", parts["B"]).masks))]
-    else:
-        initial_bases = gf2.subspaces(n, n - final_part.rank)
-    split = complete_split(process, final_part, initial_bases)
-    if split is None:  # every final part has a complement, so the initial part was given
+    if "B" not in parts:
+        return complete_split(process, final_part)
+    split = SelectionSplit(ParityObservable("B", parts["B"]), final_part)
+    if not selection_is_injective(process, split):
         raise ValueError(f"split {text!r} is redundant (selection not injective)")
     return split
 

@@ -8,11 +8,11 @@ admissible rank-r parity bases of the worst-case per-class complexity is
 the predicted optimal quantum query count at retrocausality fraction k.
 
 The search runs on int bitmasks over the setting indices: each query is
-precomputed as its answer partition of the settings, and each candidate
-set's count is memoized by its mask for the length of one call.  A query is
-abandoned once one of its branches reaches the best count found so far, and
-an advice basis once the lower bound below, or else the count, of one of
-its classes reaches the best worst case.  A basis's classes are cut from the
+precomputed as its answer partition of the settings, once per problem, and
+each candidate set's count is memoized by its mask for the length of one
+call.  A query is abandoned once one of its branches reaches the best count
+found so far, and an advice basis once the lower bound below, or else the
+count, of one of its classes reaches the best worst case.  A basis's classes are cut from the
 settings by per-bit parity masks, so no table over the 2^n values is built.
 The tests keep the frozenset recursion and ``advice_classes`` as the slow
 references.
@@ -39,6 +39,7 @@ exact count, so every count is found from its first splitting query.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Optional
 
 from . import gf2
@@ -83,6 +84,12 @@ class OracleProblemSpec:
     @property
     def n(self) -> int:
         return len(self.settings[0])
+
+    @cached_property
+    def _table(self) -> "_ProblemTable":
+        """The search's fixed structure, built on first use and kept with
+        the problem; callers check the setting cap before they read it."""
+        return _ProblemTable(self)
 
 
 def _check_setting_cap(settings: int, cap: int) -> None:
@@ -129,17 +136,23 @@ def decision_tree_complexity(
     return tree.count(tree.mask(candidates))
 
 
-class _DecisionTree:
-    """The minimax on int bitmasks over the problem's setting indices.
+class _ProblemTable:
+    """What the search needs of a problem and never changes, as int masks
+    over its setting indices.
 
-    Built for one call and dropped with it.  Each query is stored as its
-    answer partition of all settings (queries that split nothing, and
-    repeats of a partition, are dropped), each setting with the mask of the
-    settings sharing its solution, and every count found in ``memo``.
+    Each query is stored as its answer partition of all settings (queries
+    that split nothing, and repeats of a partition, are dropped), each
+    setting with the mask of the settings sharing its solution, the
+    constants of ``bound``, ``bit_odd[j]``, the mask of the settings whose
+    value has bit j set, and whether the problem is ``confusable``.  None of
+    it depends on k, so a problem builds it once (``OracleProblemSpec._table``)
+    and nothing changes it; counts are kept per call by ``_DecisionTree``.
     """
 
     def __init__(self, problem: OracleProblemSpec):
         self.index = {b: i for i, b in enumerate(problem.settings)}
+        total = len(self.index)
+        self.full = (1 << total) - 1
         partitions = {}
         for q in problem.queries:
             parts: dict[str, int] = {}
@@ -153,35 +166,33 @@ class _DecisionTree:
         for b, i in self.index.items():
             s = problem.solution[b]
             by_solution[s] = by_solution.get(s, 0) | 1 << i
-        self.same_solution = [by_solution[problem.solution[b]] for b in problem.settings]
+        self.same_solution = tuple(by_solution[problem.solution[b]] for b in problem.settings)
         # The constants of ``bound``: a, the most answers of one query; e,
         # the most settings one query removes from its largest part; c, the
         # largest same-solution class.
         arity = max(map(len, self.partitions), default=2)
-        total = len(self.index)
         self.removed = max(
             (total - max(map(int.bit_count, parts)) for parts in self.partitions), default=1
         )
         self.largest_class = max(map(int.bit_count, self.same_solution))
         # depth[s]: the least t with arity^t >= s
-        self.depth = [0] * (total + 1)
+        depth = [0] * (total + 1)
         for s in range(2, total + 1):
-            self.depth[s] = self.depth[-(-s // arity)] + 1
-        self.memo: dict[int, int] = {}
-
-    def mask(self, settings) -> int:
-        return sum(1 << self.index[b] for b in settings)
+            depth[s] = depth[-(-s // arity)] + 1
+        self.depth = tuple(depth)
+        values = [int(b, 2) for b in problem.settings]
+        self.bit_odd = tuple(
+            sum(1 << i for i, v in enumerate(values) if v >> j & 1) for j in range(problem.n)
+        )
+        # confusable: two settings with different solutions answer every query alike
+        cells = [self.full]
+        for parts in self.partitions:
+            cells = [cell & part for cell in cells for part in parts if cell & part]
+        self.confusable = not all(map(self.solved, cells))
 
     def solved(self, members: int) -> bool:
         """Whether every setting in ``members`` has the same solution."""
         return not members & ~self.same_solution[(members & -members).bit_length() - 1]
-
-    def confusable(self) -> bool:
-        """Whether two settings with different solutions answer every query alike."""
-        cells = [(1 << len(self.index)) - 1]
-        for parts in self.partitions:
-            cells = [cell & part for cell in cells for part in parts if cell & part]
-        return not all(self.solved(cell) for cell in cells)
 
     def bound(self, members: int) -> int:
         """max(ceil(log_a ceil(|M| / c)), ceil((|M| - c) / e)), the two lower
@@ -190,6 +201,22 @@ class _DecisionTree:
         size = members.bit_count()
         solutions = -(-size // self.largest_class)
         return max(self.depth[solutions], -((self.largest_class - size) // self.removed))
+
+
+class _DecisionTree:
+    """The minimax on int bitmasks over the problem's setting indices.
+
+    Built for one call and dropped with it: it reads the problem's
+    ``_ProblemTable`` and keeps every count found in ``memo``, which no
+    other call sees.
+    """
+
+    def __init__(self, problem: OracleProblemSpec):
+        self.table = problem._table
+        self.memo: dict[int, int] = {}
+
+    def mask(self, settings) -> int:
+        return sum(1 << self.table.index[b] for b in settings)
 
     def count(self, members: int) -> int:
         """Exact query count of the candidate set ``members``.
@@ -209,12 +236,13 @@ class _DecisionTree:
         memo = self.memo
         if members in memo:
             return memo[members]
-        if self.solved(members):
+        table = self.table
+        if table.solved(members):
             memo[members] = 0
             return 0
         best = none_yet = members.bit_count()
-        floor = self.bound(members) - 1
-        for parts in self.partitions:
+        floor = table.bound(members) - 1
+        for parts in table.partitions:
             branches = [members & part for part in parts if members & part]
             if len(branches) == 1:
                 continue  # query does not split this set
@@ -222,7 +250,7 @@ class _DecisionTree:
             for branch in branches:
                 c = memo.get(branch)  # a hit costs no call
                 if c is None:  # a bound that reaches the best needs no count
-                    c = self.count(branch) if self.bound(branch) < best else best
+                    c = self.count(branch) if table.bound(branch) < best else best
                 if c > worst:
                     worst = c
                     if worst >= best:
@@ -287,25 +315,20 @@ def _advice_rank(problem: OracleProblemSpec, k: float) -> int:
 class _AdviceSplit:
     """The advice classes of a basis, as int masks over the setting indices.
 
-    ``bit_odd[j]`` is the mask of the settings whose value has bit j set, so
-    the settings of odd parity under a mask m are the XOR of ``bit_odd`` over
-    the set bits of m.  Built for one call and dropped with it; ``odd``
-    keeps each mask's odd settings for that call.
+    The settings of odd parity under a mask m are the XOR of the problem's
+    ``bit_odd`` over the set bits of m.  Built for one call and dropped with
+    it; ``odd`` keeps each mask's odd settings for that call.
     """
 
     def __init__(self, problem: OracleProblemSpec):
-        values = [int(b, 2) for b in problem.settings]
-        self.full = (1 << len(values)) - 1
-        self.bit_odd = [
-            sum(1 << i for i, v in enumerate(values) if v >> j & 1) for j in range(problem.n)
-        ]
+        self.table = problem._table
         self.odd: dict[int, int] = {}
 
     def odd_settings(self, m: int) -> int:
         odd = self.odd.get(m)
         if odd is None:
             odd = 0
-            for j, settings in enumerate(self.bit_odd):
+            for j, settings in enumerate(self.table.bit_odd):
                 if m >> j & 1:
                     odd ^= settings
             self.odd[m] = odd
@@ -319,7 +342,7 @@ class _AdviceSplit:
         its odd settings and empty cells are dropped, so there are never more
         cells than settings, whatever the rank.
         """
-        cells = [(0, self.full)]
+        cells = [(0, self.table.full)]
         for m in basis:
             odd = self.odd_settings(m)
             cells = [
@@ -344,24 +367,26 @@ def advanced_knowledge_prediction(
     that, whose count reaches the best worst case: no count is below its
     bound, so the bound drops exactly the bases the count would, before the
     class is searched.  A basis's classes come from per-bit parity masks
-    (``_AdviceSplit``), never from a table over all 2^n values.  One
-    decision-tree table and memo serve every basis.
+    (``_AdviceSplit``), never from a table over all 2^n values.  The
+    problem's ``_ProblemTable`` is built on its first call past the cap
+    check and read by every later one; one count memo, made for this call,
+    serves every basis.
     """
     r = _advice_rank(problem, k)
     _check_setting_cap(len(problem.settings), cap)
     n = problem.n
-    tree = _DecisionTree(problem)
+    table = problem._table
     # Below full rank some class of some basis holds any given pair of
     # settings, and a confusable pair has no count: raise whichever bases
     # the cut-off skips.
-    if r < n and tree.confusable():
+    if r < n and table.confusable:
         raise ValueError(NO_SPLIT)
-    split = _AdviceSplit(problem)
+    tree, split = _DecisionTree(problem), _AdviceSplit(problem)
     best: Optional[ComplexityReport] = None
     for basis in gf2.subspaces(n, r):
         per_class = []
         for code, members in split.cells(basis):
-            if best is not None and tree.bound(members) >= best.worst_case:
+            if best is not None and table.bound(members) >= best.worst_case:
                 break
             count = tree.count(members)
             if best is not None and count >= best.worst_case:

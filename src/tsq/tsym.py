@@ -7,10 +7,11 @@ into a blank A register, so the solution of setting b is b.
 Time-symmetrizing the process means sharing the selection of the outcome
 pair between the two measurements.  A selection
 split assigns a parity observable on B to the initial measurement and a
-complementary parity observable on A to the final one; for each split and
-each setting value there is one zigzag instance with a forward leg, the
-final partial projection, and a backward leg whose ends form the instance's
-bottom line.
+complementary parity observable on A to the final one; a final part alone
+is completed by the unit vectors off its pivots, its first complement in
+sorted basis order, with no search.  For each split and each setting value
+there is one zigzag instance with a forward leg, the final partial
+projection, and a backward leg whose ends form the instance's bottom line.
 
 Two perspectives are generated.  The external one also applies the initial
 partial projection, and its bottom line always collapses back to the sharp
@@ -114,59 +115,59 @@ def selection_is_injective(process: ProcessDescription, split: SelectionSplit) -
 
     The outcome pair of setting b is the parities of b under the masks of both
     parts, since the solution of b is b; they pin b down iff the masks span
-    F_2^n, which is ``complete_split``'s rank test on the one initial basis.
+    F_2^n.  This is the one rank test of the package: it serves a split whose
+    initial part is given, since a completed split is injective by
+    construction.
     """
-    basis = tuple(gf2.bits_to_mask(m) for m in split.initial_part.masks)
-    return complete_split(process, split.final_part, [basis]) is not None
+    masks = split.initial_part.masks + split.final_part.masks
+    return gf2.rank(gf2.bits_to_mask(m) for m in masks) == process.n
 
 
 def _observable(register: str, basis: tuple[int, ...], n: int) -> ParityObservable:
     return ParityObservable(register, tuple(gf2.mask_to_bits(m, n) for m in basis))
 
 
-def complete_split(
-    process: ProcessDescription, final_part: ParityObservable, initial_bases
-) -> Optional[SelectionSplit]:
-    """Pair ``final_part`` with the first of ``initial_bases`` (int masks) that
-    makes the combined selection injective; None if none does.
+def _first_complement(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """First complement, in sorted basis order, of the span of the echelon
+    ``rows``: the unit vectors at the bits that are no row's pivot, descending.
 
-    The selection is injective iff the n-bit masks of both parts span F_2^n.
-    This is the one rank test of the package, taken on the ints, so only the
-    basis that passes becomes an observable.  The final part is reduced
-    once: the combined rank is its rank plus that of a basis whose masks
-    have the final part's pivot bits cleared.
+    Let q_1 > ... > q_m be those bits.  Cut to the bits >= q_i, the rows
+    span n - q_i - i dimensions (their pivots there), so a complement's
+    reduced rows w_1 > ... > w_m supply i dimensions there: w_i has its
+    pivot at q_i or above, and w_i >= 2^{q_i}.  The unit vectors meet every
+    one of these bounds, and with the rows they span F_2^n.
     """
+    pivots = 0
+    for row in rows:
+        pivots |= 1 << (row.bit_length() - 1)
+    return tuple(1 << q for q in range(n - 1, -1, -1) if not pivots >> q & 1)
+
+
+def complete_split(process: ProcessDescription, final_part: ParityObservable) -> SelectionSplit:
+    """Pair ``final_part`` with its first complement in sorted basis order
+    (``_first_complement`` of its reduced basis), so the selection is
+    injective with no rank test."""
     n = process.n
     rows = gf2.reduced_basis(gf2.bits_to_mask(m) for m in final_part.masks)
-    missing = n - len(rows)
-    for basis in initial_bases:
-        reduced = []
-        for m in basis:
-            for row in rows:  # descending, so each row clears its own pivot bit
-                m = min(m, m ^ row)
-            reduced.append(m)
-        if gf2.rank(reduced) == missing:
-            return SelectionSplit(_observable("B", basis, n), final_part)
-    return None
+    return SelectionSplit(_observable("B", _first_complement(rows, n), n), final_part)
 
 
 def enumerate_splits(process: ProcessDescription, even_rank: int) -> list[SelectionSplit]:
     """All splits with initial-part rank ``even_rank``, canonically ordered.
 
-    One split per distinct final-part subspace: the final part determines the
-    instance structure, and each is paired with the first complementary
-    initial part (numeric mask order) that makes the combined selection
-    injective.  Final parts admitting no such complement are dropped.
+    One split per distinct final-part subspace, in sorted basis order: the
+    final part determines the instance structure, and each is paired with
+    its first complement in sorted basis order, which ``_first_complement``
+    builds from the pivots of the subspace's reduced basis.  Every subspace
+    has one, so there are [n choose n - even_rank]_2 splits.
     """
     n = process.n
     if not 0 <= even_rank <= n:
         raise ValueError(f"rank {even_rank} out of range for n={n}")
-    initial_bases = gf2.subspaces(n, even_rank)
-    splits = (
-        complete_split(process, _observable("A", final_basis, n), initial_bases)
-        for final_basis in gf2.subspaces(n, n - even_rank)
-    )
-    return [split for split in splits if split is not None]
+    return [
+        SelectionSplit(_observable("B", _first_complement(final, n), n), _observable("A", final, n))
+        for final in gf2.subspaces(n, n - even_rank)
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Decision-tree query complexity and the advance-knowledge predictions."""
 
+import copy
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -263,12 +265,12 @@ def test_bitmask_engine_matches_frozenset_recursion(problem, data):
 @given(small_problems(max_symbols=4))
 def test_bound_is_admissible(problem):
     # no solvable candidate set needs fewer queries than its bound
-    tree = _DecisionTree(problem)
+    table = problem._table
     for members in range(1, 1 << len(problem.settings)):
         subset = [b for i, b in enumerate(problem.settings) if members >> i & 1]
         exact = outcome(reference_complexity, problem, subset)
         if exact != NO_SPLIT:
-            assert tree.bound(members) <= exact
+            assert table.bound(members) <= exact
 
 
 def test_solver_branch_is_the_advice_class_of_its_count():
@@ -357,6 +359,39 @@ def test_k_sweep_shares_ranks_like_single_predictions(problem, eighths):
     ks = [e / 8 for e in eighths]
     singles = outcome(lambda: [advanced_knowledge_prediction(problem, k) for k in ks])
     assert outcome(k_sweep, problem, ks) == singles
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_problems(max_settings=8), st.permutations(range(5)))
+def test_problem_table_is_built_once_and_never_changed(problem, numerators):
+    # one problem object queried at k values in shuffled order
+    table = problem._table
+    snapshot = copy.deepcopy(vars(table))
+    for numerator in numerators:
+        k = min(numerator / problem.n, 1.0)
+        got = outcome(advanced_knowledge_prediction, problem, k)
+        assert got == outcome(exhaustive_prediction, problem, k)
+        fresh = OracleProblemSpec(*(getattr(problem, f.name) for f in fields(problem)))
+        assert got == outcome(advanced_knowledge_prediction, fresh, k)
+    assert problem._table is table
+    assert vars(table) == snapshot
+    # counts live in the memo of one tree, made per call
+    first, second = _DecisionTree(problem), _DecisionTree(problem)
+    counted = outcome(first.count, table.full)
+    assert first.table is second.table and first.memo is not second.memo
+    assert second.memo == {}
+    assert counted == NO_SPLIT or first.memo[table.full] == counted
+
+
+def test_capped_problem_builds_no_table():
+    problem = grover_problem(2)
+    with pytest.raises(SearchCapError):
+        advanced_knowledge_prediction(problem, 0.5, cap=1)
+    with pytest.raises(SearchCapError):
+        k_sweep(problem, [0, 1], cap=1)
+    assert "_table" not in vars(problem)
+    advanced_knowledge_prediction(problem, 0.5)
+    assert "_table" in vars(problem)
 
 
 def test_confusable_pair_raises_even_where_the_cut_off_skips_it():

@@ -1,10 +1,13 @@
 """Selection splits, zigzag instances, and superposition recovery."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tsq import gf2
+from tsq.cli import parse_split
 from tsq.grover import grover_process
 from tsq.measure import ParityObservable, project
 from tsq.qcore import (
@@ -37,7 +40,7 @@ from conftest import random_state, setting_values, state_from_terms
 
 P2 = xor_process(2)
 P3 = xor_process(3)
-XOR = {n: xor_process(n) for n in range(1, 6)}
+XOR = {n: xor_process(n) for n in range(1, 7)}
 B_L = ParityObservable("B", ("10",))
 A_R = ParityObservable("A", ("01",))
 
@@ -55,8 +58,9 @@ def reference_injective(process, split) -> bool:
 
 
 def reference_complete_split(process, final_part, initial_bases):
-    """Slow reference for complete_split: a full-rank check on the masks, then
-    the per-setting loop."""
+    """Slow reference for complete_split: the first of ``initial_bases`` that
+    passes a full-rank check on the masks and then the per-setting loop;
+    None if none does."""
     n = process.n
     final_ints = tuple(gf2.bits_to_mask(m) for m in final_part.masks)
     for basis in initial_bases:
@@ -114,23 +118,47 @@ def test_selection_injectivity_matches_reference(case):
 
 
 @st.composite
-def completions(draw):
-    """A final part of any rank and candidate initial bases of mixed ranks."""
-    n = draw(st.integers(1, 4))
-    final_part = draw(parity_part("A", n))
-    ranks = draw(st.lists(st.integers(0, n), max_size=3))
-    return n, final_part, [basis for r in ranks for basis in gf2.subspaces(n, r)]
+def final_parts(draw) -> tuple[int, ParityObservable]:
+    n = draw(st.integers(1, 6))
+    return n, draw(parity_part("A", n))
 
 
-@given(completions())
+@given(final_parts())
 def test_complete_split_takes_the_first_injective_basis(case):
-    n, final_part, initial_bases = case
-    want = reference_complete_split(XOR[n], final_part, initial_bases)
-    assert complete_split(XOR[n], final_part, initial_bases) == want
+    # the drawn masks are any basis of the final subspace, mostly not reduced
+    n, final_part = case
+    want = reference_complete_split(XOR[n], final_part, gf2.subspaces(n, n - final_part.rank))
+    assert complete_split(XOR[n], final_part) == want
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def fold(masks: list[int]) -> list[int]:
+    """Each mask XOR-ed with all masks before it: the same span, another basis."""
+    out: list[int] = []
+    for m in masks:
+        out.append(m ^ out[-1] if out else m)
+    return out
+
+
+@given(final_parts(), st.sampled_from(["drawn", "reversed", "folded", "reduced"]))
+def test_parse_split_completes_every_basis_of_a_subspace_alike(case, form):
+    n, drawn = case
+    masks = [gf2.bits_to_mask(m) for m in drawn.masks]
+    masks = {
+        "drawn": masks,
+        "reversed": masks[::-1],
+        "folded": fold(masks),
+        "reduced": list(gf2.reduced_basis(masks)),
+    }[form]
+    final_part = ParityObservable("A", tuple(gf2.mask_to_bits(m, n) for m in masks))
+    split = parse_split(XOR[n], f"A:[{','.join(final_part.masks)}]")
+    want = reference_complete_split(XOR[n], final_part, gf2.subspaces(n, n - final_part.rank))
+    assert split == want
+    assert split.initial_part == complete_split(XOR[n], drawn).initial_part
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_enumerate_splits_matches_rank_then_loop(n):
+    # every final subspace of every rank against the scan over sorted bases
     process = XOR[n]
     for r in range(n + 1):
         initial_bases = gf2.subspaces(n, r)
@@ -142,7 +170,31 @@ def test_enumerate_splits_matches_rank_then_loop(n):
             )
             for final in gf2.subspaces(n, n - r)
         ]
-        assert enumerate_splits(process, r) == [split for split in want if split is not None]
+        assert enumerate_splits(process, r) == want
+
+
+def gaussian_binomial(n: int, k: int) -> int:
+    """[n choose k]_2, the number of k-dimensional subspaces of F_2^n."""
+    count = 1
+    for i in range(k):
+        count = count * ((1 << (n - i)) - 1) // ((1 << (i + 1)) - 1)
+    return count
+
+
+def test_enumerate_splits_n7_pairs_each_final_part_with_the_units_off_its_pivots():
+    # a scaling guard with no timing assert: a scan over the candidate bases
+    # takes seconds at this size, the pivot construction a fraction of one
+    n, r = 7, 3
+    process = xor_process(n)
+    splits = enumerate_splits(process, r)
+    assert len(splits) == gaussian_binomial(n, n - r) == 11811
+    units = [gf2.mask_to_bits(1 << (n - 1 - i), n) for i in range(n)]  # leftmost bit first
+    for split in splits:
+        pivots = {m.index("1") for m in split.final_part.masks}
+        assert split.initial_part.masks == tuple(u for i, u in enumerate(units) if i not in pivots)
+    initial_bases = gf2.subspaces(n, r)
+    for split in random.Random(7).sample(splits, 200):
+        assert reference_complete_split(process, split.final_part, initial_bases) == split
 
 
 def test_enumerate_splits_n2_rank1():
