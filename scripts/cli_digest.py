@@ -71,6 +71,11 @@ ERRORS = (
     ["grover-solver", "--n", "2", "--outcome", "01", "--split", "A:[0x]"],
     ["ts-instance", "--n", "2", "--outcome", "01", "--split", "C:[10]/A:[01]"],
     ["ts-instance", "--n", "2", "--outcome", "01", "--split", "A:[10]/A:[01]"],
+    # zero and dependent masks: the final part is checked first, then the initial one
+    *(
+        ["ts-instance", "--n", "2", "--outcome", "01", "--split", split]
+        for split in ("B:[00]", "B:[00]/A:[01,10,11]", "A:[01,01]", "B:[01,01]/A:[]", "A:[11]/B:[00]", "A:[00,01]")
+    ),
     ["grover-solver", "--n", "0", "--outcome", "0"],
     ["grover-solver", "--n", "2", "--outcome", "012"],
     ["grover-external", "--n", "2", "--outcome", "1"],

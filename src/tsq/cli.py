@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from . import __version__, render
+from . import __version__, gf2, render
 from .complexity import grover_problem, k_sweep, OracleProblemSpec
 from .epr import direct_trace, emulation_check, make_scenario, ts_trace
 from .grover import SearchOracle, grover_process, run_grover, run_long
@@ -101,10 +101,13 @@ def parse_split(process, text: str) -> SelectionSplit:
     """Parse "B:[10]/A:[01]" or just "A:[01]".
 
     The text names A and optionally B, once each, and every mask is n
-    characters of 0 and 1.  A missing initial part is the final part's first
-    complement in sorted basis order (``complete_split``), built from the
-    pivots of its reduced basis, however the masks name the subspace; a
-    given one must pass ``selection_is_injective``.
+    characters of 0 and 1.  Each part's masks are nonzero and
+    GF(2)-independent, checked here for the final part first and then for
+    the initial one; ``ParityObservable`` does not check them again.  A
+    missing initial part is the final part's first complement in sorted
+    basis order (``complete_split``), built from the pivots of its reduced
+    basis, however the masks name the subspace; a given one must pass
+    ``selection_is_injective``.
     """
     n = process.n
     parts = {}
@@ -125,6 +128,12 @@ def parse_split(process, text: str) -> SelectionSplit:
         parts[reg] = mask_list
     if "A" not in parts:
         raise ValueError("split must name the final part, e.g. A:[01]")
+    for reg in ("A", "B"):  # the final part is checked first
+        ints = [int(m, 2) for m in parts.get(reg, ())]
+        if 0 in ints:
+            raise ValueError("parity masks must be nonzero")
+        if not gf2.is_independent(ints):
+            raise ValueError("parity masks must be GF(2)-linearly independent")
     final_part = ParityObservable("A", parts["A"])
     if "B" not in parts:
         return complete_split(process, final_part)

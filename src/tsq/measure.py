@@ -20,14 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import gf2
-from .qcore import (
-    RESIDUAL_TOL,
-    STATE_TOL,
-    InvariantError,
-    RegisterLayout,
-    StateVector,
-    apply,
-)
+from .qcore import STATE_TOL, InvariantError, RegisterLayout, StateVector, _bit_strings
 
 
 class ImpossibleOutcomeError(ValueError):
@@ -36,7 +29,14 @@ class ImpossibleOutcomeError(ValueError):
 
 @dataclass(frozen=True)
 class ParityObservable:
-    """Parity masks (bitstrings) over one register; rank 0 = trivial observable."""
+    """Parity masks over one register, as n-bit strings (leftmost character
+    the most significant bit); rank 0 = trivial observable.
+
+    Only the register is checked here.  The masks must be nonzero, of one
+    width and GF(2)-independent: ``cli.parse_split`` checks this for split
+    text, and the package's own builders (``full_observable`` and the splits
+    of ``tsym``) hold it by construction.
+    """
 
     register: str
     masks: tuple[str, ...]
@@ -44,14 +44,6 @@ class ParityObservable:
     def __post_init__(self):
         if self.register not in ("B", "A"):
             raise ValueError("register must be 'B' or 'A'")
-        object.__setattr__(self, "masks", tuple(self.masks))
-        ints = [gf2.bits_to_mask(m) for m in self.masks]
-        if any(v == 0 for v in ints):
-            raise ValueError("parity masks must be nonzero")
-        if len({len(m) for m in self.masks}) > 1:
-            raise ValueError("parity masks must all have the same length")
-        if not gf2.is_independent(ints):
-            raise ValueError("parity masks must be GF(2)-linearly independent")
 
     @property
     def rank(self) -> int:
@@ -62,39 +54,47 @@ class ParityObservable:
         return len(self.masks[0]) if self.masks else 0
 
     @cached_property
+    def int_masks(self) -> tuple[int, ...]:
+        """The masks as ints, read once."""
+        return tuple(int(m, 2) for m in self.masks)
+
+    @cached_property
     def codes(self) -> np.ndarray:
         """Read-only sector code of every value of n_bits bits (see gf2.parity_codes)."""
-        codes = gf2.parity_codes([gf2.bits_to_mask(m) for m in self.masks], self.n_bits)
+        codes = gf2.parity_codes(self.int_masks, self.n_bits)
         codes.setflags(write=False)
         return codes
 
     def outcome_bits(self, register_bits: str) -> tuple[int, ...]:
         value = int(register_bits, 2)
-        return tuple(gf2.parity(gf2.bits_to_mask(m), value) for m in self.masks)
+        return tuple(gf2.parity(m, value) for m in self.int_masks)
 
     def outcome_for(self, register_bits: str) -> "ParityOutcome":
         return ParityOutcome(self, self.outcome_bits(register_bits))
 
     def name(self) -> str:
         """Short display name: B, B_l, B_r, or B[masks] in the general case."""
+        n, ints = self.n_bits, self.int_masks
         if self.rank == 0:
             return f"{self.register}(trivial)"
-        if self.rank == self.n_bits and self.masks == _full_masks(self.n_bits):
+        if ints == _unit_masks(n):
             return self.register
-        if self.n_bits == 2 and self.masks == ("10",):
+        if n == 2 and ints == (0b10,):
             return f"{self.register}_l"
-        if self.n_bits == 2 and self.masks == ("01",):
+        if n == 2 and ints == (0b01,):
             return f"{self.register}_r"
         return f"{self.register}[{','.join(self.masks)}]"
 
 
-def _full_masks(n: int) -> tuple[str, ...]:
-    return tuple(gf2.mask_to_bits(1 << (n - 1 - i), n) for i in range(n))
+def _unit_masks(n: int) -> tuple[int, ...]:
+    """The n unit vectors, leftmost bit first."""
+    return tuple(1 << (n - 1 - i) for i in range(n))
 
 
 def full_observable(layout: RegisterLayout, register: str) -> ParityObservable:
     """Rank-n observable whose outcome bits spell the register content."""
-    return ParityObservable(register, _full_masks(layout.bits(register)))
+    n = layout.bits(register)
+    return ParityObservable(register, tuple(_bit_strings(n)[m] for m in _unit_masks(n)))
 
 
 def trivial_observable(register: str) -> ParityObservable:
@@ -104,14 +104,7 @@ def trivial_observable(register: str) -> ParityObservable:
 @dataclass(frozen=True)
 class ParityOutcome:
     observable: ParityObservable
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if len(self.bits) != self.observable.rank:
-            raise ValueError("one outcome bit per mask required")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("outcome bits must be 0 or 1")
+    bits: tuple[int, ...]  # one 0 or 1 per mask, in mask order
 
     @property
     def code(self) -> int:
@@ -228,29 +221,3 @@ def measure(
         code = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
         outcome = ParityOutcome(obs, tuple((code >> k) & 1 for k in reversed(range(obs.rank))))
     return MeasurementRecord(time_tag, outcome, s, project(outcome, s))
-
-
-@dataclass(frozen=True)
-class PostponementReport:
-    max_deviation: float
-    project_first: StateVector
-    project_last: StateVector
-
-
-def postpone_projection(process, record: MeasurementRecord) -> PostponementReport:
-    """Verify that the projection of ``record`` can be deferred past the unitary.
-
-    Checks U P psi = P U psi, where P is the record's parity projector; this
-    is what makes hiding the initial outcome from the solver legitimate.
-    """
-    psi0 = record.pre_state
-    first = apply(process.u12, project(record.outcome, psi0))
-    last = project(record.outcome, apply(process.u12, psi0))
-    dev = float(np.max(np.abs(first.amps - last.amps)))
-    tol = RESIDUAL_TOL * max(psi0.norm(), 1.0)
-    if dev > tol:
-        raise InvariantError(
-            f"postponement not valid for this unitary"
-            f" (deviation {dev:.3e} > RESIDUAL_TOL * max(|psi|, 1) = {tol:.3e})"
-        )
-    return PostponementReport(dev, first, last)

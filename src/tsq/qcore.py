@@ -41,10 +41,10 @@ import numpy as np
 # Tolerance policy: every numerical threshold of the package, with its reason.
 # Relative thresholds are scaled by max(norm, 1) (or by the total mass) where
 # they are used.
-OP_TOL = 1e-10           # operator checks (unitarity, hermiticity, PSD): a product
+OP_TOL = 1e-10           # operator checks (unitarity): a product
                          # with a k x k matrix (k <= d) accumulates k rounding errors
 STATE_TOL = 1e-12        # state equality and the zero state: a few ulps per amplitude
-RESIDUAL_TOL = 1e-10     # recovery and postponement residuals: a few applications
+RESIDUAL_TOL = 1e-10     # recovery residuals: a few applications
                          # of a unitary, so an operator-level error budget
 RENDER_TOL = 1e-9        # printing: amplitudes below it are dropped and coefficients
                          # within it of an integer print as that integer
@@ -118,7 +118,8 @@ class BasisLabel(NamedTuple):
 @functools.cache
 def _bit_strings(width: int) -> tuple[str, ...]:
     """Every value of a ``width``-bit register as its bit string, indexed by
-    value.  Widths are bounded by the dimension cap, so the tables are few."""
+    value: the labels of rendered states and the text of parity masks.
+    Widths are bounded by the dimension cap, so the tables are few."""
     return tuple(format(v, f"0{width}b") for v in range(1 << width))
 
 
@@ -325,54 +326,3 @@ def apply_adjoint(u: UnitaryOp | CopyUnitary, s: StateVector) -> StateVector:
 
 def identity_unitary(layout: RegisterLayout) -> UnitaryOp:
     return UnitaryOp(layout, np.eye(layout.dim))
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Reduced density matrix of one register (unnormalized, like the states)."""
-
-    register: str
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.register not in ("B", "A"):
-            raise ValueError("register must be 'B' or 'A'")
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        scale = max(float(np.max(np.abs(m))), 1.0)
-        tol = OP_TOL * scale
-        dev = np.max(np.abs(m - m.conj().T))
-        if not dev <= tol:
-            raise InvariantError(
-                f"density matrix is not Hermitian: max |rho - rho+| = {dev:.3e}"
-                f" > OP_TOL * max(max |rho|, 1) = {tol:.3e}"
-            )
-        low = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
-        if not low >= -tol:
-            raise InvariantError(
-                f"density matrix is not positive semidefinite: least eigenvalue {low:.3e}"
-                f" < -OP_TOL * max(max |rho|, 1) = {-tol:.3e}"
-            )
-        trace = np.trace(m).real
-        if not trace > 0:
-            raise InvariantError(f"density matrix has non-positive trace: {trace:.3e} <= 0")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def purity(self) -> float:
-        tr = self.matrix.trace().real
-        return float(np.trace(self.matrix @ self.matrix).real / tr**2)
-
-
-def reduced_density(s: StateVector, register: str) -> DensityOperator:
-    """Partial trace of |s><s| over the other register."""
-    psi = s.amps.reshape(s.layout.dim_b, s.layout.dim_a)
-    if register == "B":
-        rho = np.einsum("ij,kj->ik", psi, psi.conj())
-    elif register == "A":
-        rho = np.einsum("ji,jk->ik", psi, psi.conj())
-    else:
-        raise ValueError("register must be 'B' or 'A'")
-    return DensityOperator(register, rho)

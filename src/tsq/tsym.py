@@ -38,6 +38,7 @@ from .qcore import (
     InvariantError,
     RegisterLayout,
     StateVector,
+    _bit_strings,
     apply,
     apply_adjoint,
     proportionality,
@@ -119,12 +120,14 @@ def selection_is_injective(process: ProcessDescription, split: SelectionSplit) -
     initial part is given, since a completed split is injective by
     construction.
     """
-    masks = split.initial_part.masks + split.final_part.masks
-    return gf2.rank(gf2.bits_to_mask(m) for m in masks) == process.n
+    return gf2.rank(split.initial_part.int_masks + split.final_part.int_masks) == process.n
 
 
 def _observable(register: str, basis: tuple[int, ...], n: int) -> ParityObservable:
-    return ParityObservable(register, tuple(gf2.mask_to_bits(m, n) for m in basis))
+    """The observable of an independent ``basis``, its mask text read from the
+    per-width string table that state rendering shares."""
+    strings = _bit_strings(n)
+    return ParityObservable(register, tuple(strings[m] for m in basis))
 
 
 def _first_complement(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -148,7 +151,7 @@ def complete_split(process: ProcessDescription, final_part: ParityObservable) ->
     (``_first_complement`` of its reduced basis), so the selection is
     injective with no rank test."""
     n = process.n
-    rows = gf2.reduced_basis(gf2.bits_to_mask(m) for m in final_part.masks)
+    rows = gf2.reduced_basis(final_part.int_masks)
     return SelectionSplit(_observable("B", _first_complement(rows, n), n), final_part)
 
 

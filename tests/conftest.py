@@ -1,3 +1,5 @@
+from typing import Optional
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -34,12 +36,35 @@ def random_state(layout: RegisterLayout, rng) -> StateVector:
     return StateVector(layout, amps)
 
 
+def reduced_density(s: StateVector, register: str) -> np.ndarray:
+    """Partial trace of |s><s| over the other register (unnormalized, like the states)."""
+    psi = s.amps.reshape(s.layout.dim_b, s.layout.dim_a)
+    if register == "B":
+        return np.einsum("ij,kj->ik", psi, psi.conj())
+    return np.einsum("ji,jk->ik", psi, psi.conj())
+
+
 def random_independent_masks(rng, n: int, r: int) -> list[int]:
     """r GF(2)-independent nonzero n-bit masks, drawn at random (in random order)."""
     while True:
         masks = [int(m) for m in rng.integers(1, 1 << n, size=r)]
         if gf2.is_independent(masks):
             return masks
+
+
+def observable_refusal(masks) -> Optional[str]:
+    """The message with which a parity observable of ``masks`` (bit strings)
+    is refused, or None: the constructor checks that ``cli.parse_split`` now
+    makes for split text and the package's builders hold by construction,
+    replayed in their old order."""
+    ints = [int(m, 2) for m in masks]
+    if 0 in ints:
+        return "parity masks must be nonzero"
+    if len({len(m) for m in masks}) > 1:
+        return "parity masks must all have the same length"
+    if len(gf2.span(ints)) != 1 << len(ints):
+        return "parity masks must be GF(2)-linearly independent"
+    return None
 
 
 def bitwise_equal(x: np.ndarray, y: np.ndarray) -> bool:

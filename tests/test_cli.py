@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from tsq.cli import SchemaError, load_problem, main, parse_split
 from tsq.complexity import decision_tree_complexity
 from tsq.qcore import RENDER_TOL, RegisterLayout, StateVector
 from tsq.tsym import enumerate_splits, xor_process
-from conftest import drawer_problem, setting_values
+from conftest import drawer_problem, observable_refusal, setting_values
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
 PROBLEMS = SRC / "tsq" / "problems"
+XOR_PROCESSES = {n: xor_process(n) for n in range(1, 5)}
 
 GOLDEN_COMMANDS = {
     "grover-external-n2-01.txt": ["grover-external", "--n", "2", "--outcome", "01"],
@@ -346,6 +348,55 @@ def test_parse_split_auto_complement():
     assert split2.initial_part.masks == ("11",)
     with pytest.raises(ValueError):
         parse_split(process, "B:[10]")  # final part is mandatory
+
+
+@st.composite
+def mask_splits(draw) -> tuple[int, dict, str]:
+    """Split text at n <= 4 whose parts may hold zero, repeated and dependent
+    masks, in either text order; the final part may be missing."""
+    n = draw(st.integers(1, 4))
+    mask_lists = st.lists(st.integers(0, (1 << n) - 1), max_size=n + 1)
+    named = draw(st.sampled_from(["A", "B", "AB"]))
+    parts = {reg: [format(m, f"0{n}b") for m in draw(mask_lists)] for reg in named}
+    chunks = [f"{reg}:[{','.join(masks)}]" for reg, masks in parts.items()]
+    if draw(st.booleans()):
+        chunks.reverse()
+    return n, parts, "/".join(chunks)
+
+
+def reference_split_refusal(n: int, parts: dict, text: str) -> Optional[str]:
+    """The checks of a split's parts as the checked observable constructor
+    made them, the final part first, and then the injectivity of a given
+    initial part; None for a split that parses."""
+    if "A" not in parts:
+        return "split must name the final part, e.g. A:[01]"
+    for reg in ("A", "B"):
+        message = observable_refusal(parts.get(reg, ()))
+        if message:
+            return message
+    masks = parts.get("B", []) + parts["A"]
+    if "B" in parts and len(gf2.span(int(m, 2) for m in masks)) != 1 << n:
+        return f"split {text!r} is redundant (selection not injective)"
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(mask_splits())
+@example((2, {"B": ["00"]}, "B:[00]"))
+@example((2, {"A": ["01", "10", "11"], "B": ["00"]}, "B:[00]/A:[01,10,11]"))
+@example((2, {"A": ["11"], "B": ["00"]}, "A:[11]/B:[00]"))
+@example((2, {"A": [], "B": ["01", "01"]}, "B:[01,01]/A:[]"))
+def test_parse_split_refuses_like_the_checked_constructor(case):
+    n, parts, text = case
+    message = reference_split_refusal(n, parts, text)
+    if message is None:
+        split = parse_split(XOR_PROCESSES[n], text)
+        assert split.final_part.masks == tuple(parts["A"])
+        assert "B" not in parts or split.initial_part.masks == tuple(parts["B"])
+        return
+    with pytest.raises(ValueError) as err:
+        parse_split(XOR_PROCESSES[n], text)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

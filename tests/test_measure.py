@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from tsq import gf2
+from tsq.grover import grover_process
 from tsq.measure import (
     ImpossibleOutcomeError,
     ParityObservable,
     ParityOutcome,
     full_observable,
     measure,
-    postpone_projection,
     project,
     project_forced,
     projector_diagonal,
@@ -24,10 +24,11 @@ from tsq.qcore import (
     InvariantError,
     RegisterLayout,
     StateVector,
+    UnitaryOp,
     apply,
     basis_state,
+    identity_unitary,
     max_abs_diff,
-    reduced_density,
     states_close,
     uniform_setting_state,
 )
@@ -36,6 +37,7 @@ from conftest import (
     bitwise_equal,
     random_independent_masks,
     random_state,
+    reduced_density,
     setting_values,
     state_from_terms,
 )
@@ -51,10 +53,7 @@ def all_outcomes(obs):
 
 
 def test_observable_validation():
-    with pytest.raises(ValueError):
-        ParityObservable("B", ("00",))  # zero mask
-    with pytest.raises(ValueError):
-        ParityObservable("B", ("01", "10", "11"))  # dependent
+    # zero and dependent masks are refused by cli.parse_split (test_cli)
     with pytest.raises(ValueError):
         ParityObservable("C", ("01",))
     assert full_observable(L2, "B").masks == ("10", "01")
@@ -338,24 +337,41 @@ def test_projector_and_masses_match_index_oracle(shape, register, rng):
             assert masses[outcome.bits] == pytest.approx(manual, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_postponement_exhaustive(n):
-    process = xor_process(n)
-    obs = full_observable(process.layout, "B")
-    for b in setting_values(n):
-        rec = measure(process.initial_state, obs, forced=obs.outcome_bits(b))
-        report = postpone_projection(process, rec)
-        assert report.max_deviation <= 1e-12
+# Postponement: a B-parity projector P commutes with the solving unitary U,
+# so the initial outcome can be hidden from the solver.  Every copying
+# unitary is block-diagonal in B and P is diagonal in B, so the two orders
+# give the same floating-point numbers, not merely close ones.
+
+def postponement_deviation(u, outcome, psi: StateVector) -> float:
+    """max |U P psi - P U psi| for the projector P of ``outcome``."""
+    first = apply(u, project(outcome, psi))
+    last = project(outcome, apply(u, psi))
+    return float(np.max(np.abs(first.amps - last.amps)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_postponement_exhaustive(n, rng):
+    for process in (xor_process(n), grover_process(n)):
+        for psi in (process.initial_state, random_state(process.layout, rng)):
+            for r in range(n + 1):
+                masks = random_independent_masks(rng, n, r)
+                obs = ParityObservable("B", tuple(gf2.mask_to_bits(m, n) for m in masks))
+                for outcome in all_outcomes(obs):
+                    assert postponement_deviation(process.u12, outcome, psi) == 0.0
 
 
 def test_postponement_identity_unitary():
-    # postpone_projection only needs the unitary
-    from types import SimpleNamespace
-    from tsq.qcore import identity_unitary
-
-    process = SimpleNamespace(u12=identity_unitary(L2))
     rec = measure(INITIAL, full_observable(L2, "B"), forced=(0, 1))
-    assert postpone_projection(process, rec).max_deviation == 0
+    assert postponement_deviation(identity_unitary(L2), rec.outcome, rec.pre_state) == 0
+
+
+def test_postponement_fails_for_a_unitary_that_mixes_b_sectors():
+    # the deviation is no constant zero: a Hadamard on B mixes the sectors
+    # of the full B observable
+    layout = RegisterLayout(1, 1)
+    hadamard_b = UnitaryOp(layout, np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2)))
+    rec = measure(uniform_setting_state(layout), full_observable(layout, "B"), forced=(0,))
+    assert postponement_deviation(hadamard_b, rec.outcome, rec.pre_state) == pytest.approx(1 / np.sqrt(2))
 
 
 def test_final_projection_equivalent_on_either_register():
@@ -374,13 +390,11 @@ def test_unitary_leaves_hidden_outcome_density_unaltered():
     process = xor_process(2)
     obs = full_observable(L2, "B")
     rho_in = sum(
-        reduced_density(project(obs.outcome_for(b), process.initial_state), "B").matrix
+        reduced_density(project(obs.outcome_for(b), process.initial_state), "B")
         for b in setting_values(2)
     )
     rho_out = sum(
-        reduced_density(
-            apply(process.u12, project(obs.outcome_for(b), process.initial_state)), "B"
-        ).matrix
+        reduced_density(apply(process.u12, project(obs.outcome_for(b), process.initial_state)), "B")
         for b in setting_values(2)
     )
     assert np.max(np.abs(rho_in - rho_out)) <= 1e-12

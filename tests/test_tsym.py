@@ -36,7 +36,7 @@ from tsq.tsym import (
     uneven_instance,
     xor_process,
 )
-from conftest import random_state, setting_values, state_from_terms
+from conftest import observable_refusal, random_state, setting_values, state_from_terms
 
 P2 = xor_process(2)
 P3 = xor_process(3)
@@ -170,7 +170,16 @@ def test_enumerate_splits_matches_rank_then_loop(n):
             )
             for final in gf2.subspaces(n, n - r)
         ]
-        assert enumerate_splits(process, r) == want
+        splits = enumerate_splits(process, r)
+        assert splits == want
+        # the observables are built unchecked: each part passes the checks of
+        # split text, and the two parts span F_2^n; so do uneven_instance's
+        for split in splits + [uneven_instance(process, "0" * n, n - r).split]:
+            for part in (split.initial_part, split.final_part):
+                assert observable_refusal(part.masks) is None
+                assert all(len(m) == n for m in part.masks)
+                assert part.int_masks == tuple(int(m, 2) for m in part.masks)
+            assert len(gf2.span(split.initial_part.int_masks + split.final_part.int_masks)) == 1 << n
 
 
 def gaussian_binomial(n: int, k: int) -> int:
