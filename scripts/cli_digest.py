@@ -10,8 +10,9 @@ The list covers every subcommand, both output formats, n = 2-4, both
 unitaries, ``ts-instance`` and ``grover-external`` in JSON at n = 5,
 ``ts-instance`` in JSON at n = 7 and 8, ``ts-instance`` and
 ``grover-solver`` in JSON with an A-only split at n = 5-8, every ``epr``
-mode and path with several seeds, ``complexity`` on the drawer problem, on
-both bundled files and at every advice rank on a 16-setting random table
+mode and path with several seeds, ``complexity`` on the drawer problem
+(at every advice rank for n = 3 and 4, in one call each), on both bundled
+files and at every advice rank on a 16-setting random table
 under ``tests/data/`` (one k per call, and all of them in one call), and a
 few invalid argv.
 Problem-file paths are relative to the repository root, and the script runs
@@ -133,6 +134,9 @@ def argvs() -> list[list[str]]:
     ks = (["--k", "0", "--k", "0.5", "--k", "1"], ["--k", "0.25"], ["--k", "1", "--k", "0"])
     for n in (2, 3, 4):
         out += [["complexity", "--n", str(n), *k] for k in ks]
+    # every advice rank of the drawer at n = 3 and 4: the nine k values in eighths
+    eighths = [arg for e in range(9) for arg in ("--k", str(e / 8))]
+    out += [["complexity", "--n", str(n), *eighths] for n in (3, 4)]
     for path in PROBLEM_FILES:
         out += [["complexity", "--problem", "file", "--problem-file", path, *k] for k in ks]
     five_ks = ("0", "0.25", "0.5", "0.75", "1")

@@ -20,7 +20,7 @@ from .complexity import grover_problem, k_sweep, OracleProblemSpec
 from .epr import direct_trace, emulation_check, make_scenario, ts_trace
 from .grover import SearchOracle, grover_process, run_grover, run_long
 from .measure import ParityObservable, full_observable, project_forced
-from .qcore import InvariantError, RegisterLayout, apply, max_abs_diff
+from .qcore import InvariantError, RegisterLayout, StateVector, apply, max_abs_diff
 from .tsym import (
     SelectionSplit,
     complete_split,
@@ -42,15 +42,18 @@ class SchemaError(ValueError):
 
 @dataclass
 class Report:
-    """One scenario's result.  Each table is its text lines, built on demand,
-    and its named states; a report renders only the format asked for."""
+    """One scenario's result.  Each table is a builder of its text lines,
+    called with the report's state formatter, and its named states; a report
+    renders only the format asked for."""
 
     scenario: dict
     seed: Optional[int]
     tables: dict = field(default_factory=dict)  # label -> (text-lines builder, {name: state})
     scalars: dict = field(default_factory=dict)
 
-    def add_table(self, label: str, lines: Callable[[], list[str]], states: Optional[dict] = None) -> None:
+    def add_table(
+        self, label: str, lines: Callable[[render.Show], list[str]], states: Optional[dict] = None
+    ) -> None:
         self.tables[label] = (lines, states or {})
 
     def to_json(self) -> str:
@@ -76,10 +79,20 @@ class Report:
         return f'{head},\n  "tables": {tables},\n  "tool_version": {json.dumps(__version__)}\n}}'
 
     def to_text(self) -> str:
+        shown: dict[int, tuple[StateVector, str]] = {}
+
+        def show(state: StateVector) -> str:
+            # a state shown in two tables of the report is formatted once; the
+            # entry holds the state, so its id is not reused during the call
+            entry = shown.get(id(state))
+            if entry is None:
+                entry = shown[id(state)] = (state, render.format_state(state))
+            return entry[1]
+
         chunks = []
         for label, (lines, _) in self.tables.items():
             chunks.append(f"## {label}")
-            chunks.extend(lines())
+            chunks.extend(lines(show))
             chunks.append("")
         for key in sorted(self.scalars):
             chunks.append(f"{key}: {self.scalars[key]}")
@@ -91,7 +104,7 @@ def _add_instance(report: Report, inst) -> None:
     left, right = inst.split.initial_part.name(), inst.split.final_part.name()
     report.add_table(
         f"{inst.perspective} zigzag",
-        lambda: render.zigzag_table(left, right, inst.walk),
+        lambda show: render.zigzag_table(left, right, inst.walk, show),
         dict(inst.trajectory),
     )
     report.scalars["instance"] = inst.name()
@@ -169,7 +182,7 @@ def _run_grover_external(params: dict) -> Report:
     output = apply(process.u12, selected)
     report.add_table(
         "external description",
-        lambda: render.zigzag_table("B", "A", (initial, selected, output, None, None)),
+        lambda show: render.zigzag_table("B", "A", (initial, selected, output, None, None), show),
         {"initial": initial, "t1 selected": selected, "t2 output": output},
     )
     if params.get("split") is not None:
@@ -186,7 +199,7 @@ def _run_grover_solver(params: dict) -> Report:
     selected = project_forced(full_observable(process.layout, "A"), b, correlated)
     report.add_table(
         "relativized description",
-        lambda: render.zigzag_table("B", "A", (initial, None, correlated, selected, None)),
+        lambda show: render.zigzag_table("B", "A", (initial, None, correlated, selected, None), show),
         {"initial": initial, "t2 correlated": correlated, "t2 selected": selected},
     )
     if params.get("split") is not None:
@@ -194,10 +207,12 @@ def _run_grover_solver(params: dict) -> Report:
         _add_instance(report, inst)
         report.add_table(
             "bottom line (backward)",
-            lambda: render.bottom_line_table(inst, "backward"),
+            lambda show: render.bottom_line_table(inst, show, "backward"),
             {"input": inst.bottom_line[0], "output": inst.bottom_line[1]},
         )
-        report.add_table("bottom line (forward)", lambda: render.bottom_line_table(inst, "forward"))
+        report.add_table(
+            "bottom line (forward)", lambda show: render.bottom_line_table(inst, show, "forward")
+        )
         report.scalars["branch_settings"] = list(inst.branch_settings())
     return report
 
@@ -246,7 +261,7 @@ def _run_epr(params: dict) -> Report:
         trace = direct_trace(scenario, outcome, via_t0=via_t0)
     report.add_table(
         f"{trace.kind} trace",
-        lambda: render.zigzag_table(*parts, trace.walk, via=via_t0),
+        lambda show: render.zigzag_table(*parts, trace.walk, show, via=via_t0),
         dict(trace.states),
     )
     check = emulation_check(scenario, outcome)
@@ -268,7 +283,7 @@ def _run_complexity(params: dict) -> Report:
     reports = k_sweep(problem, ks)
     report = Report(scenario={"kind": "complexity", **params, "problem": problem.name}, seed=None)
 
-    def lines():
+    def lines(_show):
         return [f"{'k':>6}  {'rank':>4}  {'worst_case':>10}  masks"] + [
             f"{r.k:>6g}  {r.advice_rank:>4}  {r.worst_case:>10}  [{','.join(r.masks) or '-'}]"
             for r in reports
@@ -304,7 +319,7 @@ def _run_search(params: dict) -> Report:
             "query_count": run.query_count,
         }
     )
-    report.add_table("search", lambda: [
+    report.add_table("search", lambda _show: [
         f"variant: {run.variant}",
         f"iterations (queries): {run.iterations}",
         f"phase: {run.phase:.12g}",

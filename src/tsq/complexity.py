@@ -34,6 +34,13 @@ and decision tree complexity: a survey", TCS 2002):
 
 On the drawer problem (a = 2, e = 1, c = 1) the second bound is m - 1, the
 exact count, so every count is found from its first splitting query.
+
+Both bounds depend on |M| alone and never fall as |M| grows, which gives a
+floor under every advice basis of rank r: its parities split the N settings
+into at most 2^r classes, so by pigeonhole one class holds at least
+ceil(N / 2^r) settings, and the basis's worst case is at least the bound of
+that size.  Once the best basis found meets the floor, no later one can
+beat it, and the scan of bases stops.
 """
 
 from __future__ import annotations
@@ -194,11 +201,10 @@ class _ProblemTable:
         """Whether every setting in ``members`` has the same solution."""
         return not members & ~self.same_solution[(members & -members).bit_length() - 1]
 
-    def bound(self, members: int) -> int:
-        """max(ceil(log_a ceil(|M| / c)), ceil((|M| - c) / e)), the two lower
-        bounds of the module docstring on the count of the solvable set
-        ``members``."""
-        size = members.bit_count()
+    def bound(self, size: int) -> int:
+        """max(ceil(log_a ceil(m / c)), ceil((m - c) / e)), the two lower
+        bounds of the module docstring on the count of a solvable set of
+        m = ``size`` settings.  It never falls as ``size`` grows."""
         solutions = -(-size // self.largest_class)
         return max(self.depth[solutions], -((self.largest_class - size) // self.removed))
 
@@ -227,7 +233,7 @@ class _DecisionTree:
           ``bound`` of a branch not yet counted, reaches the best worst
           branch found so far, since its worst branch is no smaller;
         - the scan stops once the best worst branch reaches
-          ``bound(members) - 1``, since no query can do better.
+          ``bound(|members|) - 1``, since no query can do better.
         A set of m settings needs at most m - 1 queries and has a bound
         below m, so m stands for "no splitting query yet": the first
         splitting query is counted in full, and a set holding two settings
@@ -241,7 +247,7 @@ class _DecisionTree:
             memo[members] = 0
             return 0
         best = none_yet = members.bit_count()
-        floor = table.bound(members) - 1
+        floor = table.bound(none_yet) - 1
         for parts in table.partitions:
             branches = [members & part for part in parts if members & part]
             if len(branches) == 1:
@@ -250,7 +256,7 @@ class _DecisionTree:
             for branch in branches:
                 c = memo.get(branch)  # a hit costs no call
                 if c is None:  # a bound that reaches the best needs no count
-                    c = self.count(branch) if table.bound(branch) < best else best
+                    c = self.count(branch) if table.bound(branch.bit_count()) < best else best
                 if c > worst:
                     worst = c
                     if worst >= best:
@@ -367,10 +373,16 @@ def advanced_knowledge_prediction(
     that, whose count reaches the best worst case: no count is below its
     bound, so the bound drops exactly the bases the count would, before the
     class is searched.  A basis's classes come from per-bit parity masks
-    (``_AdviceSplit``), never from a table over all 2^n values.  The
-    problem's ``_ProblemTable`` is built on its first call past the cap
-    check and read by every later one; one count memo, made for this call,
-    serves every basis.
+    (``_AdviceSplit``), never from a table over all 2^n values.  The scan
+    stops once the best worst case is at most the floor ``bound(ceil(N /
+    2^r))``: a basis's at most 2^r classes share the N settings, so by
+    pigeonhole one of them holds ceil(N / 2^r) or more, and ``bound`` never
+    falls as the size grows, so no basis has a worst case below the floor.
+    The report is the one the full scan gives, since a later basis replaces
+    the best only with a strictly smaller worst case.  The problem's
+    ``_ProblemTable`` is built on its first call past the cap check and read
+    by every later one; one count memo, made for this call, serves every
+    basis.
     """
     r = _advice_rank(problem, k)
     _check_setting_cap(len(problem.settings), cap)
@@ -382,11 +394,13 @@ def advanced_knowledge_prediction(
     if r < n and table.confusable:
         raise ValueError(NO_SPLIT)
     tree, split = _DecisionTree(problem), _AdviceSplit(problem)
+    # some class of every basis holds ceil(N / 2^r) of the N settings
+    floor = table.bound(-(-len(problem.settings) >> r))
     best: Optional[ComplexityReport] = None
     for basis in gf2.subspaces(n, r):
         per_class = []
         for code, members in split.cells(basis):
-            if best is not None and table.bound(members) >= best.worst_case:
+            if best is not None and table.bound(members.bit_count()) >= best.worst_case:
                 break
             count = tree.count(members)
             if best is not None and count >= best.worst_case:
@@ -399,6 +413,8 @@ def advanced_knowledge_prediction(
                 (tuple(code >> (r - 1 - j) & 1 for j in range(r)), count) for code, count in per_class
             )
             best = ComplexityReport(problem.name, r, k, masks, rows, worst)
+            if worst <= floor:
+                break  # no later basis can have a smaller worst case
     return best
 
 

@@ -18,15 +18,16 @@ def parity(mask: int, value: int) -> int:
 
 
 def parity_codes(masks, n: int) -> np.ndarray:
-    """Sector code of every value 0..2^n - 1 (n <= 32): bit len(masks) - 1 - i
-    holds the parity under masks[i].  Shifts fold bits; numpy 1.24 has no popcount."""
-    values = np.arange(1 << n)
-    codes = np.zeros(1 << n, dtype=np.int64)
-    for mask in masks:
-        x = values & mask
-        for shift in (16, 8, 4, 2, 1):
-            x ^= x >> shift
-        codes = codes << 1 | x & 1
+    """Sector code of every value 0..2^n - 1: bit len(masks) - 1 - i holds the
+    parity under masks[i].  Codes are linear over GF(2), so the values with
+    bit j set have the codes of the values below 2^j XORed with the code of
+    2^j, column j of the masks."""
+    codes = np.zeros(1, dtype=np.int64)
+    for j in range(n):
+        column = 0
+        for mask in masks:
+            column = column << 1 | mask >> j & 1
+        codes = np.concatenate((codes, codes ^ column))
     return codes
 
 

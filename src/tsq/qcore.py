@@ -32,6 +32,7 @@ nor re-checks them.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -151,7 +152,9 @@ class StateVector:
         return state
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        # the sum np.linalg.norm takes of a complex vector, without its wrapper
+        re, im = self.amps.real, self.amps.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
 
     def amplitude(self, b_bits: str, a_bits: str) -> complex:
         return complex(self.amps[self.layout.index(b_bits, a_bits)])

@@ -11,7 +11,11 @@ inside a column.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .qcore import RENDER_TOL, StateVector
+
+Show = Callable[[StateVector], str]  # writes one state in a table
 
 
 def _integer_relative(amps: list[complex]) -> list[complex] | None:
@@ -97,21 +101,22 @@ def _arrows(via: bool) -> tuple[str, str]:
     return f"=> {u} =>", f"<= {u}+ <="
 
 
-def zigzag_table(left: str, right: str, walk, via: bool = False) -> list[str]:
+def zigzag_table(left: str, right: str, walk, show: Show, via: bool = False) -> list[str]:
     """The table of one walk: the t1 state, its selection (meas. of ``left``),
     the t2 state, its selection (meas. of ``right``) and the backward t1
-    state.  An absent selection or backward leg is None and leaves out its
-    rows; a walk with a backward leg is a zigzag, "<=>" in the header."""
+    state, each written by ``show``.  An absent selection or backward leg is
+    None and leaves out its rows; a walk with a backward leg is a zigzag,
+    "<=>" in the header."""
     t1, t1_selected, t2, t2_selected, backward = walk
     fwd, bwd = _arrows(via)
     rows = []
     if t1_selected is not None:
-        rows += [(format_state(t1), "", ""), ("vv", "", "")]
+        rows += [(show(t1), "", ""), ("vv", "", "")]
         t1 = t1_selected
-    rows.append((format_state(t1), fwd, format_state(t2)))
+    rows.append((show(t1), fwd, show(t2)))
     if t2_selected is not None:
-        back = ("", "") if backward is None else (format_state(backward), bwd)
-        rows += [("", "", "vv"), (*back, format_state(t2_selected))]
+        back = ("", "") if backward is None else (show(backward), bwd)
+        rows += [("", "", "vv"), (*back, show(t2_selected))]
     step = " -> " if backward is None else " <=> "
     times = ("t1", "t0", "t2") if via else ("t1", "t2")
     return three_column(
@@ -119,9 +124,9 @@ def zigzag_table(left: str, right: str, walk, via: bool = False) -> list[str]:
     )
 
 
-def bottom_line_table(instance, direction: str = "backward") -> list[str]:
+def bottom_line_table(instance, show: Show, direction: str = "backward") -> list[str]:
     inp, out = instance.bottom_line
     fwd, bwd = _arrows(via=False)
     mid, arrow = ("t1 <- t2", bwd) if direction == "backward" else ("t1 -> t2", fwd)
-    row = (format_state(inp), arrow, format_state(out))
+    row = (show(inp), arrow, show(out))
     return three_column(("time t1", mid, "time t2"), [row])

@@ -146,6 +146,16 @@ def test_json_report_writes_each_state_once(argv, monkeypatch):
     assert sorted(map(id, scanned)) == sorted({id(s) for s in shown})
 
 
+@pytest.mark.parametrize("argv", RENDER_ONCE_COMMANDS, ids=" ".join)
+def test_text_report_formats_each_state_once(argv, capsys, monkeypatch):
+    # a state shown in two tables of one text report is formatted once
+    formatted, format_state = [], render.format_state
+    monkeypatch.setattr(render, "format_state", lambda s: formatted.append(s) or format_state(s))
+    assert main([*argv, "--output", "table"]) == 0
+    capsys.readouterr()
+    assert len(formatted) == len({id(s) for s in formatted})
+
+
 # parts of amplitudes: signed zeros, plain values, and magnitudes whose repr
 # takes an exponent; rendered_states also puts amplitudes at the threshold
 PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-5, -1e-5, 3e17, -3e17]) | st.floats(

@@ -270,7 +270,7 @@ def test_bound_is_admissible(problem):
         subset = [b for i, b in enumerate(problem.settings) if members >> i & 1]
         exact = outcome(reference_complexity, problem, subset)
         if exact != NO_SPLIT:
-            assert table.bound(members) <= exact
+            assert table.bound(members.bit_count()) <= exact
 
 
 def test_solver_branch_is_the_advice_class_of_its_count():
@@ -288,25 +288,66 @@ def test_solver_branch_is_the_advice_class_of_its_count():
                     assert decision_tree_complexity(problem, members) == 2 ** (n - r) - 1
 
 
-def exhaustive_prediction(
-    problem: OracleProblemSpec, k: float, complexity=reference_complexity
-) -> ComplexityReport:
-    """Every basis scored in full, each class of ``advice_classes`` by
-    ``complexity`` (the frozenset recursion by default), with no cut; the
-    first of equal bases wins."""
+def basis_scores(problem: OracleProblemSpec, r: int, complexity=reference_complexity):
+    """(masks, per_class rows, worst case) of every rank-r basis in sorted
+    order, each class of ``advice_classes`` counted by ``complexity`` (the
+    frozenset recursion by default), with no cut."""
     n = problem.n
-    r = round(k * n)
-    best = None
     for basis in gf2.subspaces(n, r):
         masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
         per_class = tuple(
             (tuple(bit for _, bit in cls.constraints), complexity(problem, cls.members))
             for cls in advice_classes(problem, masks)
         )
-        worst = max(count for _, count in per_class)
+        yield masks, per_class, max(count for _, count in per_class)
+
+
+def exhaustive_prediction(
+    problem: OracleProblemSpec, k: float, complexity=reference_complexity
+) -> ComplexityReport:
+    """Every basis scored in full by ``basis_scores``; the first of equal
+    bases wins."""
+    r = round(k * problem.n)
+    best = None
+    for masks, per_class, worst in basis_scores(problem, r, complexity):
         if best is None or worst < best.worst_case:
             best = ComplexityReport(problem.name, r, k, masks, per_class, worst)
     return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_problems(max_settings=8))
+def test_no_basis_is_below_the_pigeonhole_floor(problem):
+    # some class of a rank-r basis holds ceil(N / 2^r) of the N settings, and
+    # the bound never falls as a set grows, so no worst case is below the
+    # bound of that size
+    total = len(problem.settings)
+    for r in range(problem.n + 1):
+        floor = problem._table.bound(-(-total // 2**r))
+        scores = outcome(lambda: list(basis_scores(problem, r)))
+        if scores == NO_SPLIT:
+            continue
+        assert all(worst >= floor for _, _, worst in scores)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_drawer_scan_stops_at_its_first_basis(n, monkeypatch):
+    # the elimination bound is exact on the drawer, so the first basis of
+    # every rank meets the floor 2^(n-r) - 1 and no other basis is split
+    split_bases = []
+    cells = _AdviceSplit.cells
+
+    def counted(self, basis):
+        split_bases.append(basis)
+        return cells(self, basis)
+
+    monkeypatch.setattr(_AdviceSplit, "cells", counted)
+    problem = grover_problem(n)
+    for r in range(n + 1):
+        split_bases.clear()
+        report = advanced_knowledge_prediction(problem, r / n)
+        assert (report.advice_rank, report.worst_case) == (r, 2 ** (n - r) - 1)
+        assert split_bases == [gf2.subspaces(n, r)[0]]
 
 
 @settings(max_examples=60, deadline=None)

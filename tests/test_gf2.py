@@ -37,6 +37,22 @@ def test_parity_codes_match_scalar_parity(n):
                 assert bits == tuple(gf2.parity(m, value) for m in masks)
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_parity_codes_up_to_ten_bits(n):
+    # no masks: every value is in the one sector 0, whatever n
+    empty = gf2.parity_codes([], n)
+    assert empty.shape == (1 << n,) and not empty.any()
+    # every value at once against the scalar parity, masks in random order
+    rng = np.random.default_rng(200 + n)
+    for r in range(1, n + 1):
+        masks = random_independent_masks(rng, n, r)
+        want = [
+            sum(gf2.parity(m, value) << (r - 1 - i) for i, m in enumerate(masks))
+            for value in range(1 << n)
+        ]
+        assert gf2.parity_codes(masks, n).tolist() == want
+
+
 def test_rank_and_independence():
     assert gf2.rank([]) == 0
     assert gf2.rank([0b01, 0b10]) == 2
