@@ -13,8 +13,9 @@ unitaries, ``ts-instance`` and ``grover-external`` in JSON at n = 5,
 mode and path with several seeds, ``complexity`` on the drawer problem
 (at every advice rank for n = 3 and 4, in one call each), on both bundled
 files and at every advice rank on a 16-setting random table
-under ``tests/data/`` (one k per call, and all of them in one call), and a
-few invalid argv.
+under ``tests/data/`` (one k per call, and all of them in one call), on a
+4-setting table with two settings no query tells apart (exit 2 at k = 1/2,
+exit 0 at k = 1), and a few invalid argv.
 Problem-file paths are relative to the repository root, and the script runs
 from there, so the digests of two checkouts can be compared with ``diff``.
 An exception that escapes ``main`` is printed as ``raise:<type>``.
@@ -37,6 +38,7 @@ from tsq import cli  # noqa: E402
 
 PROBLEM_FILES = ("src/tsq/problems/grover-n2.json", "src/tsq/problems/grover-n2-reduced.json")
 RANDOM_TABLE = "tests/data/random-16x8.json"  # 16 settings, 8 binary queries
+CONFUSABLE_TABLE = "tests/data/confusable-4x2.json"  # two settings answer every query alike
 UNITARIES = ("xor", "grover-long")
 SPLITS = {
     2: ("A:[01]", "A:[10]", "A:[11]", "B:[10]/A:[01]", "B:[11]/A:[01]"),
@@ -145,6 +147,9 @@ def argvs() -> list[list[str]]:
     # every k on one problem object
     out.append(["complexity", "--problem", "file", "--problem-file", RANDOM_TABLE,
                 *(arg for k in five_ks for arg in ("--k", k))])
+    # refused below full rank by the search, which the pair closed form gives way to
+    for k in ("0.5", "1.0"):
+        out.append(["complexity", "--problem", "file", "--problem-file", CONFUSABLE_TABLE, "--k", k])
     for n in range(4, 9):
         for target in (values(n)[1], values(n)[-1]):
             for variant in ("long", "grover"):

@@ -12,10 +12,19 @@ precomputed as its answer partition of the settings, once per problem, and
 each candidate set's count is memoized by its mask for the length of one
 call.  A query is abandoned once one of its branches reaches the best count
 found so far, and an advice basis once the lower bound below, or else the
-count, of one of its classes reaches the best worst case.  A basis's classes are cut from the
-settings by per-bit parity masks, so no table over the 2^n values is built.
-The tests keep the frozenset recursion and ``advice_classes`` as the slow
-references.
+count, of one of its classes reaches the best worst case.  A basis's
+classes are cut from the settings by per-bit parity masks, so no table over
+the 2^n values is built.  The tests keep the frozenset recursion and
+``advice_classes`` as the slow references.
+
+Sets of one or two settings are counted in closed form, with no scan of the
+queries.  One setting is solved: count 0.  A pair whose settings share a
+solution is solved too.  Otherwise the pair counts at least 1, and exactly
+1 unless the problem is confusable: in a problem that is not, the common
+refinement of all query partitions puts settings of different solutions in
+different cells, so some query separates the two, and both its branches
+are single settings.  A confusable problem's pairs keep the general
+search, which raises for a pair that no query separates.
 
 Two lower bounds on the count of a solvable candidate set M prune the
 search without changing any count (Buhrman & de Wolf, "Complexity measures
@@ -35,12 +44,13 @@ and decision tree complexity: a survey", TCS 2002):
 On the drawer problem (a = 2, e = 1, c = 1) the second bound is m - 1, the
 exact count, so every count is found from its first splitting query.
 
-Both bounds depend on |M| alone and never fall as |M| grows, which gives a
-floor under every advice basis of rank r: its parities split the N settings
-into at most 2^r classes, so by pigeonhole one class holds at least
-ceil(N / 2^r) settings, and the basis's worst case is at least the bound of
-that size.  Once the best basis found meets the floor, no later one can
-beat it, and the scan of bases stops.
+Both bounds depend on |M| alone, so they are read from a table of their
+value at every size 0..N, built once per problem.  They never fall as |M|
+grows, which gives a floor under every advice basis of rank r: its parities
+split the N settings into at most 2^r classes, so by pigeonhole one class
+holds at least ceil(N / 2^r) settings, and the basis's worst case is at
+least the bound of that size.  Once the best basis found meets the floor,
+no later one can beat it, and the scan of bases stops.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from . import gf2
-from .qcore import InvariantError
+from .qcore import InvariantError, _bit_tuples
 
 DEFAULT_SEARCH_CAP = 24
 NO_SPLIT = "no query distinguishes the remaining candidates"
@@ -150,10 +160,11 @@ class _ProblemTable:
     Each query is stored as its answer partition of all settings (queries
     that split nothing, and repeats of a partition, are dropped), each
     setting with the mask of the settings sharing its solution, the
-    constants of ``bound``, ``bit_odd[j]``, the mask of the settings whose
-    value has bit j set, and whether the problem is ``confusable``.  None of
-    it depends on k, so a problem builds it once (``OracleProblemSpec._table``)
-    and nothing changes it; counts are kept per call by ``_DecisionTree``.
+    constants of ``bound`` and its value ``bounds[m]`` at every size m,
+    ``bit_odd[j]``, the mask of the settings whose value has bit j set, and
+    whether the problem is ``confusable``.  None of it depends on k, so a
+    problem builds it once (``OracleProblemSpec._table``) and nothing
+    changes it; counts are kept per call by ``_DecisionTree``.
     """
 
     def __init__(self, problem: OracleProblemSpec):
@@ -187,6 +198,7 @@ class _ProblemTable:
         for s in range(2, total + 1):
             depth[s] = depth[-(-s // arity)] + 1
         self.depth = tuple(depth)
+        self.bounds = tuple(map(self.bound, range(total + 1)))
         values = [int(b, 2) for b in problem.settings]
         self.bit_odd = tuple(
             sum(1 << i for i, v in enumerate(values) if v >> j & 1) for j in range(problem.n)
@@ -227,14 +239,20 @@ class _DecisionTree:
     def count(self, members: int) -> int:
         """Exact query count of the candidate set ``members``.
 
-        The count is 1 + the least worst branch over the queries, and no
-        count is below its ``bound``, so two cuts cannot change it:
-        - a query is abandoned once the count of a branch, or the
-          ``bound`` of a branch not yet counted, reaches the best worst
-          branch found so far, since its worst branch is no smaller;
+        The count is 0 on a solved set and otherwise 1 + the least worst
+        branch over the queries.  Two closed forms need no scan: a set of one
+        setting is solved, and an unsolved pair counts 1 unless the problem
+        is ``confusable``, since then the pair's two solutions lie in two
+        cells of the common refinement of all queries, so some query
+        separates them.  No count is below its ``bound``, so two cuts cannot
+        change it:
+        - a query is abandoned once the count of a branch, or the bound of a
+          branch not yet counted, reaches the best worst branch found so
+          far, since its worst branch is no smaller;
         - the scan stops once the best worst branch reaches
-          ``bound(|members|) - 1``, since no query can do better.
-        A set of m settings needs at most m - 1 queries and has a bound
+          ``bounds[|members|] - 1``, since no query can do better.
+        A query whose first nonempty branch is the whole set does not split
+        it.  A set of m settings needs at most m - 1 queries and has a bound
         below m, so m stands for "no splitting query yet": the first
         splitting query is counted in full, and a set holding two settings
         that no query tells apart raises.
@@ -243,29 +261,45 @@ class _DecisionTree:
         if members in memo:
             return memo[members]
         table = self.table
-        if table.solved(members):
+        same, bounds = table.same_solution, table.bounds
+        separable = not table.confusable  # some query splits every unsolved pair
+        size = members.bit_count()
+        if not members & ~same[(members & -members).bit_length() - 1]:
             memo[members] = 0
             return 0
-        best = none_yet = members.bit_count()
-        floor = table.bound(none_yet) - 1
+        if size == 2 and separable:
+            memo[members] = 1
+            return 1
+        best = size
+        floor = bounds[size] - 1
+        count = self.count
         for parts in table.partitions:
-            branches = [members & part for part in parts if members & part]
-            if len(branches) == 1:
-                continue  # query does not split this set
             worst = 0
-            for branch in branches:
-                c = memo.get(branch)  # a hit costs no call
-                if c is None:  # a bound that reaches the best needs no count
-                    c = self.count(branch) if table.bound(branch.bit_count()) < best else best
+            for part in parts:
+                branch = members & part
+                if not branch:
+                    continue
+                if branch == members:
+                    break  # the query does not split this set
+                low = branch & -branch
+                if branch == low or not branch & ~same[low.bit_length() - 1]:
+                    continue  # one setting, or a solved set: counts 0
+                m = branch.bit_count()
+                if m == 2 and separable:
+                    c = 1
+                else:
+                    c = memo.get(branch)  # a hit costs no call
+                    if c is None:  # a bound that reaches the best needs no count
+                        c = count(branch) if bounds[m] < best else best
                 if c > worst:
                     worst = c
                     if worst >= best:
                         break
-            if worst < best:
+            else:  # the query splits the set, with a worst branch below the best
                 best = worst
                 if best <= floor:
                     break
-        if best == none_yet:
+        if best == size:
             raise ValueError(NO_SPLIT)
         memo[members] = 1 + best
         return 1 + best
@@ -313,9 +347,29 @@ class ComplexityReport:
 
 
 def _advice_rank(problem: OracleProblemSpec, k: float) -> int:
+    """round(k * n), the number of advice parities at fraction k.
+
+    Python's ``round`` takes a half to the even neighbour, so at k = 1/2 the
+    rank rounds up at n = 3 and 7 (ranks 2 and 4) and down at n = 5 and 9
+    (ranks 2 and 4), and k = 3/4 at n = 2 gives rank 2, full knowledge.
+    """
     if not 0 <= k <= 1:
         raise ValueError("k must lie in [0, 1]")
     return round(k * problem.n)
+
+
+def _parity_bits(code: int, r: int) -> tuple[int, ...]:
+    """The r parity bits of a class code, first mask first.
+
+    Read from the per-width tables of ``_bit_tuples``, a byte at a time past
+    the first r mod 8 bits, so no table has more than 2^8 rows whatever the
+    rank: a problem's settings, and so its advice rank, may be any width.
+    """
+    head = r % 8
+    bits = _bit_tuples(head)[code >> (r - head)]
+    for shift in range(r - head - 8, -1, -8):
+        bits += _bit_tuples(8)[code >> shift & 0xFF]
+    return bits
 
 
 class _AdviceSplit:
@@ -369,13 +423,13 @@ def advanced_knowledge_prediction(
     round(k * n).  Every one is admissible: each GF(2) subspace has a
     complement, with which it forms a full-rank selection.  Bases are tried
     in sorted order and only a strictly smaller worst case replaces the
-    best, so a basis is dropped at its first class whose ``bound`` or, failing
-    that, whose count reaches the best worst case: no count is below its
-    bound, so the bound drops exactly the bases the count would, before the
-    class is searched.  A basis's classes come from per-bit parity masks
+    best, so a basis is dropped at its first class whose bound (``bounds`` at
+    its size) or, failing that, whose count reaches the best worst case: no
+    count is below its bound, so the bound drops exactly the bases the count
+    would, before the class is searched.  A basis's classes come from per-bit parity masks
     (``_AdviceSplit``), never from a table over all 2^n values.  The scan
-    stops once the best worst case is at most the floor ``bound(ceil(N /
-    2^r))``: a basis's at most 2^r classes share the N settings, so by
+    stops once the best worst case is at most the floor ``bounds[ceil(N /
+    2^r)]``: a basis's at most 2^r classes share the N settings, so by
     pigeonhole one of them holds ceil(N / 2^r) or more, and ``bound`` never
     falls as the size grows, so no basis has a worst case below the floor.
     The report is the one the full scan gives, since a later basis replaces
@@ -395,12 +449,12 @@ def advanced_knowledge_prediction(
         raise ValueError(NO_SPLIT)
     tree, split = _DecisionTree(problem), _AdviceSplit(problem)
     # some class of every basis holds ceil(N / 2^r) of the N settings
-    floor = table.bound(-(-len(problem.settings) >> r))
+    floor = table.bounds[-(-len(problem.settings) >> r)]
     best: Optional[ComplexityReport] = None
     for basis in gf2.subspaces(n, r):
         per_class = []
         for code, members in split.cells(basis):
-            if best is not None and table.bound(members.bit_count()) >= best.worst_case:
+            if best is not None and table.bounds[members.bit_count()] >= best.worst_case:
                 break
             count = tree.count(members)
             if best is not None and count >= best.worst_case:
@@ -409,9 +463,7 @@ def advanced_knowledge_prediction(
         else:
             worst = max(count for _, count in per_class)
             masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
-            rows = tuple(
-                (tuple(code >> (r - 1 - j) & 1 for j in range(r)), count) for code, count in per_class
-            )
+            rows = tuple((_parity_bits(code, r), count) for code, count in per_class)
             best = ComplexityReport(problem.name, r, k, masks, rows, worst)
             if worst <= floor:
                 break  # no later basis can have a smaller worst case

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from . import gf2
-from .qcore import STATE_TOL, InvariantError, RegisterLayout, StateVector, _bit_strings
+from .qcore import STATE_TOL, InvariantError, RegisterLayout, StateVector, _bit_strings, _bit_tuples
 
 
 class ImpossibleOutcomeError(ValueError):
@@ -176,7 +175,7 @@ def _sector_weights(s: StateVector, obs: ParityObservable) -> np.ndarray:
 
 def sector_masses(s: StateVector, obs: ParityObservable) -> dict[tuple[int, ...], float]:
     """Born weight (squared-amplitude mass) of all 2^rank parity sectors, in code order."""
-    return dict(zip(product((0, 1), repeat=obs.rank), _sector_weights(s, obs).tolist()))
+    return dict(zip(_bit_tuples(obs.rank), _sector_weights(s, obs).tolist()))
 
 
 @dataclass(frozen=True)

@@ -532,6 +532,24 @@ def test_problem_file_via_cli(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_confusable_file_exits_2_below_full_rank(fmt, capsys):
+    # two of its settings answer both queries alike, so the pair closed form
+    # gives way to the search, which finds no query to separate them
+    path = str(Path(__file__).parent / "data" / "confusable-4x2.json")
+    argv = ["complexity", "--problem", "file", "--problem-file", path, "--output", fmt]
+    assert main([*argv, "--k", "0.5"]) == 2
+    assert "no query distinguishes" in capsys.readouterr().err
+    assert main([*argv, "--k", "1.0"]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        worst = json.loads(out)["scalars"]["reports"][0]["worst_case"]
+    else:
+        (row,) = [line.split() for line in out.splitlines() if line.strip()[:1].isdigit()]
+        worst = int(row[2])
+    assert worst == 0
+
+
 def test_24_setting_drawer_file_finishes(tmp_path):
     # the largest drawer file the default cap admits, at three advice ranks
     problem = drawer_problem(setting_values(5)[:24])

@@ -16,6 +16,8 @@ from tsq.complexity import (
     SearchCapError,
     _AdviceSplit,
     _DecisionTree,
+    _advice_rank,
+    _parity_bits,
     advanced_knowledge_prediction,
     advice_classes,
     decision_tree_complexity,
@@ -142,17 +144,22 @@ def test_advice_classes():
         advice_classes(p, ("01", "01"))
 
 
-def test_prediction_with_long_settings():
-    # two 40-bit settings: the advice classes come from the settings alone,
-    # never from a table over all 2^40 values
-    zero, one = "0" * 40, "1" * 40
-    problem = OracleProblemSpec(
-        name="long",
+def two_settings(n: int) -> OracleProblemSpec:
+    """All zeros and all ones, n bits each, told apart by one query."""
+    zero, one = "0" * n, "1" * n
+    return OracleProblemSpec(
+        name="two",
         settings=(zero, one),
         queries=("q",),
         answer={(zero, "q"): "0", (one, "q"): "1"},
         solution={zero: "a", one: "b"},
     )
+
+
+def test_prediction_with_long_settings():
+    # two 40-bit settings: the advice classes come from the settings alone,
+    # never from a table over all 2^40 values
+    problem = two_settings(40)
     assert advanced_knowledge_prediction(problem, 0.0).worst_case == 1
     full = advanced_knowledge_prediction(problem, 1.0)
     assert (full.advice_rank, full.worst_case) == (40, 0)
@@ -171,6 +178,21 @@ def test_prediction_n4():
     report = advanced_knowledge_prediction(p, 0.5)
     assert report.advice_rank == 2
     assert report.predicted_quantum == 3 == 2 ** (p.n // 2) - 1
+
+
+@pytest.mark.parametrize("n, k, rank", [(3, 0.5, 2), (5, 0.5, 2), (7, 0.5, 4), (9, 0.5, 4), (2, 0.75, 2)])
+def test_advice_rank_rounds_halves_to_even(n, k, rank):
+    # round(k * n) takes 1.5 and 3.5 up but 2.5 and 4.5 down
+    assert _advice_rank(two_settings(n), k) == rank
+
+
+def test_parity_bits_of_every_width():
+    # a class code's bits, first mask first, from byte tables up to rank 40
+    rng = np.random.default_rng(23)
+    for r in range(41):
+        drawn = [int(rng.integers(0, 1 << 62)) % (1 << r) for _ in range(5)]
+        for code in (0, (1 << r) - 1, *drawn):
+            assert _parity_bits(code, r) == tuple(code >> (r - 1 - j) & 1 for j in range(r))
 
 
 def test_prediction_k_bounds():
@@ -259,6 +281,31 @@ def test_bitmask_engine_matches_frozenset_recursion(problem, data):
         fast = outcome(decision_tree_complexity, problem, candidates)
         slow = outcome(reference_complexity, problem, candidates)
         assert fast == slow
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_problems())
+def test_singletons_and_pairs_match_frozenset_recursion(problem):
+    # the closed forms: one setting counts 0, and a pair 0 if its settings
+    # share a solution, else 1 unless the problem is confusable, where the
+    # search runs and a pair that no query separates raises
+    points = problem.settings
+    sets = [(b,) for b in points]
+    sets += [(b, c) for i, b in enumerate(points) for c in points[i + 1:]]
+    for candidates in sets:
+        fast = outcome(decision_tree_complexity, problem, candidates)
+        assert fast == outcome(reference_complexity, problem, candidates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_problems(max_symbols=4))
+def test_bounds_table_is_bound_and_never_decreases(problem):
+    # the per-size table the search indexes, and the monotonicity the
+    # pigeonhole floor relies on
+    table = problem._table
+    assert len(table.bounds) == len(problem.settings) + 1
+    assert all(table.bounds[m] == table.bound(m) for m in range(len(table.bounds)))
+    assert all(a <= b for a, b in zip(table.bounds, table.bounds[1:]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -436,12 +483,13 @@ def test_capped_problem_builds_no_table():
 
 
 def test_confusable_pair_raises_even_where_the_cut_off_skips_it():
-    # 10 and 11 answer every query alike.  Basis 01 separates them (worst case
-    # 1); basis 10 puts them together in its second class, after a first
-    # class that already needs 1 query, so the cut-off never scores it.
-    rows = {"00": "00", "01": "10", "10": "01", "11": "01"}  # setting -> answers to q0, q1
-    answer = {(b, q): rows[b][j] for b in rows for j, q in enumerate(("q0", "q1"))}
-    problem = OracleProblemSpec("confusable", tuple(rows), ("q0", "q1"), answer, {b: b for b in rows})
+    # Answers to (q0, q1): 00 -> 00, 01 -> 10, 10 -> 01, 11 -> 01, so 10 and
+    # 11 answer every query alike.  Basis 01 separates them (worst case 1);
+    # basis 10 puts them together in its second class, after a first class
+    # that already needs 1 query, so the cut-off never scores it.
+    problem = load_problem(DATA / "confusable-4x2.json")
+    assert problem._table.confusable
+    assert outcome(decision_tree_complexity, problem, ["10", "11"]) == NO_SPLIT
     with pytest.raises(ValueError, match="no query distinguishes"):
         exhaustive_prediction(problem, 0.5)
     with pytest.raises(ValueError, match="no query distinguishes"):
