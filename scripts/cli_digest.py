@@ -15,7 +15,8 @@ mode and path with several seeds, ``complexity`` on the drawer problem
 files and at every advice rank on a 16-setting random table
 under ``tests/data/`` (one k per call, and all of them in one call), on a
 4-setting table with two settings no query tells apart (exit 2 at k = 1/2,
-exit 0 at k = 1), and a few invalid argv.
+exit 0 at k = 1), on a file whose name is not a string (exit 2), and a few
+invalid argv.
 Problem-file paths are relative to the repository root, and the script runs
 from there, so the digests of two checkouts can be compared with ``diff``.
 An exception that escapes ``main`` is printed as ``raise:<type>``.
@@ -39,6 +40,7 @@ from tsq import cli  # noqa: E402
 PROBLEM_FILES = ("src/tsq/problems/grover-n2.json", "src/tsq/problems/grover-n2-reduced.json")
 RANDOM_TABLE = "tests/data/random-16x8.json"  # 16 settings, 8 binary queries
 CONFUSABLE_TABLE = "tests/data/confusable-4x2.json"  # two settings answer every query alike
+LIST_NAME = "tests/data/list-name.json"  # its "name" is a list
 UNITARIES = ("xor", "grover-long")
 SPLITS = {
     2: ("A:[01]", "A:[10]", "A:[11]", "B:[10]/A:[01]", "B:[11]/A:[01]"),
@@ -150,6 +152,8 @@ def argvs() -> list[list[str]]:
     # refused below full rank by the search, which the pair closed form gives way to
     for k in ("0.5", "1.0"):
         out.append(["complexity", "--problem", "file", "--problem-file", CONFUSABLE_TABLE, "--k", k])
+    # a name that is not a string: exit 2
+    out.append(["complexity", "--problem", "file", "--problem-file", LIST_NAME, "--k", "1"])
     for n in range(4, 9):
         for target in (values(n)[1], values(n)[-1]):
             for variant in ("long", "grover"):

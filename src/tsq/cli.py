@@ -264,8 +264,7 @@ def _run_epr(params: dict) -> Report:
         lambda show: render.zigzag_table(*parts, trace.walk, show, via=via_t0),
         dict(trace.states),
     )
-    check = emulation_check(scenario, outcome)
-    report.scalars["emulation_max_deviation"] = check.max_deviation
+    report.scalars["emulation_max_deviation"] = emulation_check(scenario, outcome)
     if trace.kind in ("ts-direct", "ts-via-t0"):
         direct = direct_trace(scenario, outcome)
         report.scalars["bottom_line_vs_direct"] = max_abs_diff(
@@ -369,9 +368,12 @@ def load_problem(path: Path) -> OracleProblemSpec:
     for b, row in data["answer"].items():
         if not isinstance(row, dict):
             raise SchemaError(f"answer row of setting {b!r} must be an object")
+    name = data.get("name", Path(path).stem)
+    if not isinstance(name, str):
+        raise SchemaError("'name' must be a string")
     try:
         return OracleProblemSpec(
-            name=data.get("name", Path(path).stem),
+            name=name,
             settings=data["settings"],
             queries=data["queries"],
             answer={(b, q): str(v) for b, row in data["answer"].items() for q, v in row.items()},

@@ -109,10 +109,10 @@ class OracleProblemSpec:
         return _ProblemTable(self)
 
 
-def _check_setting_cap(settings: int, cap: int) -> None:
-    if settings > cap:
+def _check_setting_cap(settings: int) -> None:
+    if settings > DEFAULT_SEARCH_CAP:
         raise SearchCapError(
-            f"instance too large for exact search ({settings} settings > cap {cap})"
+            f"instance too large for exact search ({settings} settings > cap {DEFAULT_SEARCH_CAP})"
         )
 
 
@@ -122,7 +122,7 @@ def grover_problem(n: int) -> OracleProblemSpec:
     are tabulated."""
     if n < 1:
         raise ValueError(f"the drawer problem needs at least one bit, got n={n}")
-    _check_setting_cap(1 << n, DEFAULT_SEARCH_CAP)
+    _check_setting_cap(1 << n)
     settings = tuple(format(b, f"0{n}b") for b in range(1 << n))
     return OracleProblemSpec(
         name=f"grover-n{n}",
@@ -133,9 +133,7 @@ def grover_problem(n: int) -> OracleProblemSpec:
     )
 
 
-def decision_tree_complexity(
-    problem: OracleProblemSpec, candidates, cap: int = DEFAULT_SEARCH_CAP
-) -> int:
+def decision_tree_complexity(problem: OracleProblemSpec, candidates) -> int:
     """Exact worst-case deterministic query count to pin down the solution.
 
     0 if the solution is already constant on the candidate set, otherwise
@@ -145,10 +143,7 @@ def decision_tree_complexity(
     candidates = frozenset(candidates)
     if not candidates:
         raise ValueError("candidate set is empty")
-    if len(candidates) > cap:
-        raise SearchCapError(
-            f"instance too large for exact search ({len(candidates)} candidates > cap {cap})"
-        )
+    _check_setting_cap(len(candidates))
     tree = _DecisionTree(problem)
     return tree.count(tree.mask(candidates))
 
@@ -334,7 +329,6 @@ def advice_classes(problem: OracleProblemSpec, masks: tuple[str, ...]) -> list[A
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    problem: str
     advice_rank: int
     k: float
     masks: tuple[str, ...]
@@ -414,9 +408,7 @@ class _AdviceSplit:
         return cells
 
 
-def advanced_knowledge_prediction(
-    problem: OracleProblemSpec, k: float, cap: int = DEFAULT_SEARCH_CAP
-) -> ComplexityReport:
+def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> ComplexityReport:
     """Optimal quantum query count predicted from k*n bits of advance knowledge.
 
     Minimizes the worst-case class complexity over all advice bases of rank
@@ -439,7 +431,7 @@ def advanced_knowledge_prediction(
     basis.
     """
     r = _advice_rank(problem, k)
-    _check_setting_cap(len(problem.settings), cap)
+    _check_setting_cap(len(problem.settings))
     n = problem.n
     table = problem._table
     # Below full rank some class of some basis holds any given pair of
@@ -464,23 +456,26 @@ def advanced_knowledge_prediction(
             worst = max(count for _, count in per_class)
             masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
             rows = tuple((_parity_bits(code, r), count) for code, count in per_class)
-            best = ComplexityReport(problem.name, r, k, masks, rows, worst)
+            best = ComplexityReport(r, k, masks, rows, worst)
             if worst <= floor:
                 break  # no later basis can have a smaller worst case
     return best
 
 
-def k_sweep(problem: OracleProblemSpec, ks, cap: int = DEFAULT_SEARCH_CAP) -> list[ComplexityReport]:
-    """One report per k; each advice rank is solved once and shared by its k values."""
+def k_sweep(problem: OracleProblemSpec, ks) -> list[ComplexityReport]:
+    """One report per k, in the order given; each advice rank is solved once
+    and shared by its k values.  The worst case must not grow with k, which
+    is checked in ascending k, whatever the order given."""
     by_rank: dict[int, ComplexityReport] = {}
     reports = []
     for k in ks:
         r = _advice_rank(problem, k)
         if r not in by_rank:
-            by_rank[r] = advanced_knowledge_prediction(problem, k, cap=cap)
+            by_rank[r] = advanced_knowledge_prediction(problem, k)
         reports.append(replace(by_rank[r], k=k))
-    for earlier, later in zip(reports, reports[1:]):
-        if earlier.k <= later.k and later.worst_case > earlier.worst_case:
+    ascending = sorted(reports, key=lambda report: report.k)
+    for earlier, later in zip(ascending, ascending[1:]):
+        if later.worst_case > earlier.worst_case:
             raise InvariantError(
                 f"worst-case count increased with k: {later.worst_case} at k={later.k}"
                 f" > {earlier.worst_case} at k={earlier.k}"

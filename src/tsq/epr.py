@@ -4,12 +4,12 @@ explanation, and the time-symmetrized mutual-causality zigzag.
 The entangled pair is written redundantly on two 2-bit registers so the
 single correlated bit can be split evenly between the two measurements;
 XOR-decoding each register recovers the familiar 1-bit correlated state.
-The registers separate between t0 and t1 by a unitary u01 (identity by
-default, configurable, also exercised with seeded random unitaries) and
-evolve to the second measurement at t2 by u02.  Because u12 = u02 u01_dag,
-projecting at t1 and propagating directly is indistinguishable from
-back-propagating to t0, projecting locally there, and propagating forward:
-the local emulation of action at a distance.
+The registers separate between t0 and t1 by a unitary u01 and evolve to
+the second measurement at t2 by u02: both the identity, or with a seed two
+Haar-random unitaries.  Because u12 = u02 u01_dag, projecting at t1 and
+propagating directly is indistinguishable from back-propagating to t0,
+projecting locally there, and propagating forward: the local emulation of
+action at a distance, whose largest deviation ``emulation_check`` returns.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import gf2
-from .measure import ParityObservable, full_observable, project_forced
+from .measure import full_observable, project_forced
 from .qcore import (
     RegisterLayout,
     StateVector,
@@ -76,16 +76,10 @@ class EprScenario:
         return apply(self.u01, self.psi_t0)
 
 
-def make_scenario(
-    u01: Optional[UnitaryOp] = None,
-    u02: Optional[UnitaryOp] = None,
-    seed: Optional[int] = None,
-) -> EprScenario:
-    """Default scenario on the redundant encoding.
-
-    With a seed, u01 and u02 (when not given explicitly) are independent
-    Haar-random unitaries; otherwise both default to the identity.
-    """
+def make_scenario(seed: Optional[int] = None) -> EprScenario:
+    """Scenario on the redundant encoding: with a seed, u01 and u02 are
+    independent Haar-random unitaries, drawn in that order; otherwise both
+    are the identity."""
     layout = RegisterLayout(2, 2)
     rng = np.random.default_rng(seed) if seed is not None else None
     def draw():
@@ -99,8 +93,8 @@ def make_scenario(
     return EprScenario(
         layout=layout,
         psi_t0=redundant_encode(layout),
-        u01=u01 if u01 is not None else draw(),
-        u02=u02 if u02 is not None else draw(),
+        u01=draw(),
+        u02=draw(),
     )
 
 
@@ -170,20 +164,11 @@ def ts_trace(scenario: EprScenario, outcome: str, split: SelectionSplit, via_t0:
     )
 
 
-@dataclass(frozen=True)
-class EmulationReport:
-    max_deviation: float
-    nonlocal_state: StateVector
-    local_state: StateVector
-
-
-def emulation_check(
-    scenario: EprScenario, b_outcome: str, observable: Optional[ParityObservable] = None
-) -> EmulationReport:
-    """Compare the nonlocal projection-then-propagate route with the local
-    back-propagate, project at t0, propagate-forward route."""
-    obs = observable if observable is not None else full_observable(scenario.layout, "B")
-    t1_post = project_forced(obs, b_outcome, scenario.psi_t1())
+def emulation_check(scenario: EprScenario, b_outcome: str) -> float:
+    """Largest amplitude difference at t2 between the nonlocal route (the full
+    B measurement at t1, then u12) and the local one (back-propagate to t0,
+    project there, propagate forward)."""
+    t1_post = project_forced(full_observable(scenario.layout, "B"), b_outcome, scenario.psi_t1())
     nonlocal_t2, _ = _carry(scenario, t1_post, via_t0=False)
     local_t2, _ = _carry(scenario, t1_post, via_t0=True)
-    return EmulationReport(max_abs_diff(nonlocal_t2, local_t2), nonlocal_t2, local_t2)
+    return max_abs_diff(nonlocal_t2, local_t2)

@@ -67,11 +67,9 @@ class SearchOracle:
 
 @dataclass(frozen=True)
 class SearchRun:
-    oracle: SearchOracle
     variant: str  # "grover" | "long"
     iterations: int
     phase: float  # radians; pi for the standard variant
-    final_state: np.ndarray
     success_probability: float
 
     @property
@@ -134,15 +132,14 @@ def _mul(a: tuple, b: tuple) -> tuple:
     )
 
 
-def _success(oracle: SearchOracle, iterations: int, phase: float) -> tuple[np.ndarray, float]:
-    d = oracle.dim
+def _success(oracle: SearchOracle, iterations: int, phase: float) -> float:
+    """Success probability of the run: |a_t|^2 over the norm of (a_t, a_r),
+    the plane coordinates reached from the uniform state; no state of 2^n
+    amplitudes is built."""
     (m00, m01), (m10, m11) = _plane(oracle, iterations, phase)
-    s, c = _uniform(d)
+    s, c = _uniform(oracle.dim)
     a_t, a_r = m00 * s + m01 * c, m10 * s + m11 * c
-    p = abs(a_t) ** 2 / (abs(a_t) ** 2 + abs(a_r) ** 2)
-    state = np.full(d, a_r / math.sqrt(d - 1), dtype=np.complex128)
-    state[oracle.target_index] = a_t
-    return state, p
+    return abs(a_t) ** 2 / (abs(a_t) ** 2 + abs(a_r) ** 2)
 
 
 def optimal_iterations(n: int) -> int:
@@ -164,21 +161,20 @@ def run_grover(oracle: SearchOracle) -> SearchRun:
     """Standard pi-phase Grover at the optimal iteration count."""
     theta = _theta(oracle.n)
     j = max(1, round((math.pi / 2 - theta) / (2 * theta)))
-    state, p = _success(oracle, j, math.pi)
-    return SearchRun(oracle, "grover", j, math.pi, state, p)
+    return SearchRun("grover", j, math.pi, _success(oracle, j, math.pi))
 
 
 def run_long(oracle: SearchOracle) -> SearchRun:
     """Zero-failure search at the closed-form matched phase; 1 - p > CERTAINTY_EPS raises."""
     j = optimal_iterations(oracle.n)
     phi = matched_phase(oracle.n, j)
-    state, p = _success(oracle, j, phi)
+    p = _success(oracle, j, phi)
     if 1 - p > CERTAINTY_EPS:
         raise InvariantError(
             f"certainty not reached for n={oracle.n}: success {p!r},"
             f" 1 - p = {1 - p:.3e} > CERTAINTY_EPS = {CERTAINTY_EPS:.0e}"
         )
-    return SearchRun(oracle, "long", j, phi, state, p)
+    return SearchRun("long", j, phi, p)
 
 
 def search_network(oracle: SearchOracle) -> np.ndarray:
@@ -210,9 +206,11 @@ def search_network(oracle: SearchOracle) -> np.ndarray:
 
 def as_process_unitary(n: int) -> CopyUnitary:
     """Setting-controlled lift: on setting b the returned operator acts as the
-    network for target b, X_b N_0 Z_b, so the search runs once, for N_0."""
-    network = search_network(SearchOracle(n, "0" * n))
-    return CopyUnitary(RegisterLayout(n, n), network, signed=True)
+    network for target b, X_b N_0 Z_b, so the search runs once, for N_0.
+    The layout is built first, so a size past the cap is refused before the
+    2^n x 2^n network is."""
+    layout = RegisterLayout(n, n)
+    return CopyUnitary(layout, search_network(SearchOracle(n, "0" * n)), signed=True)
 
 
 def grover_process(n: int) -> ProcessDescription:

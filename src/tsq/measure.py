@@ -180,9 +180,7 @@ def sector_masses(s: StateVector, obs: ParityObservable) -> dict[tuple[int, ...]
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    time_tag: str
     outcome: ParityOutcome
-    pre_state: StateVector
     post_state: StateVector
 
 
@@ -192,7 +190,6 @@ def measure(
     *,
     forced: Optional[tuple[int, ...]] = None,
     seed: Optional[int] = None,
-    time_tag: str = "t1",
 ) -> MeasurementRecord:
     """Measure ``obs`` on ``s`` with a forced outcome or a seeded random one.
 
@@ -219,4 +216,4 @@ def measure(
         u = np.random.default_rng(seed).random()
         code = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
         outcome = ParityOutcome(obs, tuple((code >> k) & 1 for k in reversed(range(obs.rank))))
-    return MeasurementRecord(time_tag, outcome, s, project(outcome, s))
+    return MeasurementRecord(outcome, project(outcome, s))

@@ -168,10 +168,10 @@ class StateVector:
     def amplitude(self, b_bits: str, a_bits: str) -> complex:
         return complex(self.amps[self.layout.index(b_bits, a_bits)])
 
-    def terms(self, tol: float = STATE_TOL):
-        """Yield (BasisLabel, amplitude) for every non-negligible term."""
+    def terms(self):
+        """Yield (BasisLabel, amplitude) for every term above RENDER_TOL * max(norm, 1)."""
         scale = max(self.norm(), 1.0)
-        kept = np.flatnonzero(np.abs(self.amps) > tol * scale)
+        kept = np.flatnonzero(np.abs(self.amps) > RENDER_TOL * scale)
         b_bits, a_bits = _bit_strings(self.layout.n_b), _bit_strings(self.layout.n_a)
         n_a, a_mask = self.layout.n_a, self.layout.dim_a - 1
         for i, amp in zip(kept.tolist(), self.amps[kept].tolist()):

@@ -53,7 +53,7 @@ def _join_terms(pairs: list[tuple[complex, str]]) -> str:
 
 def format_state(s: StateVector) -> str:
     """Human-readable ket sum; factors a shared A-register ket when possible."""
-    terms = list(s.terms(RENDER_TOL))
+    terms = list(s.terms())
     if not terms:
         return "0"
     amps = _integer_relative([amp for _, amp in terms])
@@ -79,7 +79,7 @@ def state_rows(s: StateVector) -> str:
     rows = ",\n      ".join(
         f'{{\n        "a": "{label.a_bits}",\n        "b": "{label.b_bits}",\n'
         f'        "im": {num(amp.imag)},\n        "re": {num(amp.real)}\n      }}'
-        for label, amp in s.terms(RENDER_TOL)
+        for label, amp in s.terms()
     )
     return f"[\n      {rows}\n    ]" if rows else "[]"
 

@@ -264,8 +264,6 @@ def uneven_instance(process: ProcessDescription, b: str, final_rank: int) -> Zig
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    summed: StateVector
-    reference: StateVector
     factor: complex
     max_deviation: float
     proportional: bool
@@ -289,10 +287,4 @@ def recover_superposition(instances) -> RecoveryReport:
         total = total + inst.bottom_line[0].amps
     summed = StateVector(reference.layout, total)
     factor, resid = proportionality(summed, reference)
-    return RecoveryReport(
-        summed=summed,
-        reference=reference,
-        factor=factor,
-        max_deviation=resid,
-        proportional=resid <= RESIDUAL_TOL * max(summed.norm(), 1.0),
-    )
+    return RecoveryReport(factor, resid, resid <= RESIDUAL_TOL * max(summed.norm(), 1.0))

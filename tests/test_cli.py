@@ -87,7 +87,7 @@ def reference_state_rows(s: StateVector) -> list[dict]:
     """The amplitude rows of a JSON report as the stdlib encoder takes them."""
     return [
         {"b": label.b_bits, "a": label.a_bits, "re": amp.real, "im": amp.imag}
-        for label, amp in s.terms(RENDER_TOL)
+        for label, amp in s.terms()
     ]
 
 
@@ -276,12 +276,27 @@ def test_non_monotone_sweep_exits_3(monkeypatch, capsys):
     # a query count that grows with k breaks an invariant: exit 3, no traceback
     predict = complexity.advanced_knowledge_prediction
 
-    def rising(problem, k, cap=complexity.DEFAULT_SEARCH_CAP):
-        return dataclasses.replace(predict(problem, k, cap=cap), worst_case=round(k * 10))
+    def rising(problem, k):
+        return dataclasses.replace(predict(problem, k), worst_case=round(k * 10))
 
     monkeypatch.setattr(complexity, "advanced_knowledge_prediction", rising)
     assert main(["complexity", "--problem", "grover", "--n", "2", "--k", "0", "--k", "1"]) == 3
     assert "worst-case count increased with k" in capsys.readouterr().err
+
+
+def test_non_monotone_sweep_is_checked_in_ascending_k(monkeypatch, capsys):
+    # counts 1, 2, 0 at k = 0, 0.5, 1: given as 0.5, 0, 1, no neighbours in
+    # that order rise with k, but the count rises from k = 0 to k = 0.5
+    predict = complexity.advanced_knowledge_prediction
+    counts = {0.0: 1, 0.5: 2, 1.0: 0}
+
+    def unsorted(problem, k):
+        return dataclasses.replace(predict(problem, k), worst_case=counts[k])
+
+    monkeypatch.setattr(complexity, "advanced_knowledge_prediction", unsorted)
+    argv = ["complexity", "--problem", "grover", "--n", "2", "--k", "0.5", "--k", "0", "--k", "1"]
+    assert main(argv) == 3
+    assert "worst-case count increased with k: 2 at k=0.5 > 1 at k=0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("unitary", ["xor", "grover-long"])
@@ -487,6 +502,8 @@ VALID_PROBLEM = json.loads((PROBLEMS / "grover-n2-reduced.json").read_text())
         "solution": {"0": "0", "1": "1"},
     }),
     ("queries not strings", {"queries": [["00"], "01"]}),
+    # any JSON value used to pass as the name, and was reported as the problem
+    ("name not a string", {"name": [1, 2]}),
     ("file not an object", None),
 ])
 def test_malformed_problem_file_exits_2(shape, change, tmp_path, capsys):

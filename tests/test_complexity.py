@@ -108,9 +108,11 @@ def test_decision_tree_grover_closed_form():
 
 
 def test_decision_tree_cap():
-    p = grover_problem(4)
-    with pytest.raises(SearchCapError):
-        decision_tree_complexity(p, p.settings, cap=8)
+    # 32 candidates, past the default cap of 24
+    p = drawer_problem(setting_values(5))
+    with pytest.raises(SearchCapError, match=r"\(32 settings > cap 24\)"):
+        decision_tree_complexity(p, p.settings)
+    assert "_table" not in vars(p)
 
 
 def flipped_drawer(rng, settings) -> OracleProblemSpec:
@@ -358,7 +360,7 @@ def exhaustive_prediction(
     best = None
     for masks, per_class, worst in basis_scores(problem, r, complexity):
         if best is None or worst < best.worst_case:
-            best = ComplexityReport(problem.name, r, k, masks, per_class, worst)
+            best = ComplexityReport(r, k, masks, per_class, worst)
     return best
 
 
@@ -471,12 +473,14 @@ def test_problem_table_is_built_once_and_never_changed(problem, numerators):
     assert counted == NO_SPLIT or first.memo[table.full] == counted
 
 
-def test_capped_problem_builds_no_table():
+def test_capped_problem_builds_no_table(monkeypatch):
     problem = grover_problem(2)
-    with pytest.raises(SearchCapError):
-        advanced_knowledge_prediction(problem, 0.5, cap=1)
-    with pytest.raises(SearchCapError):
-        k_sweep(problem, [0, 1], cap=1)
+    with monkeypatch.context() as capped:
+        capped.setattr("tsq.complexity.DEFAULT_SEARCH_CAP", 1)
+        with pytest.raises(SearchCapError):
+            advanced_knowledge_prediction(problem, 0.5)
+        with pytest.raises(SearchCapError):
+            k_sweep(problem, [0, 1])
     assert "_table" not in vars(problem)
     advanced_knowledge_prediction(problem, 0.5)
     assert "_table" in vars(problem)

@@ -6,6 +6,7 @@ from scipy.stats import unitary_group
 
 from tsq.epr import (
     EprScenario,
+    _carry,
     direct_trace,
     emulation_check,
     make_scenario,
@@ -13,7 +14,7 @@ from tsq.epr import (
     ts_trace,
     xor_decode,
 )
-from tsq.measure import ParityObservable
+from tsq.measure import ParityObservable, project_forced
 from tsq.qcore import (
     RegisterLayout,
     StateVector,
@@ -189,22 +190,27 @@ def test_ts_measurement_order_symmetry():
 def test_emulation_check_identity():
     scenario = make_scenario()
     for b in OUTCOMES:
-        assert emulation_check(scenario, b).max_deviation == 0
+        assert emulation_check(scenario, b) == 0
 
 
 def test_emulation_check_random():
     for seed in range(10):
         scenario = make_scenario(seed=seed)
         for b in OUTCOMES:
-            assert emulation_check(scenario, b).max_deviation <= 1e-12
+            assert emulation_check(scenario, b) <= 1e-12
 
 
 def test_emulation_check_partial_observable():
+    # the emulation holds for a partial B measurement too: the left bit
+    # projected at t1 and carried directly by u12, or through t0 by u01+ and u02
     scenario = make_scenario(seed=5)
     b_left = ParityObservable("B", ("10",))
     for v in ("00", "10"):
-        report = emulation_check(scenario, v, observable=b_left)
-        assert report.max_deviation <= 1e-12
+        t1_post = project_forced(b_left, v, scenario.psi_t1())
+        nonlocal_t2, no_t0 = _carry(scenario, t1_post, via_t0=False)
+        local_t2, t0 = _carry(scenario, t1_post, via_t0=True)
+        assert no_t0 is None and t0 is not None
+        assert max_abs_diff(nonlocal_t2, local_t2) <= 1e-12
 
 
 def test_impossible_outcome_raises():

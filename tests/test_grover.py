@@ -2,6 +2,7 @@
 lifted two-register unitary."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from tsq.grover import (
     run_grover,
     run_long,
     search_network,
+    _plane,
     _success,
+    _uniform,
 )
 from tsq.qcore import CERTAINTY_EPS, STATE_TOL, InvariantError, apply, basis_state, hadamard
 from tsq.tsym import enumerate_splits, solver_instance, xor_process
@@ -200,9 +203,15 @@ def test_plane_matches_the_iteration_loop(n, rng):
         for _ in range(iterations):
             reference = grover_iterate(reference, oracle, (phase, phase))
         p = float(abs(reference[oracle.target_index]) ** 2 / np.vdot(reference, reference).real)
-        state, success = _success(oracle, iterations, phase)
+        # the plane coordinates (a_t, a_r) from the uniform state: a_t on the
+        # target and a_r / sqrt(d - 1) on every other item
+        (m00, m01), (m10, m11) = _plane(oracle, iterations, phase)
+        s, c = _uniform(oracle.dim)
+        a_t, a_r = m00 * s + m01 * c, m10 * s + m11 * c
+        state = np.full(oracle.dim, a_r / math.sqrt(oracle.dim - 1), dtype=np.complex128)
+        state[oracle.target_index] = a_t
         assert np.max(np.abs(state - reference)) <= STATE_TOL
-        assert abs(success - p) <= 1e-12
+        assert abs(_success(oracle, iterations, phase) - p) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -212,6 +221,31 @@ def test_grover_success_is_the_closed_form_for_every_target(n, monkeypatch):
     assert len({run.success_probability for run in runs}) == 1
     p = runs[0].success_probability
     assert abs(p - closed_form_success(n, runs[0].iterations)) <= 1e-14
+
+
+@pytest.mark.parametrize("run", [run_long, run_grover])
+def test_search_run_allocates_no_state(run):
+    # the run is a power of one 2x2 matrix: at n = 16 a state of 2^16
+    # amplitudes would take 1 MiB
+    oracle = SearchOracle(16, "0" * 15 + "1")
+    tracemalloc.start()
+    try:
+        run(oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_lift_refuses_its_size_before_building_the_network(monkeypatch):
+    # at n = 9 the joint dimension 2^18 is past the default cap: the layout
+    # refuses it before the 512 x 512 network is built
+    def refuse(oracle):
+        raise AssertionError("built the network of a refused size")
+
+    monkeypatch.setattr("tsq.grover.search_network", refuse)
+    with pytest.raises(ValueError, match=r"joint dimension 2\^18 exceeds the cap"):
+        as_process_unitary(9)
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])

@@ -24,6 +24,7 @@ from tsq.qcore import (
     CERTAINTY_EPS,
     CORRELATION_TOL,
     OP_TOL,
+    RENDER_TOL,
     STATE_TOL,
     CopyUnitary,
     InvariantError,
@@ -500,24 +501,23 @@ def test_largest_admitted_states_stay_finite(n, seed, kind):
         assert np.all(np.isfinite(out.amps))
 
 
-def slow_terms(s: StateVector, tol: float = STATE_TOL):
+def slow_terms(s: StateVector):
     """The element-by-element loop StateVector.terms replaces."""
     scale = max(s.norm(), 1.0)
-    return [(s.layout.label(i), complex(a)) for i, a in enumerate(s.amps) if abs(a) > tol * scale]
+    return [(s.layout.label(i), complex(a)) for i, a in enumerate(s.amps) if abs(a) > RENDER_TOL * scale]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3), seeds, st.sampled_from([0.0, 1e-13, 1e-12, 1e-11, 1e-9]))
+@given(st.integers(1, 3), seeds, st.sampled_from([0.0, 1e-12, 1e-10, 1e-9, 2e-9, 1e-8]))
 def test_terms_match_elementwise_loop(n, seed, small):
     layout = RegisterLayout(n, n)
     rng = np.random.default_rng(seed)
     amps = random_state(layout, rng).amps * (rng.random(layout.dim) < 0.5)
     amps[rng.random(layout.dim) < 0.3] = small
     s = StateVector(layout, amps)
-    for tol in (STATE_TOL, 1e-9):
-        terms = list(s.terms(tol))
-        assert terms == slow_terms(s, tol)
-        assert all(type(amp) is complex for _, amp in terms)
+    terms = list(s.terms())
+    assert terms == slow_terms(s)
+    assert all(type(amp) is complex for _, amp in terms)
 
 
 @pytest.mark.parametrize("n_b, n_a", [(n_b, n_a) for n_b in range(1, 5) for n_a in range(1, 5)])
@@ -526,10 +526,9 @@ def test_terms_labels_match_layout_label(n_b, n_a):
     layout = RegisterLayout(n_b, n_a)
     rng = np.random.default_rng(100 * n_b + n_a)
     s = StateVector(layout, random_state(layout, rng).amps * (rng.random(layout.dim) < 0.6))
-    for tol in (0.0, STATE_TOL):
-        terms = list(s.terms(tol))
-        assert terms == slow_terms(s, tol)
-        assert all(type(label) is BasisLabel for label, _ in terms)
+    terms = list(s.terms())
+    assert terms == slow_terms(s)
+    assert all(type(label) is BasisLabel for label, _ in terms)
 
 
 # Every InvariantError states its residual and the threshold it broke.
@@ -558,9 +557,9 @@ def _not_sharp(monkeypatch):
 
 
 def _count_grows(monkeypatch):
-    def fake(problem, k, cap):
+    def fake(problem, k):
         r = round(k * problem.n)
-        return ComplexityReport(problem.name, r, k, (), (), r)
+        return ComplexityReport(r, k, (), (), r)
 
     monkeypatch.setattr(complexity, "advanced_knowledge_prediction", fake)
     k_sweep(grover_problem(2), [0, 1])
