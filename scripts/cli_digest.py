@@ -15,8 +15,9 @@ mode and path with several seeds, ``complexity`` on the drawer problem
 files and at every advice rank on a 16-setting random table
 under ``tests/data/`` (one k per call, and all of them in one call), on a
 4-setting table with two settings no query tells apart (exit 2 at k = 1/2,
-exit 0 at k = 1), on a file whose name is not a string (exit 2), and a few
-invalid argv.
+exit 0 at k = 1), on two 10-bit settings (exit 2 at k = 1/2, whose
+[10 choose 5]_2 advice bases pass the basis cap, exit 0 at k = 1), on a
+file whose name is not a string (exit 2), and a few invalid argv.
 Problem-file paths are relative to the repository root, and the script runs
 from there, so the digests of two checkouts can be compared with ``diff``.
 An exception that escapes ``main`` is printed as ``raise:<type>``.
@@ -41,6 +42,7 @@ PROBLEM_FILES = ("src/tsq/problems/grover-n2.json", "src/tsq/problems/grover-n2-
 RANDOM_TABLE = "tests/data/random-16x8.json"  # 16 settings, 8 binary queries
 CONFUSABLE_TABLE = "tests/data/confusable-4x2.json"  # two settings answer every query alike
 LIST_NAME = "tests/data/list-name.json"  # its "name" is a list
+WIDE_TABLE = "tests/data/wide-10.json"  # two 10-bit settings, one query
 UNITARIES = ("xor", "grover-long")
 SPLITS = {
     2: ("A:[01]", "A:[10]", "A:[11]", "B:[10]/A:[01]", "B:[11]/A:[01]"),
@@ -154,6 +156,9 @@ def argvs() -> list[list[str]]:
         out.append(["complexity", "--problem", "file", "--problem-file", CONFUSABLE_TABLE, "--k", k])
     # a name that is not a string: exit 2
     out.append(["complexity", "--problem", "file", "--problem-file", LIST_NAME, "--k", "1"])
+    # more advice bases than the basis cap at k = 1/2: exit 2, before any is built
+    for k in ("0.5", "1"):
+        out.append(["complexity", "--problem", "file", "--problem-file", WIDE_TABLE, "--k", k])
     for n in range(4, 9):
         for target in (values(n)[1], values(n)[-1]):
             for variant in ("long", "grover"):

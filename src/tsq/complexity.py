@@ -60,9 +60,12 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from . import gf2
-from .qcore import InvariantError, _bit_tuples
+from .qcore import InvariantError
 
 DEFAULT_SEARCH_CAP = 24
+# the most advice bases one prediction builds and scans: the list of the
+# [10 choose 5]_2, about 1.1e8, would not fit in memory
+DEFAULT_BASIS_CAP = 1 << 23
 NO_SPLIT = "no query distinguishes the remaining candidates"
 
 
@@ -109,11 +112,9 @@ class OracleProblemSpec:
         return _ProblemTable(self)
 
 
-def _check_setting_cap(settings: int) -> None:
-    if settings > DEFAULT_SEARCH_CAP:
-        raise SearchCapError(
-            f"instance too large for exact search ({settings} settings > cap {DEFAULT_SEARCH_CAP})"
-        )
+def _check_cap(count: int, cap: int, what: str) -> None:
+    if count > cap:
+        raise SearchCapError(f"instance too large for exact search ({count} {what} > cap {cap})")
 
 
 def grover_problem(n: int) -> OracleProblemSpec:
@@ -122,7 +123,7 @@ def grover_problem(n: int) -> OracleProblemSpec:
     are tabulated."""
     if n < 1:
         raise ValueError(f"the drawer problem needs at least one bit, got n={n}")
-    _check_setting_cap(1 << n)
+    _check_cap(1 << n, DEFAULT_SEARCH_CAP, "settings")
     settings = tuple(format(b, f"0{n}b") for b in range(1 << n))
     return OracleProblemSpec(
         name=f"grover-n{n}",
@@ -143,7 +144,7 @@ def decision_tree_complexity(problem: OracleProblemSpec, candidates) -> int:
     candidates = frozenset(candidates)
     if not candidates:
         raise ValueError("candidate set is empty")
-    _check_setting_cap(len(candidates))
+    _check_cap(len(candidates), DEFAULT_SEARCH_CAP, "settings")
     tree = _DecisionTree(problem)
     return tree.count(tree.mask(candidates))
 
@@ -352,20 +353,6 @@ def _advice_rank(problem: OracleProblemSpec, k: float) -> int:
     return round(k * problem.n)
 
 
-def _parity_bits(code: int, r: int) -> tuple[int, ...]:
-    """The r parity bits of a class code, first mask first.
-
-    Read from the per-width tables of ``_bit_tuples``, a byte at a time past
-    the first r mod 8 bits, so no table has more than 2^8 rows whatever the
-    rank: a problem's settings, and so its advice rank, may be any width.
-    """
-    head = r % 8
-    bits = _bit_tuples(head)[code >> (r - head)]
-    for shift in range(r - head - 8, -1, -8):
-        bits += _bit_tuples(8)[code >> shift & 0xFF]
-    return bits
-
-
 class _AdviceSplit:
     """The advice classes of a basis, as int masks over the setting indices.
 
@@ -426,13 +413,15 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
     falls as the size grows, so no basis has a worst case below the floor.
     The report is the one the full scan gives, since a later basis replaces
     the best only with a strictly smaller worst case.  The problem's
-    ``_ProblemTable`` is built on its first call past the cap check and read
+    ``_ProblemTable`` is built on its first call past the cap checks and read
     by every later one; one count memo, made for this call, serves every
-    basis.
+    basis.  More than ``DEFAULT_BASIS_CAP`` bases, counted in closed form,
+    are refused before any is built.
     """
     r = _advice_rank(problem, k)
-    _check_setting_cap(len(problem.settings))
     n = problem.n
+    _check_cap(len(problem.settings), DEFAULT_SEARCH_CAP, "settings")
+    _check_cap(gf2.subspace_count(n, r), DEFAULT_BASIS_CAP, f"rank-{r} advice bases")
     table = problem._table
     # Below full rank some class of some basis holds any given pair of
     # settings, and a confusable pair has no count: raise whichever bases
@@ -455,7 +444,7 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
         else:
             worst = max(count for _, count in per_class)
             masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
-            rows = tuple((_parity_bits(code, r), count) for code, count in per_class)
+            rows = tuple((gf2.code_bits(code, r), count) for code, count in per_class)
             best = ComplexityReport(r, k, masks, rows, worst)
             if worst <= floor:
                 break  # no later basis can have a smaller worst case

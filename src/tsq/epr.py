@@ -103,9 +103,6 @@ class CausalTrace(Zigzag):
     kind: str  # "direct" | "costa" | "ts-direct" | "ts-via-t0"
     states: tuple[tuple[str, StateVector], ...]
 
-    def state(self, label: str) -> StateVector:
-        return dict(self.states)[label]
-
 
 def _carry(
     scenario: EprScenario, s: StateVector, via_t0: bool, backward: bool = False

@@ -7,6 +7,7 @@ most significant bit.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations, product
 
 import numpy as np
@@ -29,6 +30,27 @@ def parity_codes(masks, n: int) -> np.ndarray:
             column = column << 1 | mask >> j & 1
         codes = np.concatenate((codes, codes ^ column))
     return codes
+
+
+@functools.cache
+def _bit_tuples(width: int) -> tuple[tuple[int, ...], ...]:
+    """Every value of a ``width``-bit code as its tuple of bits, most
+    significant first, indexed by value."""
+    return tuple(product((0, 1), repeat=width))
+
+
+def code_bits(code: int, r: int) -> tuple[int, ...]:
+    """The r bits of a sector code (see ``parity_codes``), first mask first.
+
+    Read from per-width tables, a byte at a time past the first r mod 8
+    bits, so no table has more than 2^8 rows whatever the rank: a problem's
+    settings, and so its advice rank, may be any width.
+    """
+    head = r % 8
+    bits = _bit_tuples(head)[code >> (r - head)]
+    for shift in range(r - head - 8, -1, -8):
+        bits += _bit_tuples(8)[code >> shift & 0xFF]
+    return bits
 
 
 def rank(vectors) -> int:
@@ -98,6 +120,15 @@ def subspaces(n: int, r: int) -> list[tuple[int, ...]]:
             rows.append(choices)
         out.extend(product(*rows))
     return sorted(out)
+
+
+def subspace_count(n: int, r: int) -> int:
+    """The number of rank-r subspaces of F_2^n, without building them: the
+    Gaussian binomial [n choose r]_2 = prod_{i<r} (2^(n-i) - 1) / (2^(i+1) - 1)."""
+    count = 1
+    for i in range(r):
+        count = count * ((1 << (n - i)) - 1) // ((1 << (i + 1)) - 1)
+    return count
 
 
 def complement_bases(n: int, basis) -> list[tuple[int, ...]]:

@@ -5,25 +5,21 @@ or A: rank n measures the full register content, one mask a one-bit parity
 (left bit, right bit, XOR of the two, ...).  Each register value lies in
 one parity sector, coded by ``gf2.parity_codes``; projectors and sector
 masses are computed on the 2^n codes of the observed register and spread
-over the other.  All projectors are diagonal in the computational basis,
-so any two such observables commute.  Projected states are left
-unrenormalized; renormalization is the caller's choice.
+over the other.  An outcome is its sector code, and every selection of an
+outcome masks the state in ``project``.  All projectors are diagonal in the
+computational basis, so any two such observables commute.  Projected states
+are left unrenormalized; renormalization is the caller's choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from . import gf2
-from .qcore import STATE_TOL, InvariantError, RegisterLayout, StateVector, _bit_strings, _bit_tuples
-
-
-class ImpossibleOutcomeError(ValueError):
-    """Forced measurement outcome has zero amplitude mass."""
+from .qcore import STATE_TOL, InvariantError, RegisterLayout, StateVector, _bit_strings
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,10 @@ class ParityObservable:
         return tuple(gf2.parity(m, value) for m in self.int_masks)
 
     def outcome_for(self, register_bits: str) -> "ParityOutcome":
-        return ParityOutcome(self, self.outcome_bits(register_bits))
+        value, code = int(register_bits, 2), 0
+        for m in self.int_masks:
+            code = code << 1 | gf2.parity(m, value)
+        return ParityOutcome(self, code)
 
     def name(self) -> str:
         """Short display name: B, B_l, B_r, or B[masks] in the general case."""
@@ -96,19 +95,15 @@ def full_observable(layout: RegisterLayout, register: str) -> ParityObservable:
     return ParityObservable(register, tuple(_bit_strings(n)[m] for m in _unit_masks(n)))
 
 
-def trivial_observable(register: str) -> ParityObservable:
-    return ParityObservable(register, ())
-
-
 @dataclass(frozen=True)
 class ParityOutcome:
     observable: ParityObservable
-    bits: tuple[int, ...]  # one 0 or 1 per mask, in mask order
+    code: int  # sector code (see gf2.parity_codes): the first mask's bit is the most significant
 
     @property
-    def code(self) -> int:
-        """Sector code (see gf2.parity_codes): the first mask's bit is the most significant."""
-        return sum(bit << k for k, bit in enumerate(reversed(self.bits)))
+    def bits(self) -> tuple[int, ...]:
+        """One 0 or 1 per mask, in mask order."""
+        return gf2.code_bits(self.code, self.observable.rank)
 
 
 def _register_codes(obs: ParityObservable, layout: RegisterLayout) -> np.ndarray:
@@ -130,34 +125,28 @@ def projector_diagonal(outcome: ParityOutcome, layout: RegisterLayout) -> np.nda
     return np.tile(keep, layout.dim_b)
 
 
-def _masked(keep: np.ndarray, register: str, s: StateVector) -> StateVector:
-    """Multiply the (dim_b, dim_a) amplitudes by ``keep`` (0/1, float or bool:
-    either is cast to complex 0 or 1) along the observed axis."""
-    if register == "B":
+def project(obs: ParityObservable, code: int, s: StateVector) -> StateVector:
+    """Keep the amplitudes whose observed register value lies in sector ``code``
+    of ``obs``: the (dim_b, dim_a) amplitudes times ``codes == code`` along
+    the observed axis."""
+    keep = _register_codes(obs, s.layout) == code
+    if obs.register == "B":
         keep = keep[:, np.newaxis]
     psi = s.amps.reshape(s.layout.dim_b, s.layout.dim_a)
     return StateVector._fresh(s.layout, (psi * keep).reshape(-1))
 
 
-def project(outcome: ParityOutcome, s: StateVector) -> StateVector:
-    """Keep the amplitudes whose observed register value lies in the outcome's sector."""
-    keep = _register_codes(outcome.observable, s.layout) == outcome.code
-    return _masked(keep, outcome.observable.register, s)
-
-
 def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> StateVector:
     """Project ``s`` onto the outcome of ``obs`` for register value ``value_bits``.
 
-    That outcome is the sector code of the value, ``codes[value]``: the codes
-    and ``outcome_bits`` share one bit order.  Raises ValueError when
-    ``value_bits`` is not a value of the observed register, and
-    InvariantError when the outcome has no support in ``s``.
+    That outcome is the sector code of the value, ``codes[value]``.  Raises
+    ValueError when ``value_bits`` is not a value of the observed register,
+    and InvariantError when the outcome has no support in ``s``.
     """
     n = s.layout.bits(obs.register)
     if len(value_bits) != n or value_bits.strip("01"):
         raise ValueError(f"{value_bits!r} is not a value of the {n}-bit register {obs.register}")
-    codes = _register_codes(obs, s.layout)
-    out = _masked(codes == codes[int(value_bits, 2)], obs.register, s)
+    out = project(obs, int(_register_codes(obs, s.layout)[int(value_bits, 2)]), s)
     if np.vdot(out.amps, out.amps).real <= STATE_TOL**2:  # out.is_zero() without the square root
         raise InvariantError(
             f"impossible outcome {value_bits} for {obs.name()}: the projection annihilates the state"
@@ -175,7 +164,8 @@ def _sector_weights(s: StateVector, obs: ParityObservable) -> np.ndarray:
 
 def sector_masses(s: StateVector, obs: ParityObservable) -> dict[tuple[int, ...], float]:
     """Born weight (squared-amplitude mass) of all 2^rank parity sectors, in code order."""
-    return dict(zip(_bit_tuples(obs.rank), _sector_weights(s, obs).tolist()))
+    weights = _sector_weights(s, obs).tolist()
+    return {gf2.code_bits(code, obs.rank): w for code, w in enumerate(weights)}
 
 
 @dataclass(frozen=True)
@@ -184,36 +174,17 @@ class MeasurementRecord:
     post_state: StateVector
 
 
-def measure(
-    s: StateVector,
-    obs: ParityObservable,
-    *,
-    forced: Optional[tuple[int, ...]] = None,
-    seed: Optional[int] = None,
-) -> MeasurementRecord:
-    """Measure ``obs`` on ``s`` with a forced outcome or a seeded random one.
-
-    Random selection follows the Born rule over parity sectors; a seed is
-    mandatory for the random path so runs are reproducible.
-    """
+def measure(s: StateVector, obs: ParityObservable, *, seed: int) -> MeasurementRecord:
+    """Measure ``obs`` on ``s``: draw a sector by the Born rule, from a
+    generator seeded so that runs are reproducible, and project onto it.
+    A chosen outcome is ``project_forced``."""
     if s.is_zero():
         raise ValueError("cannot measure the zero state")
-    if (forced is None) == (seed is None):
-        raise ValueError("pass exactly one of forced= or seed=")
     weights = _sector_weights(s, obs)
-    if forced is not None:
-        bits = tuple(int(b) for b in forced)
-        # bits that are no outcome of obs have no mass
-        outcome = ParityOutcome(obs, bits) if len(bits) == obs.rank and set(bits) <= {0, 1} else None
-        mass = weights[outcome.code] if outcome else 0.0
-        if mass <= STATE_TOL**2 * sum(weights.tolist()):
-            raise ImpossibleOutcomeError(f"impossible outcome {bits} for {obs.name()}")
-    else:
-        # the inverse CDF of one uniform draw over the codes: what
-        # rng.choice(len(weights), p=...) computes, without its per-call
-        # validation of p
-        cdf = np.cumsum(weights / weights.sum())
-        u = np.random.default_rng(seed).random()
-        code = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
-        outcome = ParityOutcome(obs, tuple((code >> k) & 1 for k in reversed(range(obs.rank))))
-    return MeasurementRecord(outcome, project(outcome, s))
+    # the inverse CDF of one uniform draw over the codes: what
+    # rng.choice(len(weights), p=...) computes, without its per-call
+    # validation of p
+    cdf = np.cumsum(weights / weights.sum())
+    u = np.random.default_rng(seed).random()
+    code = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+    return MeasurementRecord(ParityOutcome(obs, code), project(obs, code, s))

@@ -35,7 +35,6 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import product
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -123,14 +122,6 @@ def _bit_strings(width: int) -> tuple[str, ...]:
     value: the labels of rendered states and the text of parity masks.
     Widths are bounded by the dimension cap, so the tables are few."""
     return tuple(format(v, f"0{width}b") for v in range(1 << width))
-
-
-@functools.cache
-def _bit_tuples(width: int) -> tuple[tuple[int, ...], ...]:
-    """Every value of a ``width``-bit code as its tuple of bits, most
-    significant first, indexed by value: the sector keys of a parity
-    observable and the parity bits of an advice class."""
-    return tuple(product((0, 1), repeat=width))
 
 
 @dataclass(frozen=True)

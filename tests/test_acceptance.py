@@ -46,7 +46,7 @@ def test_criterion_1_table_reproduction(capsys):
     uniform = state_from_terms(layout, [(b, "00", 1) for b in ("00", "01", "10", "11")])
     correlated = state_from_terms(layout, [(b, b, 1) for b in ("00", "01", "10", "11")])
     assert max_abs_diff(process.initial_state, uniform) <= 1e-12
-    selected = project(full_observable(layout, "B").outcome_for("01"), process.initial_state)
+    selected = project(full_observable(layout, "B"), 0b01, process.initial_state)
     assert max_abs_diff(apply(process.u12, selected), basis_state(layout, "01", "01")) <= 1e-12
     assert max_abs_diff(apply(process.u12, process.initial_state), correlated) <= 1e-12
 
@@ -160,8 +160,8 @@ def test_criterion_6_epr_equivalences():
     identity_scenario = make_scenario()
     for b in outcomes:
         dev = max_abs_diff(
-            direct_trace(identity_scenario, b, via_t0=True).state("t2"),
-            direct_trace(identity_scenario, b).state("t2"),
+            dict(direct_trace(identity_scenario, b, via_t0=True).states)["t2"],
+            dict(direct_trace(identity_scenario, b).states)["t2"],
         )
         assert dev <= 1e-12
         assert emulation_check(identity_scenario, b) <= 1e-12
@@ -170,8 +170,8 @@ def test_criterion_6_epr_equivalences():
         scenario = make_scenario(seed=seed)
         b = outcomes[seed % 4]
         dev = max_abs_diff(
-            direct_trace(scenario, b, via_t0=True).state("t2"),
-            direct_trace(scenario, b).state("t2"),
+            dict(direct_trace(scenario, b, via_t0=True).states)["t2"],
+            dict(direct_trace(scenario, b).states)["t2"],
         )
         assert dev <= 1e-12, f"seed {seed}"
         assert emulation_check(scenario, b) <= 1e-12, f"seed {seed}"

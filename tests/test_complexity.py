@@ -1,6 +1,7 @@
 """Decision-tree query complexity and the advance-knowledge predictions."""
 
 import copy
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tsq import gf2
+from tsq import complexity, gf2
 from tsq.complexity import (
+    DEFAULT_BASIS_CAP,
     NO_SPLIT,
     ComplexityReport,
     OracleProblemSpec,
@@ -17,7 +19,6 @@ from tsq.complexity import (
     _AdviceSplit,
     _DecisionTree,
     _advice_rank,
-    _parity_bits,
     advanced_knowledge_prediction,
     advice_classes,
     decision_tree_complexity,
@@ -186,15 +187,6 @@ def test_prediction_n4():
 def test_advice_rank_rounds_halves_to_even(n, k, rank):
     # round(k * n) takes 1.5 and 3.5 up but 2.5 and 4.5 down
     assert _advice_rank(two_settings(n), k) == rank
-
-
-def test_parity_bits_of_every_width():
-    # a class code's bits, first mask first, from byte tables up to rank 40
-    rng = np.random.default_rng(23)
-    for r in range(41):
-        drawn = [int(rng.integers(0, 1 << 62)) % (1 << r) for _ in range(5)]
-        for code in (0, (1 << r) - 1, *drawn):
-            assert _parity_bits(code, r) == tuple(code >> (r - 1 - j) & 1 for j in range(r))
 
 
 def test_prediction_k_bounds():
@@ -484,6 +476,27 @@ def test_capped_problem_builds_no_table(monkeypatch):
     assert "_table" not in vars(problem)
     advanced_knowledge_prediction(problem, 0.5)
     assert "_table" in vars(problem)
+
+
+def test_too_many_advice_bases_are_refused_before_any_is_built(monkeypatch):
+    # two 10-bit settings: [10 choose 5]_2 = 109,221,651 rank-5 bases
+    problem = load_problem(DATA / "wide-10.json")
+    assert gf2.subspace_count(10, 4) > DEFAULT_BASIS_CAP >= gf2.subspace_count(10, 3)
+
+    def refuse(*args):
+        raise AssertionError("built before the basis count was checked")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(gf2, "subspaces", refuse)
+        patched.setattr(complexity, "_ProblemTable", refuse)
+        message = f"(109221651 rank-5 advice bases > cap {DEFAULT_BASIS_CAP})"
+        with pytest.raises(SearchCapError, match=re.escape(message)):
+            advanced_knowledge_prediction(problem, 0.5)
+        with pytest.raises(SearchCapError):
+            k_sweep(problem, [0.5, 1])
+    assert "_table" not in vars(problem)
+    assert advanced_knowledge_prediction(problem, 1).worst_case == 0
+    assert advanced_knowledge_prediction(problem, 0).worst_case == 1
 
 
 def test_confusable_pair_raises_even_where_the_cut_off_skips_it():

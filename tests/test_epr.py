@@ -30,6 +30,10 @@ L22 = RegisterLayout(2, 2)
 OUTCOMES = ("00", "01", "10", "11")
 
 
+def state(trace, label):
+    return dict(trace.states)[label]
+
+
 def rank1_splits():
     # complementary pairs only: equal masks would leave the pair underselected
     for b_mask in ("01", "10", "11"):
@@ -98,24 +102,24 @@ def test_seeded_scenario_draws_scipy_haar_unitaries():
 
 def test_direct_trace_default_scenario():
     trace = direct_trace(make_scenario(), "01")
-    assert states_close(trace.state("t1 post"), basis_state(L22, "01", "01"))
+    assert states_close(state(trace, "t1 post"), basis_state(L22, "01", "01"))
     # the t2 outcome always copies the t1 outcome
     for b in OUTCOMES:
         t = direct_trace(make_scenario(), b)
-        assert states_close(t.state("t2"), basis_state(L22, b, b))
+        assert states_close(state(t, "t2"), basis_state(L22, b, b))
 
 
 def test_costa_trace_identity_separation():
     trace = direct_trace(make_scenario(), "01", via_t0=True)
-    assert states_close(trace.state("t0 changed"), basis_state(L22, "01", "01"))
+    assert states_close(state(trace, "t0 changed"), basis_state(L22, "01", "01"))
     assert [label for label, _ in trace.states] == ["t1 pre", "t1 post", "t0 changed", "t2"]
 
 
 @pytest.mark.parametrize("b", OUTCOMES)
 def test_costa_equals_direct(b):
     scenario = make_scenario()
-    via_t0 = direct_trace(scenario, b, via_t0=True).state("t2")
-    assert max_abs_diff(via_t0, direct_trace(scenario, b).state("t2")) <= 1e-12
+    via_t0 = state(direct_trace(scenario, b, via_t0=True), "t2")
+    assert max_abs_diff(via_t0, state(direct_trace(scenario, b), "t2")) <= 1e-12
 
 
 def test_costa_equals_direct_random_unitaries():
@@ -123,8 +127,8 @@ def test_costa_equals_direct_random_unitaries():
         scenario = make_scenario(seed=seed)
         for b in OUTCOMES:
             dev = max_abs_diff(
-                direct_trace(scenario, b, via_t0=True).state("t2"),
-                direct_trace(scenario, b).state("t2"),
+                state(direct_trace(scenario, b, via_t0=True), "t2"),
+                state(direct_trace(scenario, b), "t2"),
             )
             assert dev <= 1e-12
 
@@ -133,11 +137,11 @@ def test_ts_trace_table_states():
     split = SelectionSplit(ParityObservable("B", ("10",)), ParityObservable("A", ("01",)))
     trace = ts_trace(make_scenario(), "01", split, via_t0=True)
     assert states_close(
-        trace.state("t1 post"),
+        state(trace, "t1 post"),
         state_from_terms(L22, [("00", "00", 1), ("01", "01", 1)]),
     )
-    assert states_close(trace.state("t2 post"), basis_state(L22, "01", "01"))
-    assert states_close(trace.state("t1 final"), basis_state(L22, "01", "01"))
+    assert states_close(state(trace, "t2 post"), basis_state(L22, "01", "01"))
+    assert states_close(state(trace, "t1 final"), basis_state(L22, "01", "01"))
     assert trace.kind == "ts-via-t0"
     assert len([s for s in trace.states if s[0].startswith("t0")]) == 2  # two loops
 
@@ -159,11 +163,11 @@ def test_ts_loop_closure():
     # re-running each backward-propagated t0 state forward lands on the state
     # just before the corresponding measurement's effect was applied
     assert (
-        max_abs_diff(apply(scenario.u02, trace.state("t0 after B loop")), trace.state("t2 pre"))
+        max_abs_diff(apply(scenario.u02, state(trace, "t0 after B loop")), state(trace, "t2 pre"))
         <= 1e-12
     )
     assert (
-        max_abs_diff(apply(scenario.u01, trace.state("t0 after A loop")), trace.state("t1 final"))
+        max_abs_diff(apply(scenario.u01, state(trace, "t0 after A loop")), state(trace, "t1 final"))
         <= 1e-12
     )
 
@@ -176,10 +180,10 @@ def test_ts_measurement_order_symmetry():
     scenario = make_scenario()
     for b in OUTCOMES:
         for split in rank1_splits():
-            p_b = split.initial_part.outcome_for(b)
-            p_a = split.final_part.outcome_for(b)
-            b_first = project(p_a, apply(scenario.u12, project(p_b, scenario.psi_t1())))
-            a_first = project(p_b, apply(scenario.u12, project(p_a, scenario.psi_t1())))
+            p_b = (split.initial_part, split.initial_part.outcome_for(b).code)
+            p_a = (split.final_part, split.final_part.outcome_for(b).code)
+            b_first = project(*p_a, apply(scenario.u12, project(*p_b, scenario.psi_t1())))
+            a_first = project(*p_b, apply(scenario.u12, project(*p_a, scenario.psi_t1())))
             # compare at t2: the A-side projection commutes through u12's
             # effect once the B projection is also accounted for
             trace = ts_trace(scenario, b, split, via_t0=False)

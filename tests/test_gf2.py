@@ -122,6 +122,22 @@ def test_mask_bit_round_trip():
     assert gf2.bits_to_mask("") == 0
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_subspace_count_is_the_number_of_subspaces(n):
+    for r in range(n + 1):
+        assert gf2.subspace_count(n, r) == len(gf2.subspaces(n, r))
+    assert gf2.subspace_count(10, 5) == 109_221_651
+
+
+def test_code_bits_of_every_width():
+    # a code's bits, first mask first, from byte tables up to rank 40
+    rng = np.random.default_rng(23)
+    for r in range(41):
+        drawn = [int(rng.integers(0, 1 << 62)) % (1 << r) for _ in range(5)]
+        for code in (0, (1 << r) - 1, *drawn):
+            assert gf2.code_bits(code, r) == tuple(code >> (r - 1 - j) & 1 for j in range(r))
+
+
 def test_subspaces_rank_bounds():
     with pytest.raises(ValueError):
         gf2.subspaces(3, 4)

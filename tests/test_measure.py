@@ -8,7 +8,6 @@ import pytest
 from tsq import gf2
 from tsq.grover import grover_process
 from tsq.measure import (
-    ImpossibleOutcomeError,
     ParityObservable,
     ParityOutcome,
     full_observable,
@@ -17,7 +16,6 @@ from tsq.measure import (
     project_forced,
     projector_diagonal,
     sector_masses,
-    trivial_observable,
 )
 from tsq.qcore import (
     STATE_TOL,
@@ -48,8 +46,8 @@ CORRELATED = state_from_terms(L2, [(b, b, 1) for b in ("00", "01", "10", "11")])
 
 
 def all_outcomes(obs):
-    for k in range(1 << obs.rank):
-        yield ParityOutcome(obs, tuple((k >> (obs.rank - 1 - i)) & 1 for i in range(obs.rank)))
+    for code in range(1 << obs.rank):
+        yield ParityOutcome(obs, code)
 
 
 def test_observable_validation():
@@ -57,7 +55,21 @@ def test_observable_validation():
     with pytest.raises(ValueError):
         ParityObservable("C", ("01",))
     assert full_observable(L2, "B").masks == ("10", "01")
-    assert trivial_observable("A").rank == 0
+    assert ParityObservable("A", ()).rank == 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_outcome_code_spells_the_outcome_bits(n, rng):
+    # the code of a register value is its entry in the parity codes, and its
+    # bits, read by gf2.code_bits, are the value's parities in mask order
+    for r in range(n + 1):
+        masks = random_independent_masks(rng, n, r)
+        obs = ParityObservable("B", tuple(gf2.mask_to_bits(m, n) for m in masks))
+        codes = gf2.parity_codes(masks, n)
+        for v in setting_values(n):
+            outcome = obs.outcome_for(v)
+            assert outcome.bits == obs.outcome_bits(v)
+            assert outcome.code == codes[int(v, 2)]
 
 
 def test_observable_names():
@@ -65,20 +77,20 @@ def test_observable_names():
     assert ParityObservable("B", ("10",)).name() == "B_l"
     assert ParityObservable("A", ("01",)).name() == "A_r"
     assert ParityObservable("B", ("11",)).name() == "B[11]"
-    assert trivial_observable("B").name() == "B(trivial)"
+    assert ParityObservable("B", ()).name() == "B(trivial)"
 
 
 def test_left_bit_projector_on_initial_state():
-    outcome = ParityObservable("B", ("10",)).outcome_for("01")
-    assert outcome.bits == (0,)
-    kept = project(outcome, INITIAL)
+    obs = ParityObservable("B", ("10",))
+    assert obs.outcome_for("01").bits == (0,)
+    kept = project(obs, obs.outcome_for("01").code, INITIAL)
     assert states_close(kept, state_from_terms(L2, [("00", "00", 1), ("01", "00", 1)]))
 
 
 def test_right_bit_projector_on_correlated_state():
-    outcome = ParityObservable("A", ("01",)).outcome_for("01")
-    assert outcome.bits == (1,)
-    kept = project(outcome, CORRELATED)
+    obs = ParityObservable("A", ("01",))
+    assert obs.outcome_for("01").bits == (1,)
+    kept = project(obs, obs.outcome_for("01").code, CORRELATED)
     assert states_close(kept, state_from_terms(L2, [("01", "01", 1), ("11", "11", 1)]))
 
 
@@ -87,14 +99,13 @@ def test_projector_idempotent():
         for outcome in all_outcomes(obs):
             diag = projector_diagonal(outcome, L2)
             assert set(np.unique(diag)) <= {0.0, 1.0}
-            s = project(outcome, CORRELATED)
-            assert max_abs_diff(project(outcome, s), s) == 0
+            s = project(obs, outcome.code, CORRELATED)
+            assert max_abs_diff(project(obs, outcome.code, s), s) == 0
 
 
 def test_full_rank_projection_fixes_eigenstate():
     s = basis_state(L2, "01", "00")
-    outcome = full_observable(L2, "B").outcome_for("01")
-    assert max_abs_diff(project(outcome, s), s) == 0
+    assert max_abs_diff(project(full_observable(L2, "B"), 0b01, s), s) == 0
 
 
 def test_sector_completeness(rng):
@@ -104,14 +115,14 @@ def test_sector_completeness(rng):
         ParityObservable("A", ("011", "101")),
         ParityObservable("B", ("111",)),
     ):
-        total = sum(project(o, s).amps for o in all_outcomes(obs))
+        total = sum(project(obs, code, s).amps for code in range(1 << obs.rank))
         assert np.max(np.abs(total - s.amps)) <= 1e-12 * s.norm()
 
 
 def test_measure_forced():
-    rec = measure(INITIAL, full_observable(L2, "B"), forced=(0, 1))
-    assert states_close(rec.post_state, basis_state(L2, "01", "00"))
-    assert rec.outcome.bits == (0, 1)
+    # a forced outcome is project_forced, with the outcome named by a register value
+    post = project_forced(full_observable(L2, "B"), "01", INITIAL)
+    assert states_close(post, basis_state(L2, "01", "00"))
 
 
 def test_measure_sharp_state_is_deterministic():
@@ -122,8 +133,8 @@ def test_measure_sharp_state_is_deterministic():
 
 
 def test_measure_impossible_outcome():
-    with pytest.raises(ImpossibleOutcomeError):
-        measure(basis_state(L2, "01", "00"), full_observable(L2, "B"), forced=(1, 1))
+    with pytest.raises(InvariantError, match="impossible outcome 11 for B"):
+        project_forced(full_observable(L2, "B"), "11", basis_state(L2, "01", "00"))
 
 
 def reference_draw(s, obs, seed):
@@ -146,8 +157,8 @@ def sector_of(s, obs, bits) -> np.ndarray:
 
 L3 = RegisterLayout(3, 3)
 RANK_ENDS = [
-    trivial_observable("B"),
-    trivial_observable("A"),
+    ParityObservable("B", ()),
+    ParityObservable("A", ()),
     full_observable(L3, "B"),
     ParityObservable("A", ("011", "101", "111")),
 ]
@@ -156,36 +167,38 @@ RANK_ENDS = [
 @pytest.mark.parametrize("obs", RANK_ENDS, ids=lambda obs: obs.name())
 def test_measure_at_both_ends_of_the_rank_range(obs, rng):
     s = random_state(L3, rng)
-    masses = sector_masses(s, obs)
     for seed in range(50):
         rec = measure(s, obs, seed=seed)
         assert rec.outcome.bits == reference_draw(s, obs, seed)
         assert np.array_equal(rec.post_state.amps, np.where(sector_of(s, obs, rec.outcome.bits), s.amps, 0))
-    for bits in masses:
-        rec = measure(s, obs, forced=bits)
-        assert rec.outcome.bits == bits
-        assert np.array_equal(rec.post_state.amps, np.where(sector_of(s, obs, bits), s.amps, 0))
+    # the forced path: the sector of every register value
+    for value in setting_values(3):
+        bits = obs.outcome_for(value).bits
+        post = project_forced(obs, value, s)
+        assert np.array_equal(post.amps, np.where(sector_of(s, obs, bits), s.amps, 0))
 
 
 @pytest.mark.parametrize("obs", RANK_ENDS, ids=lambda obs: obs.name())
 def test_measure_refuses_forced_outcomes_without_mass(obs, rng):
-    # a sector emptied of mass, and bits that are no outcome of obs
+    # values that are no value of the register: one bit too many, and a bit
+    # that is not 0 or 1
     s = random_state(L3, rng)
-    empty = (1,) * obs.rank
-    s = StateVector(L3, np.where(sector_of(s, obs, empty), 0, s.amps)) if obs.rank else s
-    # one bit too many, and a bit that is not 0 or 1
-    refused = [(0,) * (obs.rank + 1), (2,) * max(obs.rank, 1)] + ([empty] if obs.rank else [])
-    for bits in refused:
-        message = f"impossible outcome {bits} for {obs.name()}"
-        with pytest.raises(ImpossibleOutcomeError, match=re.escape(message)):
-            measure(s, obs, forced=bits)
+    for value in ("0000", "012"):
+        with pytest.raises(ValueError, match=f"{value!r} is not a value of the 3-bit register"):
+            project_forced(obs, value, s)
+    if not obs.rank:
+        return
+    # the sector of value 111 emptied of mass
+    s = StateVector(L3, np.where(sector_of(s, obs, obs.outcome_for("111").bits), 0, s.amps))
+    message = f"impossible outcome 111 for {obs.name()}: the projection annihilates the state"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        project_forced(obs, "111", s)
 
 
 def test_measure_selector_contract():
-    with pytest.raises(ValueError):
+    # the draw needs a seed; a chosen outcome is project_forced
+    with pytest.raises(TypeError):
         measure(INITIAL, full_observable(L2, "B"))
-    with pytest.raises(ValueError):
-        measure(INITIAL, full_observable(L2, "B"), forced=(0, 1), seed=3)
 
 
 def test_born_rule_sampling():
@@ -234,9 +247,9 @@ def test_sector_masses_reject_observable_of_other_width(rng):
     with pytest.raises(ValueError, match="does not fit the layout"):
         projector_diagonal(ParityObservable("A", ("1",)).outcome_for("1"), L2)
     with pytest.raises(ValueError, match="does not fit the layout"):
-        project(ParityObservable("A", ("1",)).outcome_for("1"), s)
+        project(ParityObservable("A", ("1",)), 1, s)
     with pytest.raises(ValueError, match="does not fit the layout"):
-        project(ParityObservable("B", ("101",)).outcome_for("101"), s)
+        project(ParityObservable("B", ("101",)), 1, s)
 
 
 @pytest.mark.parametrize(
@@ -247,7 +260,7 @@ def test_sector_masses_reject_observable_of_other_width(rng):
         (ParityObservable("A", ("11",)), "1"),
         (ParityObservable("A", ("11",)), "012"),
         (ParityObservable("A", ("11",)), "0b"),
-        (trivial_observable("B"), "000"),
+        (ParityObservable("B", ()), "000"),
     ],
 )
 def test_project_forced_refuses_value_of_other_width(obs, value):
@@ -303,10 +316,10 @@ def test_project_equals_diagonal_product_bit_for_bit(shape, register, rng):
         obs = ParityObservable(register, tuple(gf2.mask_to_bits(m, n) for m in masks))
         for outcome in all_outcomes(obs):
             expected = s.amps * projector_diagonal(outcome, layout)
-            assert bitwise_equal(project(outcome, s).amps, expected)
+            assert bitwise_equal(project(obs, outcome.code, s).amps, expected)
         # the forced path, for every register value whose sector has mass
         for value in setting_values(n):
-            expected = project(obs.outcome_for(value), s)
+            expected = project(obs, obs.outcome_for(value).code, s)
             if not expected.is_zero():
                 assert bitwise_equal(project_forced(obs, value, s).amps, expected.amps)
 
@@ -344,8 +357,9 @@ def test_projector_and_masses_match_index_oracle(shape, register, rng):
 
 def postponement_deviation(u, outcome, psi: StateVector) -> float:
     """max |U P psi - P U psi| for the projector P of ``outcome``."""
-    first = apply(u, project(outcome, psi))
-    last = project(outcome, apply(u, psi))
+    obs, code = outcome.observable, outcome.code
+    first = apply(u, project(obs, code, psi))
+    last = project(obs, code, apply(u, psi))
     return float(np.max(np.abs(first.amps - last.amps)))
 
 
@@ -361,8 +375,8 @@ def test_postponement_exhaustive(n, rng):
 
 
 def test_postponement_identity_unitary():
-    rec = measure(INITIAL, full_observable(L2, "B"), forced=(0, 1))
-    assert postponement_deviation(identity_unitary(L2), rec.outcome, INITIAL) == 0
+    outcome = full_observable(L2, "B").outcome_for("01")
+    assert postponement_deviation(identity_unitary(L2), outcome, INITIAL) == 0
 
 
 def test_postponement_fails_for_a_unitary_that_mixes_b_sectors():
@@ -371,8 +385,8 @@ def test_postponement_fails_for_a_unitary_that_mixes_b_sectors():
     layout = RegisterLayout(1, 1)
     hadamard_b = UnitaryOp(layout, np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2)))
     initial = uniform_setting_state(layout)
-    rec = measure(initial, full_observable(layout, "B"), forced=(0,))
-    assert postponement_deviation(hadamard_b, rec.outcome, initial) == pytest.approx(1 / np.sqrt(2))
+    outcome = full_observable(layout, "B").outcome_for("0")
+    assert postponement_deviation(hadamard_b, outcome, initial) == pytest.approx(1 / np.sqrt(2))
 
 
 def test_final_projection_equivalent_on_either_register():
@@ -380,8 +394,8 @@ def test_final_projection_equivalent_on_either_register():
     # same parity of B
     process = xor_process(2)
     for v in (0, 1):
-        via_a = project(ParityOutcome(ParityObservable("A", ("01",)), (v,)), CORRELATED)
-        via_b = project(ParityOutcome(ParityObservable("B", ("01",)), (v,)), CORRELATED)
+        via_a = project(ParityObservable("A", ("01",)), v, CORRELATED)
+        via_b = project(ParityObservable("B", ("01",)), v, CORRELATED)
         assert max_abs_diff(via_a, via_b) <= 1e-12
 
 
@@ -391,11 +405,11 @@ def test_unitary_leaves_hidden_outcome_density_unaltered():
     process = xor_process(2)
     obs = full_observable(L2, "B")
     rho_in = sum(
-        reduced_density(project(obs.outcome_for(b), process.initial_state), "B")
+        reduced_density(project(obs, int(b, 2), process.initial_state), "B")
         for b in setting_values(2)
     )
     rho_out = sum(
-        reduced_density(apply(process.u12, project(obs.outcome_for(b), process.initial_state)), "B")
+        reduced_density(apply(process.u12, project(obs, int(b, 2), process.initial_state)), "B")
         for b in setting_values(2)
     )
     assert np.max(np.abs(rho_in - rho_out)) <= 1e-12

@@ -456,7 +456,7 @@ def test_fast_path_states_equal_public_constructor_bit_for_bit(kind, n, seed):
             for v in setting_values(n):
                 outcome = obs.outcome_for(v)
                 expected = StateVector(layout, projector_diagonal(outcome, layout) * out.amps)
-                projected = project(outcome, out)
+                projected = project(obs, outcome.code, out)
                 assert bitwise_equal(projected.amps, expected.amps)
                 assert fresh_and_frozen(projected, out.amps)
                 if expected.is_zero():

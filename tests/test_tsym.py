@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tsq import gf2
+from tsq import gf2, measure
 from tsq.cli import parse_split
 from tsq.grover import grover_process
 from tsq.measure import ParityObservable, project
@@ -404,13 +404,14 @@ def test_walks_equal_explicit_legs(key):
     u, s0 = process.u12, process.initial_state
     for split in sampled_splits(process):
         for b in setting_values(process.n):
-            initial, final = split.initial_part.outcome_for(b), split.final_part.outcome_for(b)
+            initial, final = split.initial_part, split.final_part
+            initial_code, final_code = initial.outcome_for(b).code, final.outcome_for(b).code
             forward = apply(u, s0)
-            selected = project(final, forward)
+            selected = project(final, final_code, forward)
             solver_want = (s0, None, forward, selected, apply_adjoint(u, selected))
-            s1 = project(initial, s0)
+            s1 = project(initial, initial_code, s0)
             s2 = apply(u, s1)
-            s3 = project(final, s2)
+            s3 = project(final, final_code, s2)
             external_want = (s0, s1, s2, s3, apply_adjoint(u, s3))
             for inst, want in (
                 (solver_instance(process, b, split), solver_want),
@@ -465,3 +466,19 @@ def test_branch_settings_at_the_mass_threshold(side, rng):
     want = ("00", "10") if side > 1 else ("00",)
     assert reference_branch_settings(state) == want
     assert bottom_line_instance(state).branch_settings() == want
+
+
+@pytest.mark.parametrize("key", PROCESSES)
+def test_every_leg_selection_goes_through_project(key, monkeypatch):
+    # one masked state per selection: 1 for a solver instance, 2 for an external one
+    calls = []
+    original = measure.project
+    monkeypatch.setattr(measure, "project", lambda *args: calls.append(args[1]) or original(*args))
+    process = PROCESSES[key]
+    split = enumerate_splits(process, 1)[0]
+    b = setting_values(process.n)[-1]
+    solver_instance(process, b, split)
+    assert calls == [split.final_part.outcome_for(b).code]
+    calls.clear()
+    external_instance(process, b, split)
+    assert calls == [split.initial_part.outcome_for(b).code, split.final_part.outcome_for(b).code]
