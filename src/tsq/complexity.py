@@ -63,8 +63,9 @@ from . import gf2
 from .qcore import InvariantError
 
 DEFAULT_SEARCH_CAP = 24
-# the most advice bases one prediction builds and scans: the list of the
-# [10 choose 5]_2, about 1.1e8, would not fit in memory
+# the most advice bases one prediction may scan, counted in closed form
+# before the scan: the bases are streamed, so this bounds the scan's work,
+# not a list in memory; the [10 choose 5]_2, about 1.1e8, are refused
 DEFAULT_BASIS_CAP = 1 << 23
 NO_SPLIT = "no query distinguishes the remaining candidates"
 
@@ -415,8 +416,10 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
     the best only with a strictly smaller worst case.  The problem's
     ``_ProblemTable`` is built on its first call past the cap checks and read
     by every later one; one count memo, made for this call, serves every
-    basis.  More than ``DEFAULT_BASIS_CAP`` bases, counted in closed form,
-    are refused before any is built.
+    basis.  The bases are drawn from the ``gf2.subspaces`` stream, so a scan
+    that stops early builds only the bases it read.  More than
+    ``DEFAULT_BASIS_CAP`` bases, counted in closed form, are refused before
+    any is built: the cap bounds the scan's work, not a list in memory.
     """
     r = _advice_rank(problem, k)
     n = problem.n

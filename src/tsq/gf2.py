@@ -8,7 +8,8 @@ most significant bit.
 from __future__ import annotations
 
 import functools
-from itertools import combinations, product
+from itertools import chain, islice, product
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -98,28 +99,77 @@ def span(vectors) -> frozenset[int]:
     return frozenset(out)
 
 
-def subspaces(n: int, r: int) -> list[tuple[int, ...]]:
-    """All rank-r subspaces of F_2^n as canonical bases, sorted.
+# The longest tail list one ``subspaces`` stream keeps: a longer tail is
+# streamed again on each visit, so a full scan holds no list of its bases.
+_TAIL_CACHE_CAP = 1 << 12
 
-    Each subspace has one reduced basis, and each reduced basis is built
-    directly: choose r pivot bits; the row of pivot p is bit p plus any
-    subset of the non-pivot bits below p.  That gives the Gaussian binomial
-    [n choose r]_2 bases, each once.
+
+def subspaces(n: int, r: int) -> Iterator[tuple[int, ...]]:
+    """Every rank-r subspace of F_2^n as its reduced basis, in sorted order,
+    from a generator: a scan that stops early builds only the bases it read.
+
+    Each subspace has one reduced basis (see ``reduced_basis``): rows
+    descending, each row's top bit its pivot, and no pivot set in another
+    row.  Sorted order is the order of the first row v, then of the rest,
+    so the bases are built row by row: v goes in ascending order (its pivot
+    p, then its low bits), and the later rows are a rank-(r - 1) reduced
+    basis whose pivots are the bits below p that are zero in v, built the
+    same way.  That gives the Gaussian binomial [n choose r]_2 bases
+    (``subspace_count``), each once.  Tails are cached for the life of the
+    stream, keyed by their rank and allowed pivot bits, up to
+    ``_TAIL_CACHE_CAP`` bases a tail.  The rank is checked at the call.
     """
     if not 0 <= r <= n:
         raise ValueError(f"rank {r} out of range for n={n}")
-    out = []
-    for pivots in combinations(range(n - 1, -1, -1), r):
-        taken = sum(1 << p for p in pivots)
-        rows = []
-        for p in pivots:
-            choices = [1 << p]
-            for bit in range(p):
-                if not taken >> bit & 1:
-                    choices += [row | 1 << bit for row in choices]
-            rows.append(choices)
-        out.extend(product(*rows))
-    return sorted(out)
+    return chain.from_iterable(_basis_chunks(r, (1 << n) - 1, {}))
+
+
+def _basis_chunks(rank: int, allowed: int, cache: dict) -> Iterator[Iterable[tuple[int, ...]]]:
+    """The reduced bases of rank ``rank`` whose pivots are bits of
+    ``allowed``, in sorted order, in chunks: one per first row, or at rank 1
+    one per pivot."""
+    if not rank:
+        yield ((),)
+        return
+    need = rank - 1
+    p = 0
+    while allowed >> p:
+        if allowed >> p & 1:
+            if not need:
+                yield zip(range(1 << p, 2 << p))
+            else:
+                below = allowed & ((1 << p) - 1)
+                top = 1 << p
+                low = 0 if below.bit_count() >= need else top
+                while low < top:
+                    rest = below & ~low
+                    if rest.bit_count() >= need:
+                        yield map((top | low,).__add__, _tails(need, rest, cache))
+                        low += 1
+                    else:
+                        # every low up to the carry past this one's lowest
+                        # allowed bit keeps all its allowed bits: skip them
+                        taken = low & below
+                        low = (low | ((taken & -taken) - 1)) + 1
+        p += 1
+
+
+def _tails(rank: int, allowed: int, cache: dict) -> Iterable[tuple[int, ...]]:
+    """``_basis_chunks(rank, allowed)`` as one sorted iterable: the list kept
+    in ``cache``, or a fresh stream once the tail has proved longer than
+    ``_TAIL_CACHE_CAP`` (marked False)."""
+    key = rank, allowed
+    tails = cache.get(key)
+    if tails is None:
+        stream = chain.from_iterable(_basis_chunks(rank, allowed, cache))
+        tails = list(islice(stream, _TAIL_CACHE_CAP + 1))
+        if len(tails) > _TAIL_CACHE_CAP:
+            cache[key] = False
+            return chain(tails, stream)
+        cache[key] = tails
+    elif tails is False:
+        return chain.from_iterable(_basis_chunks(rank, allowed, cache))
+    return tails
 
 
 def subspace_count(n: int, r: int) -> int:

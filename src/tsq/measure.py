@@ -177,7 +177,10 @@ class MeasurementRecord:
 def measure(s: StateVector, obs: ParityObservable, *, seed: int) -> MeasurementRecord:
     """Measure ``obs`` on ``s``: draw a sector by the Born rule, from a
     generator seeded so that runs are reproducible, and project onto it.
-    A chosen outcome is ``project_forced``."""
+    A chosen outcome is ``project_forced``; ``seed=None``, which would seed
+    from the operating system, is refused."""
+    if seed is None:
+        raise ValueError("measure needs a seed: seed=None would make the draw irreproducible")
     if s.is_zero():
         raise ValueError("cannot measure the zero state")
     weights = _sector_weights(s, obs)

@@ -126,8 +126,7 @@ def selection_is_injective(process: ProcessDescription, split: SelectionSplit) -
 def _observable(register: str, basis: tuple[int, ...], n: int) -> ParityObservable:
     """The observable of an independent ``basis``, its mask text read from the
     per-width string table that state rendering shares."""
-    strings = _bit_strings(n)
-    return ParityObservable(register, tuple(strings[m] for m in basis))
+    return ParityObservable(register, tuple(map(_bit_strings(n).__getitem__, basis)))
 
 
 def _first_complement(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -138,7 +137,8 @@ def _first_complement(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     span n - q_i - i dimensions (their pivots there), so a complement's
     reduced rows w_1 > ... > w_m supply i dimensions there: w_i has its
     pivot at q_i or above, and w_i >= 2^{q_i}.  The unit vectors meet every
-    one of these bounds, and with the rows they span F_2^n.
+    one of these bounds, and with the rows they span F_2^n.  It depends on
+    the pivots alone.
     """
     pivots = 0
     for row in rows:
@@ -158,19 +158,26 @@ def complete_split(process: ProcessDescription, final_part: ParityObservable) ->
 def enumerate_splits(process: ProcessDescription, even_rank: int) -> list[SelectionSplit]:
     """All splits with initial-part rank ``even_rank``, canonically ordered.
 
-    One split per distinct final-part subspace, in sorted basis order: the
-    final part determines the instance structure, and each is paired with
-    its first complement in sorted basis order, which ``_first_complement``
-    builds from the pivots of the subspace's reduced basis.  Every subspace
-    has one, so there are [n choose n - even_rank]_2 splits.
+    One split per distinct final-part subspace, in the sorted order of
+    ``gf2.subspaces``: the final part determines the instance structure, and
+    each is paired with its first complement in sorted basis order, which
+    depends only on the pivots of the subspace's reduced basis.  Every
+    subspace has one, so there are [n choose n - even_rank]_2 splits; the
+    splits of one pivot set share one initial-part object, so C(n,
+    even_rank) are built.
     """
     n = process.n
     if not 0 <= even_rank <= n:
         raise ValueError(f"rank {even_rank} out of range for n={n}")
-    return [
-        SelectionSplit(_observable("B", _first_complement(final, n), n), _observable("A", final, n))
-        for final in gf2.subspaces(n, n - even_rank)
-    ]
+    initial_parts: dict[tuple[int, ...], ParityObservable] = {}
+    splits = []
+    for final in gf2.subspaces(n, n - even_rank):
+        pivots = tuple(map(int.bit_length, final))  # one past each row's pivot
+        initial = initial_parts.get(pivots)
+        if initial is None:
+            initial = initial_parts[pivots] = _observable("B", _first_complement(final, n), n)
+        splits.append(SelectionSplit(initial, _observable("A", final, n)))
+    return splits
 
 
 @dataclass(frozen=True)
@@ -274,17 +281,20 @@ def recover_superposition(instances) -> RecoveryReport:
 
     The superposition of all instances must give back the unitary part of the
     original description; the proportionality constant is reported rather
-    than assumed.
+    than assumed.  ``instances`` may be any iterable: each bottom line is
+    added in place as it comes, and its perspective checked against the
+    first instance's, so no list of instances is kept.
     """
-    instances = list(instances)
-    if not instances:
-        raise ValueError("no instances to superpose")
-    if len({i.perspective for i in instances}) > 1:
-        raise ValueError("instances mix perspectives")
-    reference = instances[0].walk[0]
-    total = np.zeros_like(reference.amps)
+    total = perspective = None
     for inst in instances:
-        total = total + inst.bottom_line[0].amps
+        if total is None:
+            reference, perspective = inst.walk[0], inst.perspective
+            total = np.zeros_like(reference.amps)
+        elif inst.perspective != perspective:
+            raise ValueError("instances mix perspectives")
+        total += inst.bottom_line[0].amps
+    if total is None:
+        raise ValueError("no instances to superpose")
     summed = StateVector(reference.layout, total)
     factor, resid = proportionality(summed, reference)
     return RecoveryReport(factor, resid, resid <= RESIDUAL_TOL * max(summed.norm(), 1.0))

@@ -382,13 +382,24 @@ def test_drawer_scan_stops_at_its_first_basis(n, monkeypatch):
         split_bases.append(basis)
         return cells(self, basis)
 
+    drawn = []
+    stream = gf2.subspaces
+
+    def counted_stream(*args):
+        for basis in stream(*args):
+            drawn.append(basis)
+            yield basis
+
     monkeypatch.setattr(_AdviceSplit, "cells", counted)
+    monkeypatch.setattr(gf2, "subspaces", counted_stream)
     problem = grover_problem(n)
     for r in range(n + 1):
         split_bases.clear()
+        drawn.clear()
         report = advanced_knowledge_prediction(problem, r / n)
         assert (report.advice_rank, report.worst_case) == (r, 2 ** (n - r) - 1)
-        assert split_bases == [gf2.subspaces(n, r)[0]]
+        first = list(stream(n, r))[0]
+        assert split_bases == drawn == [first]  # one basis built, and one read
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,7 +440,7 @@ def test_prediction_tie_break_first_sorted_basis():
     # at rank 1 every basis of the n=2 drawer gives two classes of 2 settings
     # (1 query each): the first basis in sorted order, 01, is reported
     report = advanced_knowledge_prediction(grover_problem(2), 0.5)
-    assert gf2.subspaces(2, 1)[0] == (0b01,)
+    assert list(gf2.subspaces(2, 1))[0] == (0b01,)
     assert report.masks == ("01",)
     assert report == exhaustive_prediction(grover_problem(2), 0.5)
 

@@ -1,6 +1,6 @@
 """GF(2) linear algebra building blocks."""
 
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -73,13 +73,31 @@ def test_span():
     assert gf2.span([]) == frozenset({0})
 
 
+def reference_subspaces(n: int, r: int) -> list[tuple[int, ...]]:
+    """Slow reference for ``gf2.subspaces``: the reduced bases of every
+    pivot set, each row its pivot bit plus any subset of the non-pivot bits
+    below it, as one list, sorted."""
+    out = []
+    for pivots in combinations(range(n - 1, -1, -1), r):
+        taken = sum(1 << p for p in pivots)
+        rows = []
+        for p in pivots:
+            choices = [1 << p]
+            for bit in range(p):
+                if not taken >> bit & 1:
+                    choices += [row | 1 << bit for row in choices]
+            rows.append(choices)
+        out.extend(product(*rows))
+    return sorted(out)
+
+
 def test_subspace_counts():
     # Gaussian binomial coefficients [n choose r]_2
-    assert len(gf2.subspaces(2, 1)) == 3
-    assert len(gf2.subspaces(3, 1)) == 7
-    assert len(gf2.subspaces(3, 2)) == 7
-    assert len(gf2.subspaces(4, 2)) == 35
-    assert gf2.subspaces(3, 0) == [()]
+    assert len(list(gf2.subspaces(2, 1))) == 3
+    assert len(list(gf2.subspaces(3, 1))) == 7
+    assert len(list(gf2.subspaces(3, 2))) == 7
+    assert len(list(gf2.subspaces(4, 2))) == 35
+    assert list(gf2.subspaces(3, 0)) == [()]
 
 
 def test_subspaces_match_direct_enumeration():
@@ -88,7 +106,7 @@ def test_subspaces_match_direct_enumeration():
     for combo in combinations(range(1, 8), 2):
         if gf2.is_independent(combo):
             spans.add(gf2.span(combo))
-    assert len(spans) == len(gf2.subspaces(3, 2))
+    assert len(spans) == len(list(gf2.subspaces(3, 2)))
 
 
 def gaussian_binomial(n: int, r: int) -> int:
@@ -104,9 +122,32 @@ def test_subspaces_equal_combination_brute_force(n):
     # oracle: reduce every independent r-combination of nonzero vectors
     for r in range(n + 1):
         brute = {gf2.reduced_basis(c) for c in combinations(range(1, 1 << n), r) if gf2.is_independent(c)}
-        direct = gf2.subspaces(n, r)
-        assert direct == sorted(brute)
+        direct = list(gf2.subspaces(n, r))
+        assert direct == sorted(brute) == reference_subspaces(n, r)
         assert len(direct) == gaussian_binomial(n, r)
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(8) for r in range(n + 1)] + [(8, 4)])
+def test_subspace_stream_equals_the_sorted_list(n, r):
+    # at (8, 4) some rank-3 tails pass the cache cap and are streamed again
+    assert list(gf2.subspaces(n, r)) == reference_subspaces(n, r)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_subspace_stream_without_its_tail_cache(n, monkeypatch):
+    # every tail longer than 2 bases is streamed again on each visit
+    monkeypatch.setattr(gf2, "_TAIL_CACHE_CAP", 2)
+    for r in range(n + 1):
+        assert list(gf2.subspaces(n, r)) == reference_subspaces(n, r)
+
+
+def test_subspace_stream_starts_at_once_past_the_basis_cap():
+    # [10 choose 5]_2 is about 1.1e8 bases; the first 2,000 come in order,
+    # each its own reduced basis of rank 5
+    head = list(islice(gf2.subspaces(10, 5), 2000))
+    assert len(head) == 2000
+    assert all(a < b for a, b in zip(head, head[1:]))
+    assert all(len(basis) == 5 and gf2.reduced_basis(basis) == basis for basis in head)
 
 
 def test_complement_bases():
@@ -125,7 +166,7 @@ def test_mask_bit_round_trip():
 @pytest.mark.parametrize("n", range(8))
 def test_subspace_count_is_the_number_of_subspaces(n):
     for r in range(n + 1):
-        assert gf2.subspace_count(n, r) == len(gf2.subspaces(n, r))
+        assert gf2.subspace_count(n, r) == len(list(gf2.subspaces(n, r)))
     assert gf2.subspace_count(10, 5) == 109_221_651
 
 
@@ -139,5 +180,8 @@ def test_code_bits_of_every_width():
 
 
 def test_subspaces_rank_bounds():
+    # refused at the call, before the first basis is drawn
     with pytest.raises(ValueError):
         gf2.subspaces(3, 4)
+    with pytest.raises(ValueError):
+        gf2.subspaces(3, -1)

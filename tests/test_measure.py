@@ -199,6 +199,9 @@ def test_measure_selector_contract():
     # the draw needs a seed; a chosen outcome is project_forced
     with pytest.raises(TypeError):
         measure(INITIAL, full_observable(L2, "B"))
+    # None would seed from the operating system, so no run could repeat the draw
+    with pytest.raises(ValueError, match="seed"):
+        measure(INITIAL, full_observable(L2, "B"), seed=None)
 
 
 def test_born_rule_sampling():

@@ -1,5 +1,6 @@
 """Selection splits, zigzag instances, and superposition recovery."""
 
+import math
 import random
 
 import numpy as np
@@ -161,7 +162,7 @@ def test_enumerate_splits_matches_rank_then_loop(n):
     # every final subspace of every rank against the scan over sorted bases
     process = XOR[n]
     for r in range(n + 1):
-        initial_bases = gf2.subspaces(n, r)
+        initial_bases = list(gf2.subspaces(n, r))
         want = [
             reference_complete_split(
                 process,
@@ -201,9 +202,21 @@ def test_enumerate_splits_n7_pairs_each_final_part_with_the_units_off_its_pivots
     for split in splits:
         pivots = {m.index("1") for m in split.final_part.masks}
         assert split.initial_part.masks == tuple(u for i, u in enumerate(units) if i not in pivots)
-    initial_bases = gf2.subspaces(n, r)
+    initial_bases = list(gf2.subspaces(n, r))
     for split in random.Random(7).sample(splits, 200):
         assert reference_complete_split(process, split.final_part, initial_bases) == split
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_splits_builds_one_initial_part_per_pivot_set(n):
+    # the first complement is the units off the final part's pivots, so the
+    # splits of one pivot set share one initial-part object: C(n, r) in all
+    for r in range(n + 1):
+        by_pivots = {}
+        for split in enumerate_splits(XOR[n], r):
+            pivots = frozenset(m.index("1") for m in split.final_part.masks)
+            assert by_pivots.setdefault(pivots, split.initial_part) is split.initial_part
+        assert len({id(part) for part in by_pivots.values()}) == len(by_pivots) == math.comb(n, r)
 
 
 def test_enumerate_splits_n2_rank1():
@@ -228,7 +241,7 @@ def test_enumerate_splits_n4_rank2_count():
     # one split per rank-2 final subspace of F_2^4; cross-check the subspace
     # count by brute-force enumeration
     splits = enumerate_splits(xor_process(4), 2)
-    assert len(splits) == len(gf2.subspaces(4, 2)) == 35
+    assert len(splits) == len(list(gf2.subspaces(4, 2))) == 35
     assert len({s.final_part.masks for s in splits}) == 35
 
 
@@ -328,6 +341,19 @@ def test_recovery_factor_n3():
     assert report.factor == pytest.approx(28)
 
 
+@pytest.mark.parametrize("perspective", [solver_instance, external_instance])
+def test_recovery_sums_a_stream_like_its_list(perspective):
+    # a generator is summed as it comes, with the same floats as the list
+    instances = [perspective(P3, b, split) for split in enumerate_splits(P3, 2) for b in setting_values(3)]
+    streamed = recover_superposition(inst for inst in instances)
+    assert streamed == recover_superposition(instances)
+
+
+def test_recovery_rejects_an_empty_stream():
+    with pytest.raises(ValueError, match="no instances"):
+        recover_superposition(iter([]))
+
+
 def test_recovery_single_instance():
     # a single instance is proportional to the input iff nothing was selected
     no_selection = uneven_instance(P2, "01", 0)
@@ -342,6 +368,14 @@ def test_recovery_rejects_mixed_perspectives():
         recover_superposition(
             [solver_instance(P2, "01", split), external_instance(P2, "01", split)]
         )
+    # a stream is checked as it comes: the mix shows at its third instance
+    mixed = (
+        make(P2, b, split)
+        for make in (solver_instance, external_instance)
+        for b in ("01", "10")
+    )
+    with pytest.raises(ValueError, match="mix perspectives"):
+        recover_superposition(mixed)
 
 
 def test_uneven_instance_ranks():
