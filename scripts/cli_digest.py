@@ -20,7 +20,9 @@ exit 0 at k = 1), on two 10-bit settings (exit 2 at k = 1/2, whose
 file whose name is not a string (exit 2), and a few invalid argv.
 Problem-file paths are relative to the repository root, and the script runs
 from there, so the digests of two checkouts can be compared with ``diff``.
-An exception that escapes ``main`` is printed as ``raise:<type>``.
+An exception that escapes ``main`` is printed as ``raise:<type>``.  The
+output is committed as ``tests/golden/cli-digest.txt``, and
+``tests/test_digest.py`` checks the command line against it.
 """
 
 from __future__ import annotations
@@ -200,12 +202,15 @@ def run(argv: list[str]) -> tuple[str, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main() -> int:
     os.chdir(ROOT)
     for argv in argvs():
         code, out, err = run(argv)
-        digests = (hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
-        print(json.dumps(argv), code, *digests, sep="\t")
+        print(json.dumps(argv), code, sha256(out), sha256(err), sep="\t")
     return 0
 
 
