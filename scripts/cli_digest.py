@@ -11,13 +11,14 @@ unitaries, ``ts-instance`` and ``grover-external`` in JSON at n = 5,
 ``ts-instance`` in JSON at n = 7 and 8, ``ts-instance`` and
 ``grover-solver`` in JSON with an A-only split at n = 5-8, every ``epr``
 mode and path with several seeds, ``complexity`` on the drawer problem
-(at every advice rank for n = 3 and 4, in one call each), on both bundled
-files and at every advice rank on a 16-setting random table
+(at every advice rank for n = 3 and 4, in one call each, at n = 5 and 8,
+and at n = 9, whose answer table passes the dimension cap: exit 2), on
+both bundled files and at every advice rank on a 16-setting random table
 under ``tests/data/`` (one k per call, and all of them in one call), on a
 4-setting table with two settings no query tells apart (exit 2 at k = 1/2,
-exit 0 at k = 1), on two 10-bit settings (exit 2 at k = 1/2, whose
-[10 choose 5]_2 advice bases pass the basis cap, exit 0 at k = 1), on a
-file whose name is not a string (exit 2), and a few invalid argv.
+exit 0 at k = 1), on two 10-bit settings (at k = 1/2, where the first of
+the [10 choose 5]_2 advice bases splits them, and at k = 1), on a file
+whose name is not a string (exit 2), and a few invalid argv.
 Problem-file paths are relative to the repository root, and the script runs
 from there, so the digests of two checkouts can be compared with ``diff``.
 An exception that escapes ``main`` is printed as ``raise:<type>``.  The
@@ -145,6 +146,9 @@ def argvs() -> list[list[str]]:
     # every advice rank of the drawer at n = 3 and 4: the nine k values in eighths
     eighths = [arg for e in range(9) for arg in ("--k", str(e / 8))]
     out += [["complexity", "--n", str(n), *eighths] for n in (3, 4)]
+    # the drawer at n = 5 and 8, and at n = 9, past the dimension cap: exit 2
+    out += [["complexity", "--n", "5", *ks[0]], ["complexity", "--n", "8", "--k", "0.5"],
+            ["complexity", "--n", "9", "--k", "0.5"]]
     for path in PROBLEM_FILES:
         out += [["complexity", "--problem", "file", "--problem-file", path, *k] for k in ks]
     five_ks = ("0", "0.25", "0.5", "0.75", "1")
@@ -158,7 +162,7 @@ def argvs() -> list[list[str]]:
         out.append(["complexity", "--problem", "file", "--problem-file", CONFUSABLE_TABLE, "--k", k])
     # a name that is not a string: exit 2
     out.append(["complexity", "--problem", "file", "--problem-file", LIST_NAME, "--k", "1"])
-    # more advice bases than the basis cap at k = 1/2: exit 2, before any is built
+    # [10 choose 5]_2 advice bases at k = 1/2, of which the first splits the two
     for k in ("0.5", "1"):
         out.append(["complexity", "--problem", "file", "--problem-file", WIDE_TABLE, "--k", k])
     for n in range(4, 9):

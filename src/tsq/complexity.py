@@ -60,18 +60,16 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from . import gf2
-from .qcore import InvariantError
+from .qcore import InvariantError, RegisterLayout
 
-DEFAULT_SEARCH_CAP = 24
-# the most advice bases one prediction may scan, counted in closed form
-# before the scan: the bases are streamed, so this bounds the scan's work,
-# not a list in memory; the [10 choose 5]_2, about 1.1e8, are refused
-DEFAULT_BASIS_CAP = 1 << 23
+# the most steps one search may take: a step is one candidate set counted
+# (past the memo) or one advice basis scanned
+DEFAULT_SEARCH_BUDGET = 1 << 17
 NO_SPLIT = "no query distinguishes the remaining candidates"
 
 
 class SearchCapError(ValueError):
-    """Instance too large for exact search."""
+    """Search past its step budget."""
 
 
 @dataclass(frozen=True)
@@ -109,22 +107,17 @@ class OracleProblemSpec:
     @cached_property
     def _table(self) -> "_ProblemTable":
         """The search's fixed structure, built on first use and kept with
-        the problem; callers check the setting cap before they read it."""
+        the problem."""
         return _ProblemTable(self)
 
 
-def _check_cap(count: int, cap: int, what: str) -> None:
-    if count > cap:
-        raise SearchCapError(f"instance too large for exact search ({count} {what} > cap {cap})")
-
-
 def grover_problem(n: int) -> OracleProblemSpec:
-    """Ball in one of 2^n drawers; a query opens one drawer.  Refused when
-    the 2^n settings exceed ``DEFAULT_SEARCH_CAP``, before the 4^n answers
-    are tabulated."""
+    """Ball in one of 2^n drawers; a query opens one drawer.  The 2^n x 2^n
+    answer table is refused past the dimension cap of two n-bit registers
+    (``RegisterLayout(n, n)``), before the 4^n answers are tabulated."""
     if n < 1:
         raise ValueError(f"the drawer problem needs at least one bit, got n={n}")
-    _check_cap(1 << n, DEFAULT_SEARCH_CAP, "settings")
+    RegisterLayout(n, n)
     settings = tuple(format(b, f"0{n}b") for b in range(1 << n))
     return OracleProblemSpec(
         name=f"grover-n{n}",
@@ -145,9 +138,8 @@ def decision_tree_complexity(problem: OracleProblemSpec, candidates) -> int:
     candidates = frozenset(candidates)
     if not candidates:
         raise ValueError("candidate set is empty")
-    _check_cap(len(candidates), DEFAULT_SEARCH_CAP, "settings")
     tree = _DecisionTree(problem)
-    return tree.count(tree.mask(candidates))
+    return tree.solve(sum(1 << tree.table.index[b] for b in candidates))
 
 
 class _ProblemTable:
@@ -223,15 +215,32 @@ class _DecisionTree:
 
     Built for one call and dropped with it: it reads the problem's
     ``_ProblemTable`` and keeps every count found in ``memo``, which no
-    other call sees.
+    other call sees, and counts in ``steps`` the work it has done.
     """
 
     def __init__(self, problem: OracleProblemSpec):
         self.table = problem._table
         self.memo: dict[int, int] = {}
+        self.steps = self.bases = 0
 
-    def mask(self, settings) -> int:
-        return sum(1 << self.table.index[b] for b in settings)
+    def step(self, basis: bool = False) -> None:
+        """Spend one step, on a basis scanned or else a set counted; raise
+        past ``DEFAULT_SEARCH_BUDGET``."""
+        if self.steps >= DEFAULT_SEARCH_BUDGET:
+            raise SearchCapError(
+                f"search budget of {self.steps} steps spent (candidate sets counted:"
+                f" {self.steps - self.bases}, advice bases scanned: {self.bases})"
+            )
+        self.steps += 1
+        self.bases += basis
+
+    def solve(self, members: int) -> int:
+        """``count`` from outside the recursion, which nests one set a level:
+        a recursion too deep for the interpreter is refused like the budget."""
+        try:
+            return self.count(members)
+        except RecursionError:
+            raise SearchCapError("search nested deeper than the recursion limit") from None
 
     def count(self, members: int) -> int:
         """Exact query count of the candidate set ``members``.
@@ -252,11 +261,12 @@ class _DecisionTree:
         it.  A set of m settings needs at most m - 1 queries and has a bound
         below m, so m stands for "no splitting query yet": the first
         splitting query is counted in full, and a set holding two settings
-        that no query tells apart raises.
+        that no query tells apart raises.  A set not in the memo is a step.
         """
         memo = self.memo
         if members in memo:
             return memo[members]
+        self.step()
         table = self.table
         same, bounds = table.same_solution, table.bounds
         separable = not table.confusable  # some query splits every unsolved pair
@@ -414,17 +424,14 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
     falls as the size grows, so no basis has a worst case below the floor.
     The report is the one the full scan gives, since a later basis replaces
     the best only with a strictly smaller worst case.  The problem's
-    ``_ProblemTable`` is built on its first call past the cap checks and read
-    by every later one; one count memo, made for this call, serves every
-    basis.  The bases are drawn from the ``gf2.subspaces`` stream, so a scan
-    that stops early builds only the bases it read.  More than
-    ``DEFAULT_BASIS_CAP`` bases, counted in closed form, are refused before
-    any is built: the cap bounds the scan's work, not a list in memory.
+    ``_ProblemTable`` is built on its first call and read by every later
+    one; one count memo, made for this call, serves every basis.  The bases
+    are drawn from the ``gf2.subspaces`` stream, so a scan that stops early
+    builds only the bases it read.  Each basis drawn and each class counted
+    spends a step of the one ``DEFAULT_SEARCH_BUDGET``.
     """
     r = _advice_rank(problem, k)
     n = problem.n
-    _check_cap(len(problem.settings), DEFAULT_SEARCH_CAP, "settings")
-    _check_cap(gf2.subspace_count(n, r), DEFAULT_BASIS_CAP, f"rank-{r} advice bases")
     table = problem._table
     # Below full rank some class of some basis holds any given pair of
     # settings, and a confusable pair has no count: raise whichever bases
@@ -436,11 +443,12 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
     floor = table.bounds[-(-len(problem.settings) >> r)]
     best: Optional[ComplexityReport] = None
     for basis in gf2.subspaces(n, r):
+        tree.step(basis=True)
         per_class = []
         for code, members in split.cells(basis):
             if best is not None and table.bounds[members.bit_count()] >= best.worst_case:
                 break
-            count = tree.count(members)
+            count = tree.solve(members)
             if best is not None and count >= best.worst_case:
                 break
             per_class.append((code, count))

@@ -114,10 +114,10 @@ def subspaces(n: int, r: int) -> Iterator[tuple[int, ...]]:
     so the bases are built row by row: v goes in ascending order (its pivot
     p, then its low bits), and the later rows are a rank-(r - 1) reduced
     basis whose pivots are the bits below p that are zero in v, built the
-    same way.  That gives the Gaussian binomial [n choose r]_2 bases
-    (``subspace_count``), each once.  Tails are cached for the life of the
-    stream, keyed by their rank and allowed pivot bits, up to
-    ``_TAIL_CACHE_CAP`` bases a tail.  The rank is checked at the call.
+    same way.  That gives the Gaussian binomial [n choose r]_2 bases, each
+    once.  Tails are cached for the life of the stream, keyed by their rank
+    and allowed pivot bits, up to ``_TAIL_CACHE_CAP`` bases a tail.  The
+    rank is checked at the call.
     """
     if not 0 <= r <= n:
         raise ValueError(f"rank {r} out of range for n={n}")
@@ -170,15 +170,6 @@ def _tails(rank: int, allowed: int, cache: dict) -> Iterable[tuple[int, ...]]:
     elif tails is False:
         return chain.from_iterable(_basis_chunks(rank, allowed, cache))
     return tails
-
-
-def subspace_count(n: int, r: int) -> int:
-    """The number of rank-r subspaces of F_2^n, without building them: the
-    Gaussian binomial [n choose r]_2 = prod_{i<r} (2^(n-i) - 1) / (2^(i+1) - 1)."""
-    count = 1
-    for i in range(r):
-        count = count * ((1 << (n - i)) - 1) // ((1 << (i + 1)) - 1)
-    return count
 
 
 def complement_bases(n: int, basis) -> list[tuple[int, ...]]:

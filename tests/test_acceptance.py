@@ -26,7 +26,7 @@ from tsq.tsym import (
     solver_instance,
     xor_process,
 )
-from conftest import drawer_problem, setting_values, state_from_terms
+from conftest import setting_values, state_from_terms
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -126,8 +126,8 @@ def test_criterion_3_superposition_recovery():
     assert abs(report3.factor - 28) <= 1e-10
 
 
-def test_criterion_4_query_complexity_predictions(monkeypatch):
-    """Exact minimax counts for drawer search at n=2 to 6, in under 10 s."""
+def test_criterion_4_query_complexity_predictions():
+    """Exact minimax counts for drawer search at n=2 to 8, in under 10 s."""
     started = time.perf_counter()
     counts2 = [r.worst_case for r in k_sweep(grover_problem(2), [0, 0.5, 1])]
     assert counts2 == [3, 1, 0]
@@ -135,11 +135,9 @@ def test_criterion_4_query_complexity_predictions(monkeypatch):
     assert counts4 == [15, 3, 0]
     for n, half in ((2, counts2[1]), (4, counts4[1])):
         assert half == 2 ** (n // 2) - 1
-    # grover_problem refuses n >= 5 under the default cap; the same drawer
-    # table, searched with the cap raised to 64, keeps the closed form at every rank
-    monkeypatch.setattr("tsq.complexity.DEFAULT_SEARCH_CAP", 64)
-    for n in (5, 6):
-        reports = k_sweep(drawer_problem(setting_values(n)), [r / n for r in range(n + 1)])
+    # every rank-r advice class is a drawer over 2^(n - r) settings
+    for n in (5, 6, 7, 8):
+        reports = k_sweep(grover_problem(n), [r / n for r in range(n + 1)])
         assert [r.worst_case for r in reports] == [2 ** (n - r) - 1 for r in range(n + 1)]
     assert time.perf_counter() - started < 10.0
 

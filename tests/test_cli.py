@@ -232,7 +232,7 @@ def test_exit_code_config_errors(capsys):
     assert main(["grover-solver", "--n", "2", "--outcome", "01", "--split", "A=01"]) == 2
     assert main(["grover-solver", "--n", "2", "--outcome", "01", "--split", "B:[01]/A:[01]"]) == 2
     assert main(["ts-instance", "--n", "2", "--outcome", "01"]) == 2
-    assert main(["complexity", "--problem", "grover", "--n", "5", "--k", "0"]) == 2
+    assert main(["complexity", "--problem", "grover", "--n", "9", "--k", "0"]) == 2
     assert main(["grover-external", "--n", "2", "--outcome", "7"]) == 2
     assert main(["complexity", "--problem", "file", "--k", "0"]) == 2
     # the drawer problem with a problem file, once a silent run of the file
@@ -250,6 +250,14 @@ def test_exit_code_config_errors(capsys):
     assert main(["search", "--n", "30", "--target", "0" * 30]) == 2
     assert main(["complexity", "--n", "40", "--k", "0.5"]) == 2
     capsys.readouterr()
+
+
+def test_search_past_its_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(complexity, "DEFAULT_SEARCH_BUDGET", 10)
+    assert main(["complexity", "--problem", "grover", "--n", "5", "--k", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: search budget of 10 steps spent (candidate sets counted: 9, advice bases scanned: 1)\n"
+    )
 
 
 def test_drawer_problem_needs_one_bit(capsys):
@@ -568,7 +576,7 @@ def test_confusable_file_exits_2_below_full_rank(fmt, capsys):
 
 
 def test_24_setting_drawer_file_finishes(tmp_path):
-    # the largest drawer file the default cap admits, at three advice ranks
+    # a 24-setting drawer file at three advice ranks
     problem = drawer_problem(setting_values(5)[:24])
     path = tmp_path / "drawer-24.json"
     path.write_text(json.dumps({
@@ -599,8 +607,8 @@ def test_outcome_check_runs_after_the_layout_check(capsys):
     assert capsys.readouterr().err == "error: each register needs at least one bit\n"
 
 
-# n = 9 is above both the joint-dimension cap of the register commands and
-# the setting cap of the drawer problem, n = 40 far above every cap; "x" is
+# n = 9 is above the joint-dimension cap of the register commands and of the
+# drawer problem's answer table, n = 40 far above it; "x" is
 # not an integer at all
 NS = st.sampled_from(["0", "1", "2", "3", "9", "40", "x"])
 BITS = st.text("01", max_size=4) | st.text("012x-b_ ", min_size=1, max_size=4)

@@ -1,7 +1,11 @@
 """Decision-tree query complexity and the advance-knowledge predictions."""
 
 import copy
+import inspect
 import re
+import sys
+import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +15,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tsq import complexity, gf2
 from tsq.complexity import (
-    DEFAULT_BASIS_CAP,
     NO_SPLIT,
     ComplexityReport,
     OracleProblemSpec,
@@ -87,7 +90,7 @@ def test_grover_problem_shape():
 
 @pytest.mark.parametrize("n", [0, -3, -100])
 def test_grover_problem_needs_one_bit(n):
-    # refused before the size cap, whose 1 << n cannot take a negative n
+    # refused before the dimension cap, with a message about the drawers
     with pytest.raises(ValueError, match=f"needs at least one bit, got n={n}"):
         grover_problem(n)
 
@@ -108,12 +111,18 @@ def test_decision_tree_grover_closed_form():
         assert decision_tree_complexity(p, subset) == m - 1
 
 
-def test_decision_tree_cap():
-    # 32 candidates, past the default cap of 24
+def test_decision_tree_cap(monkeypatch):
+    # 32 candidates count 31 in 30 steps, one per set of 32 down to 3
+    # settings (a pair counts in closed form): no size is refused up front,
+    # and the step past the budget raises, naming where the steps went
     p = drawer_problem(setting_values(5))
-    with pytest.raises(SearchCapError, match=r"\(32 settings > cap 24\)"):
+    assert decision_tree_complexity(p, p.settings) == 31
+    monkeypatch.setattr(complexity, "DEFAULT_SEARCH_BUDGET", 30)
+    assert decision_tree_complexity(p, p.settings) == 31
+    monkeypatch.setattr(complexity, "DEFAULT_SEARCH_BUDGET", 29)
+    message = "search budget of 29 steps spent (candidate sets counted: 29, advice bases scanned: 0)"
+    with pytest.raises(SearchCapError, match=re.escape(message)):
         decision_tree_complexity(p, p.settings)
-    assert "_table" not in vars(p)
 
 
 def flipped_drawer(rng, settings) -> OracleProblemSpec:
@@ -192,8 +201,6 @@ def test_advice_rank_rounds_halves_to_even(n, k, rank):
 def test_prediction_k_bounds():
     with pytest.raises(ValueError):
         advanced_knowledge_prediction(grover_problem(2), 1.5)
-    with pytest.raises(SearchCapError):
-        advanced_knowledge_prediction(grover_problem(5), 0.5)
 
 
 def test_k_sweep_values():
@@ -476,38 +483,94 @@ def test_problem_table_is_built_once_and_never_changed(problem, numerators):
     assert counted == NO_SPLIT or first.memo[table.full] == counted
 
 
-def test_capped_problem_builds_no_table(monkeypatch):
-    problem = grover_problem(2)
-    with monkeypatch.context() as capped:
-        capped.setattr("tsq.complexity.DEFAULT_SEARCH_CAP", 1)
-        with pytest.raises(SearchCapError):
-            advanced_knowledge_prediction(problem, 0.5)
-        with pytest.raises(SearchCapError):
-            k_sweep(problem, [0, 1])
-    assert "_table" not in vars(problem)
-    advanced_knowledge_prediction(problem, 0.5)
-    assert "_table" in vars(problem)
+def test_capped_problem_builds_no_table():
+    # the drawer's answer table is 2^n x 2^n, the joint dimension of two
+    # n-bit registers: past its cap (n = 9 by default) it is refused before
+    # the settings, let alone the 4^n answers, are listed
+    tracemalloc.start()
+    try:
+        for n in (9, 40):
+            with pytest.raises(ValueError, match=rf"joint dimension 2\^{2 * n} exceeds the cap"):
+                grover_problem(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert len(grover_problem(8).answer) == 1 << 16
 
 
-def test_too_many_advice_bases_are_refused_before_any_is_built(monkeypatch):
-    # two 10-bit settings: [10 choose 5]_2 = 109,221,651 rank-5 bases
+def test_wide_settings_stop_at_the_first_advice_basis(monkeypatch):
+    # two 10-bit settings have [10 choose 5]_2 = 109,221,651 rank-5 bases,
+    # and the first one already splits them: the floor of 0 is met at once
     problem = load_problem(DATA / "wide-10.json")
-    assert gf2.subspace_count(10, 4) > DEFAULT_BASIS_CAP >= gf2.subspace_count(10, 3)
+    drawn = []
+    stream = gf2.subspaces
+    monkeypatch.setattr(gf2, "subspaces", lambda n, r: (drawn.append(b) or b for b in stream(n, r)))
+    assert [r.worst_case for r in k_sweep(problem, [0, 0.5, 1])] == [1, 0, 0]
+    assert len(drawn) == 3
 
-    def refuse(*args):
-        raise AssertionError("built before the basis count was checked")
 
-    with monkeypatch.context() as patched:
-        patched.setattr(gf2, "subspaces", refuse)
-        patched.setattr(complexity, "_ProblemTable", refuse)
-        message = f"(109221651 rank-5 advice bases > cap {DEFAULT_BASIS_CAP})"
-        with pytest.raises(SearchCapError, match=re.escape(message)):
-            advanced_knowledge_prediction(problem, 0.5)
-        with pytest.raises(SearchCapError):
-            k_sweep(problem, [0.5, 1])
-    assert "_table" not in vars(problem)
-    assert advanced_knowledge_prediction(problem, 1).worst_case == 0
-    assert advanced_knowledge_prediction(problem, 0).worst_case == 1
+def flipped_24_drawer(seed: int) -> OracleProblemSpec:
+    """The first 24 five-bit values as drawers, with 29 of the 576 answers
+    flipped at (setting, query) pairs drawn with ``seed``: a table without
+    the drawer's structure, which the lower bounds do not settle."""
+    settings = setting_values(5)[:24]
+    pairs = [(b, q) for b in settings for q in settings]
+    picks = np.random.default_rng(seed).choice(len(pairs), size=29, replace=False)
+    return drawer_problem(settings, {pairs[i] for i in picks})
+
+
+def budget_error(problem: OracleProblemSpec, k: float, seconds: float) -> str:
+    started = time.perf_counter()
+    with pytest.raises(SearchCapError) as refused:
+        advanced_knowledge_prediction(problem, k)
+    assert time.perf_counter() - started < seconds
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("seed, worst", [(1, 6), (4, 6), (6, 7)])
+def test_flipped_drawer_ends_within_the_budget(seed, worst):
+    # k = 0 needs 180k-314k steps, past the budget; k = 0.2 needs under 72k
+    problem = flipped_24_drawer(seed)
+    budget = complexity.DEFAULT_SEARCH_BUDGET
+    assert budget_error(problem, 0, 5.0) == (
+        f"search budget of {budget} steps spent (candidate sets counted: {budget - 1},"
+        " advice bases scanned: 1)"
+    )
+    assert advanced_knowledge_prediction(problem, 0.2).worst_case == worst
+
+
+def test_random_wide_settings_end_within_the_budget():
+    # 24 random 10-bit drawers at k = 1/2: no early rank-5 basis splits all
+    # 24 settings to meet the floor of 0, so the scan runs out of steps
+    values = np.random.default_rng(1).choice(1 << 10, size=24, replace=False)
+    problem = drawer_problem(format(v, "010b") for v in values)
+    message = budget_error(problem, 0.5, 10.0)
+    counted, scanned = map(int, re.findall(r": (\d+)", message))
+    assert counted + scanned == complexity.DEFAULT_SEARCH_BUDGET and scanned > counted
+
+
+def test_budget_message_is_the_same_on_two_runs(monkeypatch):
+    monkeypatch.setattr(complexity, "DEFAULT_SEARCH_BUDGET", 5000)
+    first, second = (budget_error(flipped_24_drawer(1), 0, 5.0) for _ in range(2))
+    assert first == second == (
+        "search budget of 5000 steps spent (candidate sets counted: 4999, advice bases scanned: 1)"
+    )
+
+
+def test_search_too_deep_for_the_interpreter_is_refused():
+    # the count recursion nests one set a level, 254 on the 256-setting
+    # drawer at k = 0, so a drawer file of about 1,000 settings passes the
+    # default limit of 1,000 frames; here the limit is 100 frames past the test
+    problem = grover_problem(8)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with pytest.raises(SearchCapError, match="search nested deeper than the recursion limit"):
+            advanced_knowledge_prediction(problem, 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert advanced_knowledge_prediction(problem, 0).worst_case == 255
 
 
 def test_confusable_pair_raises_even_where_the_cut_off_skips_it():

@@ -142,7 +142,8 @@ def test_subspace_stream_without_its_tail_cache(n, monkeypatch):
 
 
 def test_subspace_stream_starts_at_once_past_the_basis_cap():
-    # [10 choose 5]_2 is about 1.1e8 bases; the first 2,000 come in order,
+    # [10 choose 5]_2 is about 1.1e8 bases, more than any search budget
+    # scans; the first 2,000 come at once and in order,
     # each its own reduced basis of rank 5
     head = list(islice(gf2.subspaces(10, 5), 2000))
     assert len(head) == 2000
@@ -166,8 +167,8 @@ def test_mask_bit_round_trip():
 @pytest.mark.parametrize("n", range(8))
 def test_subspace_count_is_the_number_of_subspaces(n):
     for r in range(n + 1):
-        assert gf2.subspace_count(n, r) == len(list(gf2.subspaces(n, r)))
-    assert gf2.subspace_count(10, 5) == 109_221_651
+        assert gaussian_binomial(n, r) == len(list(gf2.subspaces(n, r)))
+    assert gaussian_binomial(10, 5) == 109_221_651
 
 
 def test_code_bits_of_every_width():
