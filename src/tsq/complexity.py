@@ -12,7 +12,16 @@ precomputed as its answer partition of the settings, once per problem, and
 each candidate set's count is memoized by its mask for the length of one
 call.  A query is abandoned once one of its branches reaches the best count
 found so far, and an advice basis once the lower bound below, or else the
-count, of one of its classes reaches the best worst case.  A basis's
+count, of one of its classes reaches the best worst case.  Only "does this
+class beat the best?" matters for a basis, so after the first basis each
+class is counted with the best worst case as its limit: the count is exact
+below the limit and otherwise only proved to reach it, and each count
+passes its best worst branch on as the limit of its branches (alpha-beta
+pruning: Knuth & Moore, "An analysis of alpha-beta pruning", AI 1975).  The
+memo keeps such a proof as a bound beside the exact counts.  A count with
+no limit, as in the first basis and at k = 0, counts its branches exactly.
+The scan takes solved classes, and the pairs of a problem that is not
+confusable (below), in closed form, with no count and no step.  A basis's
 classes are cut from the settings by per-bit parity masks, so no table over
 the 2^n values is built.  The tests keep the frozenset recursion and
 ``advice_classes`` as the slow references.
@@ -63,7 +72,8 @@ from . import gf2
 from .qcore import InvariantError, RegisterLayout
 
 # the most steps one search may take: a step is one candidate set counted
-# (past the memo) or one advice basis scanned
+# or one advice basis scanned; a memo hit, and a set its caller takes in
+# closed form, costs none
 DEFAULT_SEARCH_BUDGET = 1 << 17
 NO_SPLIT = "no query distinguishes the remaining candidates"
 
@@ -214,8 +224,9 @@ class _DecisionTree:
     """The minimax on int bitmasks over the problem's setting indices.
 
     Built for one call and dropped with it: it reads the problem's
-    ``_ProblemTable`` and keeps every count found in ``memo``, which no
-    other call sees, and counts in ``steps`` the work it has done.
+    ``_ProblemTable`` and keeps every count, or lower bound, found in
+    ``memo``, which no other call sees, and counts in ``steps`` the work it
+    has done.
     """
 
     def __init__(self, problem: OracleProblemSpec):
@@ -223,27 +234,30 @@ class _DecisionTree:
         self.memo: dict[int, int] = {}
         self.steps = self.bases = 0
 
-    def step(self, basis: bool = False) -> None:
-        """Spend one step, on a basis scanned or else a set counted; raise
-        past ``DEFAULT_SEARCH_BUDGET``."""
-        if self.steps >= DEFAULT_SEARCH_BUDGET:
-            raise SearchCapError(
-                f"search budget of {self.steps} steps spent (candidate sets counted:"
-                f" {self.steps - self.bases}, advice bases scanned: {self.bases})"
-            )
-        self.steps += 1
-        self.bases += basis
+    def refuse(self) -> None:
+        """Raise for the step past ``DEFAULT_SEARCH_BUDGET``, saying where
+        the steps went: a step is a basis scanned or else a set counted."""
+        raise SearchCapError(
+            f"search budget of {self.steps} steps spent (candidate sets counted:"
+            f" {self.steps - self.bases}, advice bases scanned: {self.bases})"
+        )
 
-    def solve(self, members: int) -> int:
+    def solve(self, members: int, limit: Optional[int] = None) -> int:
         """``count`` from outside the recursion, which nests one set a level:
-        a recursion too deep for the interpreter is refused like the budget."""
+        a recursion too deep for the interpreter is refused like the budget.
+        A set the memo settles is read from it, with no count."""
+        known = self.memo.get(members)
+        if known is not None and (known >= 0 or limit is not None and -known >= limit):
+            return abs(known)
         try:
-            return self.count(members)
+            return self.count(members, limit)
         except RecursionError:
             raise SearchCapError("search nested deeper than the recursion limit") from None
 
-    def count(self, members: int) -> int:
-        """Exact query count of the candidate set ``members``.
+    def count(self, members: int, limit: Optional[int] = None) -> int:
+        """Query count of the candidate set ``members``: exact below
+        ``limit`` (at least 1), and otherwise a lower bound of at least
+        ``limit``.  With no limit the count is exact.
 
         The count is 0 on a solved set and otherwise 1 + the least worst
         branch over the queries.  Two closed forms need no scan: a set of one
@@ -253,21 +267,30 @@ class _DecisionTree:
         separates them.  No count is below its ``bound``, so two cuts cannot
         change it:
         - a query is abandoned once the count of a branch, or the bound of a
-          branch not yet counted, reaches the best worst branch found so
-          far, since its worst branch is no smaller;
+          branch not yet counted, reaches the cut: the best worst branch
+          found so far, or ``limit - 1`` if that is smaller, since its worst
+          branch is no smaller;
         - the scan stops once the best worst branch reaches
           ``bounds[|members|] - 1``, since no query can do better.
-        A query whose first nonempty branch is the whole set does not split
-        it.  A set of m settings needs at most m - 1 queries and has a bound
-        below m, so m stands for "no splitting query yet": the first
-        splitting query is counted in full, and a set holding two settings
-        that no query tells apart raises.  A set not in the memo is a step.
+        A count with a limit passes the cut as the limit of each branch, so
+        it searches a branch only as far as the branch can lower the cut;
+        a count with no limit counts its branches exactly.  If no query
+        comes in under a limit, the count is at least the limit.  A query
+        whose first nonempty branch is the whole set does not split it.  A
+        set of m settings needs at most m - 1 queries and has a bound below
+        m, so m stands for "no splitting query yet": with no limit below m,
+        the first splitting query is counted in full, and a set holding two
+        settings that no query tells apart raises.
+
+        ``memo`` keeps each exact count c as c and each lower bound L as -L,
+        so an exact count is never searched twice and a bound only for a
+        higher limit.  The caller reads the memo first (``solve`` does): a
+        set counted here is one the memo does not settle, and a step.
         """
-        memo = self.memo
-        if members in memo:
-            return memo[members]
-        self.step()
-        table = self.table
+        if self.steps >= DEFAULT_SEARCH_BUDGET:
+            self.refuse()
+        self.steps += 1
+        memo, table = self.memo, self.table
         same, bounds = table.same_solution, table.bounds
         separable = not table.confusable  # some query splits every unsolved pair
         size = members.bit_count()
@@ -278,6 +301,7 @@ class _DecisionTree:
             memo[members] = 1
             return 1
         best = size
+        cut = size if limit is None or limit > size else limit - 1
         floor = bounds[size] - 1
         count = self.count
         for parts in table.partitions:
@@ -296,20 +320,27 @@ class _DecisionTree:
                     c = 1
                 else:
                     c = memo.get(branch)  # a hit costs no call
-                    if c is None:  # a bound that reaches the best needs no count
-                        c = count(branch) if bounds[m] < best else best
+                    if c is None or c < 0 and -c < cut:
+                        if bounds[m] >= cut:
+                            break  # a bound that reaches the cut needs no count
+                        c = count(branch, None if limit is None else cut)
+                    elif c < 0:
+                        c = -c
                 if c > worst:
                     worst = c
-                    if worst >= best:
+                    if worst >= cut:
                         break
-            else:  # the query splits the set, with a worst branch below the best
-                best = worst
+            else:  # the query splits the set, with a worst branch below the cut
+                best = cut = worst
                 if best <= floor:
                     break
-        if best == size:
+        if best < size:
+            memo[members] = 1 + best
+            return 1 + best
+        if cut == size:
             raise ValueError(NO_SPLIT)
-        memo[members] = 1 + best
-        return 1 + best
+        memo[members] = -limit  # no query comes in under the limit
+        return limit
 
 
 @dataclass(frozen=True)
@@ -379,31 +410,50 @@ class _AdviceSplit:
     def odd_settings(self, m: int) -> int:
         odd = self.odd.get(m)
         if odd is None:
-            odd = 0
-            for j, settings in enumerate(self.table.bit_odd):
-                if m >> j & 1:
-                    odd ^= settings
+            odd, bits = 0, m
+            while bits:
+                low = bits & -bits
+                odd ^= self.table.bit_odd[low.bit_length() - 1]
+                bits ^= low
             self.odd[m] = odd
         return odd
 
-    def cells(self, basis: tuple[int, ...]) -> list[tuple[int, int]]:
-        """(parity code, settings mask) of each nonempty class, codes ascending.
-
-        The first mask's parity is the top bit of the code, so ascending codes
-        are bit-tuple order.  Each mask splits every cell into its even then
-        its odd settings and empty cells are dropped, so there are never more
-        cells than settings, whatever the rank.
-        """
-        cells = [(0, self.table.full)]
+    def cells(self, basis: tuple[int, ...]) -> list[int]:
+        """The settings masks of ``classes``, with no parity bits: what the
+        scan reads of every basis."""
+        cells = [self.table.full]
         for m in basis:
             odd = self.odd_settings(m)
-            cells = [
-                (code << 1 | bit, part)
-                for code, cell in cells
-                for bit, part in ((0, cell & ~odd), (1, cell & odd))
-                if part
-            ]
+            split = []
+            for cell in cells:
+                even = cell & ~odd
+                if even:
+                    split.append(even)
+                if even != cell:
+                    split.append(cell & odd)
+            cells = split
         return cells
+
+    def classes(self, basis: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+        """(parity bits, settings mask) of each nonempty class, first mask's
+        bit first, in bit-tuple order.
+
+        Each mask splits every cell into its even then its odd settings and
+        empty cells are dropped, so there are never more cells than
+        settings, whatever the rank.
+        """
+        classes = [((), self.table.full)]
+        for m in basis:
+            odd = self.odd_settings(m)
+            split = []
+            for bits, cell in classes:
+                even = cell & ~odd
+                if even:
+                    split.append((bits + (0,), even))
+                if even != cell:
+                    split.append((bits + (1,), cell & odd))
+            classes = split
+        return classes
 
 
 def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> ComplexityReport:
@@ -413,17 +463,28 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
     round(k * n).  Every one is admissible: each GF(2) subspace has a
     complement, with which it forms a full-rank selection.  Bases are tried
     in sorted order and only a strictly smaller worst case replaces the
-    best, so a basis is dropped at its first class whose bound (``bounds`` at
-    its size) or, failing that, whose count reaches the best worst case: no
-    count is below its bound, so the bound drops exactly the bases the count
-    would, before the class is searched.  A basis's classes come from per-bit parity masks
-    (``_AdviceSplit``), never from a table over all 2^n values.  The scan
-    stops once the best worst case is at most the floor ``bounds[ceil(N /
-    2^r)]``: a basis's at most 2^r classes share the N settings, so by
-    pigeonhole one of them holds ceil(N / 2^r) or more, and ``bound`` never
-    falls as the size grows, so no basis has a worst case below the floor.
-    The report is the one the full scan gives, since a later basis replaces
-    the best only with a strictly smaller worst case.  The problem's
+    best, so a class needs counting only as far as it can beat the best
+    worst case found so far.  The first basis is counted exactly; each
+    later class is counted with the best worst case as its limit (see
+    ``_DecisionTree.count``), and a basis is dropped at its first class
+    whose bound (``bounds`` at its size) or, failing that, whose count
+    reaches that limit: no count is below its bound, so the bound drops
+    exactly the bases the count would, before the class is searched.  A
+    solved class counts 0 and an unsolved pair of a problem that is not
+    ``confusable`` counts 1, taken in the scan with no count and no step,
+    and compared with the best like any other count.  The counts memo keeps
+    the exact counts and the "at least limit" bounds side by side, so a
+    class met again in a later basis, or as a branch, is searched again
+    only for a higher limit.  A basis's classes come from per-bit parity
+    masks (``_AdviceSplit``), never from a table over all 2^n values.  The
+    scan stops once the best worst case is at most the floor
+    ``bounds[ceil(N / 2^r)]``: a basis's at most 2^r classes share the N
+    settings, so by pigeonhole one of them holds ceil(N / 2^r) or more, and
+    ``bound`` never falls as the size grows, so no basis has a worst case
+    below the floor.  The report is the one the full scan gives, since a
+    later basis replaces the best only with a strictly smaller worst case,
+    and every count of the best basis is below the limit it was counted
+    with, so exact; it is built once, after the scan.  The problem's
     ``_ProblemTable`` is built on its first call and read by every later
     one; one count memo, made for this call, serves every basis.  The bases
     are drawn from the ``gf2.subspaces`` stream, so a scan that stops early
@@ -438,28 +499,40 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
     # the cut-off skips.
     if r < n and table.confusable:
         raise ValueError(NO_SPLIT)
+    separable = not table.confusable
     tree, split = _DecisionTree(problem), _AdviceSplit(problem)
+    same, bounds = table.same_solution, table.bounds
     # some class of every basis holds ceil(N / 2^r) of the N settings
-    floor = table.bounds[-(-len(problem.settings) >> r)]
-    best: Optional[ComplexityReport] = None
+    floor = bounds[-(-len(problem.settings) >> r)]
+    # no class counts N or more, so the first basis is counted with no limit
+    best_worst, limit = len(problem.settings), None
     for basis in gf2.subspaces(n, r):
-        tree.step(basis=True)
-        per_class = []
-        for code, members in split.cells(basis):
-            if best is not None and table.bounds[members.bit_count()] >= best.worst_case:
+        if tree.steps >= DEFAULT_SEARCH_BUDGET:
+            tree.refuse()
+        tree.steps += 1
+        tree.bases += 1
+        counts = []
+        for members in split.cells(basis):
+            size = members.bit_count()
+            if size == 1 or not members & ~same[(members & -members).bit_length() - 1]:
+                count = 0  # one setting, or a solved class
+            elif size == 2 and separable:
+                count = 1
+            elif bounds[size] >= best_worst:
                 break
-            count = tree.solve(members)
-            if best is not None and count >= best.worst_case:
+            else:
+                count = tree.solve(members, limit)
+            if count >= best_worst:
                 break
-            per_class.append((code, count))
+            counts.append(count)
         else:
-            worst = max(count for _, count in per_class)
-            masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
-            rows = tuple((gf2.code_bits(code, r), count) for code, count in per_class)
-            best = ComplexityReport(r, k, masks, rows, worst)
-            if worst <= floor:
+            best_worst = limit = max(counts)
+            best, best_counts = basis, counts
+            if best_worst <= floor:
                 break  # no later basis can have a smaller worst case
-    return best
+    rows = tuple((bits, count) for (bits, _), count in zip(split.classes(best), best_counts))
+    masks = tuple(gf2.mask_to_bits(m, n) for m in best)
+    return ComplexityReport(r, k, masks, rows, best_worst)
 
 
 def k_sweep(problem: OracleProblemSpec, ks) -> list[ComplexityReport]:

@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import gf2
 from .measure import full_observable, project_forced
 from .qcore import (
     RegisterLayout,
@@ -43,20 +42,6 @@ def redundant_encode(layout: RegisterLayout) -> StateVector:
     for b in range(4):
         amps[b * 4 + b] = 1.0
     return StateVector(layout, amps)
-
-
-def xor_decode(s: StateVector) -> StateVector:
-    """Collapse each 2-bit register to the XOR of its bits.
-
-    The amplitude of |x>_B |y>_A is the sum over labels with B-parity x and
-    A-parity y, the parities under mask 11.
-    """
-    if (s.layout.n_b, s.layout.n_a) != (2, 2):
-        raise ValueError("xor decode expects 2-bit registers")
-    x = gf2.parity_codes([0b11], 2)
-    amps = np.zeros(4, dtype=np.complex128)
-    np.add.at(amps, (2 * x[:, None] + x).ravel(), s.amps)
-    return StateVector(RegisterLayout(1, 1), amps)
 
 
 @dataclass(frozen=True)

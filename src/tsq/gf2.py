@@ -91,14 +91,6 @@ def reduced_basis(vectors) -> tuple[int, ...]:
     return tuple(sorted(rows, reverse=True))
 
 
-def span(vectors) -> frozenset[int]:
-    """All GF(2) combinations of ``vectors`` (includes 0)."""
-    out = {0}
-    for v in vectors:
-        out |= {x ^ v for x in out}
-    return frozenset(out)
-
-
 # The longest tail list one ``subspaces`` stream keeps: a longer tail is
 # streamed again on each visit, so a full scan holds no list of its bases.
 _TAIL_CACHE_CAP = 1 << 12
@@ -116,8 +108,10 @@ def subspaces(n: int, r: int) -> Iterator[tuple[int, ...]]:
     basis whose pivots are the bits below p that are zero in v, built the
     same way.  That gives the Gaussian binomial [n choose r]_2 bases, each
     once.  Tails are cached for the life of the stream, keyed by their rank
-    and allowed pivot bits, up to ``_TAIL_CACHE_CAP`` bases a tail.  The
-    rank is checked at the call.
+    and allowed pivot bits, up to ``_TAIL_CACHE_CAP`` bases a tail, and a
+    tail whose allowed pivots are exactly its low ``rank`` bits, as the
+    tail of every rank's first basis is, is the unit vectors, built with no
+    recursion.  The rank is checked at the call.
     """
     if not 0 <= r <= n:
         raise ValueError(f"rank {r} out of range for n={n}")
@@ -154,10 +148,21 @@ def _basis_chunks(rank: int, allowed: int, cache: dict) -> Iterator[Iterable[tup
         p += 1
 
 
+@functools.cache
+def _unit_basis(rank: int) -> tuple[int, ...]:
+    """The unit vectors at the low ``rank`` bits, rows descending."""
+    return tuple(1 << j for j in range(rank - 1, -1, -1))
+
+
 def _tails(rank: int, allowed: int, cache: dict) -> Iterable[tuple[int, ...]]:
     """``_basis_chunks(rank, allowed)`` as one sorted iterable: the list kept
     in ``cache``, or a fresh stream once the tail has proved longer than
-    ``_TAIL_CACHE_CAP`` (marked False)."""
+    ``_TAIL_CACHE_CAP`` (marked False).  A tail whose allowed pivots are
+    exactly the low ``rank`` bits is forced: every one of those bits is a
+    pivot, and no row may set another's pivot, so its one basis is the unit
+    vectors, returned with no recursion."""
+    if allowed == (1 << rank) - 1:
+        return (_unit_basis(rank),)
     key = rank, allowed
     tails = cache.get(key)
     if tails is None:

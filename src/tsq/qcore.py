@@ -172,12 +172,6 @@ class StateVector:
         return self.norm() <= STATE_TOL
 
 
-def basis_state(layout: RegisterLayout, b_bits: str, a_bits: str) -> StateVector:
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[layout.index(b_bits, a_bits)] = 1.0
-    return StateVector(layout, amps)
-
-
 def uniform_setting_state(layout: RegisterLayout) -> StateVector:
     """Equal amplitude 1 on every |b>_B |0...0>_A (setting fully indeterminate)."""
     amps = np.zeros(layout.dim, dtype=np.complex128)
@@ -189,10 +183,6 @@ def max_abs_diff(s1: StateVector, s2: StateVector) -> float:
     if s1.layout != s2.layout:
         raise ValueError("layout mismatch")
     return float(np.max(np.abs(s1.amps - s2.amps)))
-
-
-def states_close(s1: StateVector, s2: StateVector) -> bool:
-    return max_abs_diff(s1, s2) <= STATE_TOL * max(s1.norm(), s2.norm(), 1.0)
 
 
 def proportionality(s: StateVector, reference: StateVector) -> tuple[complex, float]:

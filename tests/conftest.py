@@ -6,7 +6,15 @@ from scipy.linalg import block_diag
 
 from tsq import gf2
 from tsq.complexity import OracleProblemSpec
-from tsq.qcore import CopyUnitary, RegisterLayout, StateVector, UnitaryOp, hadamard
+from tsq.qcore import (
+    STATE_TOL,
+    CopyUnitary,
+    RegisterLayout,
+    StateVector,
+    UnitaryOp,
+    hadamard,
+    max_abs_diff,
+)
 
 
 def state_from_terms(layout: RegisterLayout, terms) -> StateVector:
@@ -15,6 +23,38 @@ def state_from_terms(layout: RegisterLayout, terms) -> StateVector:
     for b, a, c in terms:
         amps[layout.index(b, a)] += c
     return StateVector(layout, amps)
+
+
+def basis_state(layout: RegisterLayout, b_bits: str, a_bits: str) -> StateVector:
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps[layout.index(b_bits, a_bits)] = 1.0
+    return StateVector(layout, amps)
+
+
+def states_close(s1: StateVector, s2: StateVector) -> bool:
+    return max_abs_diff(s1, s2) <= STATE_TOL * max(s1.norm(), s2.norm(), 1.0)
+
+
+def xor_decode(s: StateVector) -> StateVector:
+    """Collapse each 2-bit register to the XOR of its bits.
+
+    The amplitude of |x>_B |y>_A is the sum over labels with B-parity x and
+    A-parity y, the parities under mask 11.
+    """
+    if (s.layout.n_b, s.layout.n_a) != (2, 2):
+        raise ValueError("xor decode expects 2-bit registers")
+    x = gf2.parity_codes([0b11], 2)
+    amps = np.zeros(4, dtype=np.complex128)
+    np.add.at(amps, (2 * x[:, None] + x).ravel(), s.amps)
+    return StateVector(RegisterLayout(1, 1), amps)
+
+
+def span(vectors) -> frozenset[int]:
+    """All GF(2) combinations of ``vectors`` (includes 0)."""
+    out = {0}
+    for v in vectors:
+        out |= {x ^ v for x in out}
+    return frozenset(out)
 
 
 def setting_values(n: int) -> list[str]:
@@ -62,7 +102,7 @@ def observable_refusal(masks) -> Optional[str]:
         return "parity masks must be nonzero"
     if len({len(m) for m in masks}) > 1:
         return "parity masks must all have the same length"
-    if len(gf2.span(ints)) != 1 << len(ints):
+    if len(span(ints)) != 1 << len(ints):
         return "parity masks must be GF(2)-linearly independent"
     return None
 

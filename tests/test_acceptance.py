@@ -18,7 +18,7 @@ from tsq.complexity import grover_problem, k_sweep
 from tsq.epr import direct_trace, emulation_check, make_scenario, ts_trace
 from tsq.grover import SearchOracle, run_long
 from tsq.measure import ParityObservable, full_observable
-from tsq.qcore import basis_state, max_abs_diff
+from tsq.qcore import max_abs_diff
 from tsq.tsym import (
     SelectionSplit,
     enumerate_splits,
@@ -26,7 +26,7 @@ from tsq.tsym import (
     solver_instance,
     xor_process,
 )
-from conftest import setting_values, state_from_terms
+from conftest import basis_state, setting_values, state_from_terms
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -21,7 +21,7 @@ from tsq.cli import SchemaError, load_problem, main, parse_split
 from tsq.complexity import decision_tree_complexity
 from tsq.qcore import RENDER_TOL, RegisterLayout, StateVector
 from tsq.tsym import enumerate_splits, xor_process
-from conftest import drawer_problem, observable_refusal, setting_values
+from conftest import drawer_problem, observable_refusal, setting_values, span
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -408,7 +408,7 @@ def reference_split_refusal(n: int, parts: dict, text: str) -> Optional[str]:
         if message:
             return message
     masks = parts.get("B", []) + parts["A"]
-    if "B" in parts and len(gf2.span(int(m, 2) for m in masks)) != 1 << n:
+    if "B" in parts and len(span(int(m, 2) for m in masks)) != 1 << n:
         return f"split {text!r} is redundant (selection not injective)"
     return None
 

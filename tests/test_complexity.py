@@ -265,13 +265,11 @@ def test_parity_mask_split_matches_advice_classes(problem):
                 for cls in advice_classes(problem, masks)
             ]
             got = [
-                (
-                    tuple(code >> (r - 1 - j) & 1 for j in range(r)),
-                    tuple(sorted(b for i, b in enumerate(problem.settings) if cell >> i & 1)),
-                )
-                for code, cell in split.cells(basis)
+                (bits, tuple(sorted(b for i, b in enumerate(problem.settings) if cell >> i & 1)))
+                for bits, cell in split.classes(basis)
             ]
             assert got == want
+            assert split.cells(basis) == [cell for _, cell in split.classes(basis)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -417,6 +415,48 @@ def test_prediction_matches_exhaustive_reference(problem, numerator):
     assert fast == outcome(exhaustive_prediction, problem, k)
 
 
+def test_pair_class_at_the_limit_drops_its_basis():
+    # Six settings with solutions z z z w z x; q2 tells 011 apart and q1
+    # tells 101 apart.  Every rank-2 basis has worst case 1, so the first,
+    # (010, 001), is reported.  The second, (100, 001), has a pair class
+    # {001, 011} that counts 1 in closed form: it meets the limit of 1 and
+    # must drop the basis like any count, though its bound (0) does not.
+    settings = setting_values(3)[:6]
+    queries = ("q0", "q1", "q2")
+    answer = {(b, q): "0" for b in settings for q in queries}
+    answer[("011", "q2")] = answer[("101", "q1")] = "1"
+    problem = OracleProblemSpec("pair-at-limit", settings, queries, answer, dict(zip(settings, "zzzwzx")))
+    report = advanced_knowledge_prediction(problem, 0.5)
+    assert report.masks == ("010", "001")
+    assert report == exhaustive_prediction(problem, 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_problems(max_settings=7, max_symbols=4), st.data())
+def test_limited_count_is_exact_below_its_limit(problem, data):
+    # count(M, L) is the exact count of M when that is below L, and
+    # otherwise a lower bound of at least L, whatever limited counts the
+    # same tree made before (limits in a drawn order); a set no query can
+    # settle may raise instead.  Exact counts made afterwards are unchanged.
+    total = len(problem.settings)
+    subsets = {
+        members: [b for i, b in enumerate(problem.settings) if members >> i & 1]
+        for members in range(1, 1 << total)
+    }
+    exact = {members: outcome(reference_complexity, problem, s) for members, s in subsets.items()}
+    tree = _DecisionTree(problem)
+    for limit in data.draw(st.permutations(range(1, total + 1))):
+        for members, want in exact.items():
+            got = outcome(tree.solve, members, limit)
+            if want == NO_SPLIT:
+                assert got == NO_SPLIT or got >= limit
+            elif want < limit:
+                assert got == want
+            else:
+                assert limit <= got <= want
+    assert {members: outcome(tree.solve, members) for members in subsets} == exact
+
+
 def random_binary_table(rng, n: int = 4, queries: int = 8) -> OracleProblemSpec:
     """The benchmark's random tables: every n-bit setting, binary queries,
     solution = setting, rows drawn again until no two settings answer alike."""
@@ -538,6 +578,15 @@ def test_flipped_drawer_ends_within_the_budget(seed, worst):
         " advice bases scanned: 1)"
     )
     assert advanced_knowledge_prediction(problem, 0.2).worst_case == worst
+
+
+@pytest.mark.parametrize("seed, worst", [(1, 6), (4, 6), (6, 7)])
+def test_flipped_drawer_at_one_fifth_counts_classes_only_to_the_limit(seed, worst, monkeypatch):
+    # k = 0.2 takes 4,240, 2,776 and 16,467 steps when each class is counted
+    # only as far as it can beat the best basis, against 71,355, 66,504 and
+    # 64,828 when every class is counted exactly
+    monkeypatch.setattr(complexity, "DEFAULT_SEARCH_BUDGET", 20_000)
+    assert advanced_knowledge_prediction(flipped_24_drawer(seed), 0.2).worst_case == worst
 
 
 def test_random_wide_settings_end_within_the_budget():

@@ -12,19 +12,16 @@ from tsq.epr import (
     make_scenario,
     redundant_encode,
     ts_trace,
-    xor_decode,
 )
 from tsq.measure import ParityObservable, project_forced
 from tsq.qcore import (
     RegisterLayout,
     StateVector,
     apply,
-    basis_state,
     max_abs_diff,
-    states_close,
 )
 from tsq.tsym import SelectionSplit
-from conftest import dense, random_state, state_from_terms
+from conftest import basis_state, dense, random_state, state_from_terms, states_close, xor_decode
 
 L22 = RegisterLayout(2, 2)
 OUTCOMES = ("00", "01", "10", "11")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tsq import gf2
-from conftest import random_independent_masks
+from conftest import random_independent_masks, span
 
 
 def test_parity_examples():
@@ -69,8 +69,8 @@ def test_reduced_basis_is_a_subspace_signature():
 
 
 def test_span():
-    assert gf2.span([0b01, 0b10]) == frozenset({0b00, 0b01, 0b10, 0b11})
-    assert gf2.span([]) == frozenset({0})
+    assert span([0b01, 0b10]) == frozenset({0b00, 0b01, 0b10, 0b11})
+    assert span([]) == frozenset({0})
 
 
 def reference_subspaces(n: int, r: int) -> list[tuple[int, ...]]:
@@ -105,7 +105,7 @@ def test_subspaces_match_direct_enumeration():
     spans = set()
     for combo in combinations(range(1, 8), 2):
         if gf2.is_independent(combo):
-            spans.add(gf2.span(combo))
+            spans.add(span(combo))
     assert len(spans) == len(list(gf2.subspaces(3, 2)))
 
 

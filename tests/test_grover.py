@@ -22,9 +22,9 @@ from tsq.grover import (
     _success,
     _uniform,
 )
-from tsq.qcore import CERTAINTY_EPS, STATE_TOL, InvariantError, apply, basis_state, hadamard
+from tsq.qcore import CERTAINTY_EPS, STATE_TOL, InvariantError, apply, hadamard
 from tsq.tsym import enumerate_splits, solver_instance, xor_process
-from conftest import copy_blocks, setting_values
+from conftest import basis_state, copy_blocks, setting_values
 
 
 def closed_form_success(n: int, iterations: int) -> float:

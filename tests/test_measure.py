@@ -24,20 +24,20 @@ from tsq.qcore import (
     StateVector,
     UnitaryOp,
     apply,
-    basis_state,
     identity_unitary,
     max_abs_diff,
-    states_close,
     uniform_setting_state,
 )
 from tsq.tsym import xor_process
 from conftest import (
+    basis_state,
     bitwise_equal,
     random_independent_masks,
     random_state,
     reduced_density,
     setting_values,
     state_from_terms,
+    states_close,
 )
 
 L2 = RegisterLayout(2, 2)

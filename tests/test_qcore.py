@@ -33,17 +33,16 @@ from tsq.qcore import (
     UnitaryOp,
     apply,
     apply_adjoint,
-    basis_state,
     hadamard,
     identity_unitary,
     max_abs_diff,
     proportionality,
-    states_close,
     uniform_setting_state,
     unitarity_deviation,
 )
 from tsq.tsym import SelectionSplit, copy_process, external_instance, xor_process
 from conftest import (
+    basis_state,
     bitwise_equal,
     copy_blocks,
     dense,
@@ -52,6 +51,7 @@ from conftest import (
     reduced_density,
     setting_values,
     state_from_terms,
+    states_close,
 )
 
 L2 = RegisterLayout(2, 2)

@@ -19,9 +19,7 @@ from tsq.qcore import (
     StateVector,
     apply,
     apply_adjoint,
-    basis_state,
     max_abs_diff,
-    states_close,
 )
 from tsq.tsym import (
     ProcessDescription,
@@ -37,7 +35,15 @@ from tsq.tsym import (
     uneven_instance,
     xor_process,
 )
-from conftest import observable_refusal, random_state, setting_values, state_from_terms
+from conftest import (
+    basis_state,
+    observable_refusal,
+    random_state,
+    setting_values,
+    span,
+    state_from_terms,
+    states_close,
+)
 
 P2 = xor_process(2)
 P3 = xor_process(3)
@@ -180,7 +186,7 @@ def test_enumerate_splits_matches_rank_then_loop(n):
                 assert observable_refusal(part.masks) is None
                 assert all(len(m) == n for m in part.masks)
                 assert part.int_masks == tuple(int(m, 2) for m in part.masks)
-            assert len(gf2.span(split.initial_part.int_masks + split.final_part.int_masks)) == 1 << n
+            assert len(span(split.initial_part.int_masks + split.final_part.int_masks)) == 1 << n
 
 
 def gaussian_binomial(n: int, k: int) -> int:
