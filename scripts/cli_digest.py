@@ -111,6 +111,11 @@ ERRORS = (
         "complexity", "--problem", "grover", "--n", "3",
         "--problem-file", "src/tsq/problems/grover-n2.json", "--k", "0.5",
     ],
+    # an empty mask entry is refused; "A:[]" alone is rank 0
+    *(
+        ["ts-instance", "--n", "2", "--outcome", "01", "--split", split]
+        for split in ("A:[01,,]", "A:[,01]", "B:[10,]/A:[01]", "A:[ , ]")
+    ),
 )
 
 

@@ -19,8 +19,8 @@ from . import __version__, gf2, render
 from .complexity import grover_problem, k_sweep, OracleProblemSpec
 from .epr import direct_trace, emulation_check, make_scenario, ts_trace
 from .grover import SearchOracle, grover_process, run_grover, run_long
-from .measure import ParityObservable, full_observable, project_forced
-from .qcore import InvariantError, RegisterLayout, StateVector, apply, max_abs_diff
+from .measure import ParityObservable, full_observable, project, project_forced
+from .qcore import InvariantError, RegisterLayout, StateVector, max_abs_diff
 from .tsym import (
     SelectionSplit,
     complete_split,
@@ -135,7 +135,8 @@ def parse_split(process, text: str) -> SelectionSplit:
             raise ValueError(f"bad split syntax {text!r}")
         if reg not in ("A", "B") or reg in parts:
             raise ValueError(f"split {text!r} must name register A and optionally B, once each")
-        mask_list = tuple(m.strip() for m in masks[1:-1].split(",") if m.strip())
+        inner = masks[1:-1].strip()  # "[]" is rank 0; an empty entry fails the width check
+        mask_list = tuple(m.strip() for m in inner.split(",")) if inner else ()
         if any(len(m) != n or m.strip("01") for m in mask_list):
             raise ValueError(f"split masks must be {n} characters of 0 and 1")
         parts[reg] = mask_list
@@ -178,8 +179,11 @@ def _run_grover_external(params: dict) -> Report:
     b = params["outcome"]
     report = Report(scenario={"kind": "grover-external", **params}, seed=None)
     initial = process.initial_state
-    selected = project_forced(full_observable(process.layout, "B"), b, initial)
-    output = apply(process.u12, selected)
+    full_b = full_observable(process.layout, "B")
+    selected = project_forced(full_b, b, initial)
+    # U_12 is controlled on B, so U_12 P_b = P_b U_12: the forward leg masked
+    # to setting b, whose sector code under the full observable is b itself
+    output = project(full_b, int(b, 2), process.forward)
     report.add_table(
         "external description",
         lambda show: render.zigzag_table("B", "A", (initial, selected, output, None, None), show),

@@ -60,16 +60,6 @@ class ParityObservable:
         codes.setflags(write=False)
         return codes
 
-    def outcome_bits(self, register_bits: str) -> tuple[int, ...]:
-        value = int(register_bits, 2)
-        return tuple(gf2.parity(m, value) for m in self.int_masks)
-
-    def outcome_for(self, register_bits: str) -> "ParityOutcome":
-        value, code = int(register_bits, 2), 0
-        for m in self.int_masks:
-            code = code << 1 | gf2.parity(m, value)
-        return ParityOutcome(self, code)
-
     def name(self) -> str:
         """Short display name: B, B_l, B_r, or B[masks] in the general case."""
         n, ints = self.n_bits, self.int_masks
@@ -147,7 +137,8 @@ def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> St
     if len(value_bits) != n or value_bits.strip("01"):
         raise ValueError(f"{value_bits!r} is not a value of the {n}-bit register {obs.register}")
     out = project(obs, int(_register_codes(obs, s.layout)[int(value_bits, 2)]), s)
-    if np.vdot(out.amps, out.amps).real <= STATE_TOL**2:  # out.is_zero() without the square root
+    parts = out.amps.view(np.float64)
+    if parts.dot(parts) <= STATE_TOL**2:  # out.is_zero() without the square root
         raise InvariantError(
             f"impossible outcome {value_bits} for {obs.name()}: the projection annihilates the state"
             f" (norm {out.norm():.3e} <= STATE_TOL = {STATE_TOL:.0e})"

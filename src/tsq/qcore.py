@@ -7,7 +7,9 @@ the B bits as the most significant block: index(|b>|a>) = b * 2^n_a + a.
 A state is a dense amplitude vector.  A unitary is either a dense d x d
 matrix (``UnitaryOp``) or a solving unitary that copies the setting b into
 register A (``CopyUnitary``): X_b N Z_b^signed on setting b, stored as the
-one 2^n_a x 2^n_a network N with an XOR gather and signs.
+one 2^n_a x 2^n_a network N with an XOR gather and signs.  A copying
+unitary is controlled on B: it maps each setting row of the (dim_b, dim_a)
+amplitudes to the same row, so it commutes with every projection on B.
 
 Amplitudes are stored unnormalized throughout; the norm is queried
 explicitly where it matters.  All values are immutable after construction
@@ -105,10 +107,6 @@ class RegisterLayout:
                 f"label |{b_bits}>|{a_bits}> does not fit layout ({self.n_b},{self.n_a})"
             )
         return int(b_bits, 2) * self.dim_a + int(a_bits, 2)
-
-    def label(self, index: int) -> "BasisLabel":
-        b, a = divmod(index, self.dim_a)
-        return BasisLabel(format(b, f"0{self.n_b}b"), format(a, f"0{self.n_a}b"))
 
 
 class BasisLabel(NamedTuple):
@@ -263,8 +261,9 @@ class CopyUnitary:
     2^n_a x 2^n_a network (None for the identity).  N maps |0...0> to
     |0...0> exactly when the unitary copies every setting sharply; with no
     network and no signs it is the XOR copy, the canonical solving unitary and
-    its own inverse.  The XOR gather and the signs are built once; the signs
-    multiply the real and imaginary parts by +-1.0, an exact negation.
+    its own inverse.  The XOR gather, the signs and conj(N), which the
+    backward leg multiplies by, are built once; the signs multiply the real
+    and imaginary parts by +-1.0, an exact negation.
     """
 
     layout: RegisterLayout
@@ -272,13 +271,18 @@ class CopyUnitary:
     signed: bool = False
     _xor: np.ndarray = field(init=False, repr=False, compare=False)
     _signs: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _conj: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         layout = self.layout
         if layout.n_b != layout.n_a:
             raise ValueError("setting and solution registers need the same width")
+        conj = None
         if self.matrix is not None:
             object.__setattr__(self, "matrix", _checked_unitary(self.matrix, layout.dim_a))
+            conj = self.matrix.conj()
+            conj.setflags(write=False)
+        object.__setattr__(self, "_conj", conj)
         # joint index b * dim_a + (a xor b) at b * dim_a + a: the gather of X_b, its own inverse
         i = np.arange(layout.dim)
         object.__setattr__(self, "_xor", i ^ (i >> layout.n_a))
@@ -295,8 +299,8 @@ class CopyUnitary:
 
     def _apply_adjoint(self, psi: np.ndarray) -> np.ndarray:
         x = psi[self._xor].reshape(self.layout.dim_b, self.layout.dim_a)
-        if self.matrix is not None:
-            x = x @ self.matrix.conj()  # N^H on each row; conj(N) is the size of one state
+        if self._conj is not None:
+            x = x @ self._conj  # N^H on each row
         if self._signs is not None:
             parts = x.view(np.float64)
             parts *= self._signs

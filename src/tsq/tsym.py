@@ -18,6 +18,11 @@ partial projection, and its bottom line always collapses back to the sharp
 process.  The solver one postpones the initial projection entirely, so the
 bottom-line input is a superposition of the setting branches compatible
 with the final partial outcome: the solver's advance knowledge.
+
+U_12 is controlled on B: it acts on A one setting row at a time, and a
+projection on B keeps or zeroes whole rows, so U_12 P_B = P_B U_12.  Both
+perspectives therefore read their t2 state off the process's one forward
+leg: the solver one as it is, the external one masked by P_B.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import gf2
-from .measure import ParityObservable, project_forced
+from . import gf2, measure
+from .measure import ParityObservable, _register_codes, project_forced
 from .qcore import (
     BRANCH_MASS_TOL,
     CORRELATION_TOL,
@@ -71,8 +76,9 @@ class ProcessDescription:
 
     @cached_property
     def forward(self) -> StateVector:
-        """U_12 applied to the initial state: the forward leg that every solver
-        instance of the process shares, computed once."""
+        """U_12 applied to the initial state: the forward leg that every
+        instance of the process shares, computed once (the external ones mask
+        it on B)."""
         return apply(self.u12, self.initial_state)
 
     @property
@@ -221,23 +227,34 @@ class ZigzagInstance(Zigzag):
     def branch_settings(self) -> tuple[str, ...]:
         """Setting values surviving in the bottom-line input state."""
         s = self.bottom_line[0]
-        parts = s.amps.view(np.float64).reshape(s.layout.dim_b, 2 * s.layout.dim_a)
-        mass = np.einsum("ij,ij->i", parts, parts)  # squared modulus summed per setting
-        keep = mass > BRANCH_MASS_TOL * mass.sum()
         n = s.layout.n_b
-        return tuple(format(b, f"0{n}b") for b in np.nonzero(keep)[0])
+        return tuple(format(b, f"0{n}b") for b in np.nonzero(_branch_mask(s))[0])
+
+
+def _branch_mask(s: StateVector) -> np.ndarray:
+    """Which setting rows of ``s`` carry more than BRANCH_MASS_TOL of its mass."""
+    parts = s.amps.view(np.float64).reshape(s.layout.dim_b, 2 * s.layout.dim_a)
+    mass = np.einsum("ij,ij->i", parts, parts)  # squared modulus summed per setting
+    return mass > BRANCH_MASS_TOL * mass.sum()
 
 
 def external_instance(process: ProcessDescription, b: str, split: SelectionSplit) -> ZigzagInstance:
-    """Zigzag with both partial projections applied (external observer view)."""
+    """Zigzag with both partial projections applied (external observer view).
+
+    The t2 state U_12 P_B s0 is P_B U_12 s0, the process's forward leg masked
+    by the initial projection, since U_12 is controlled on B (module
+    docstring); no product with U_12 is taken on the way forward.
+    """
     s0 = process.initial_state
     s1 = project_forced(split.initial_part, b, s0)
-    s2 = apply(process.u12, s1)
+    code_b = int(_register_codes(split.initial_part, s0.layout)[int(b, 2)])
+    s2 = measure.project(split.initial_part, code_b, process.forward)
     s3 = project_forced(split.final_part, b, s2)
     s4 = apply_adjoint(process.u12, s3)
     inst = ZigzagInstance(walk=(s0, s1, s2, s3, s4), split=split, outcome=b, perspective="external")
-    settings = inst.branch_settings()
-    if settings != (b,):
+    keep = _branch_mask(s4)
+    if not keep[int(b, 2)] or np.count_nonzero(keep) != 1:
+        settings = inst.branch_settings()
         raise InvariantError(
             f"external bottom line is not the sharp setting branch {b}:"
             f" settings {', '.join(settings)} carry more than"

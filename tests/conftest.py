@@ -6,15 +6,20 @@ from scipy.linalg import block_diag
 
 from tsq import gf2
 from tsq.complexity import OracleProblemSpec
+from tsq.measure import ParityObservable, ParityOutcome, project_forced
 from tsq.qcore import (
     STATE_TOL,
+    BasisLabel,
     CopyUnitary,
     RegisterLayout,
     StateVector,
     UnitaryOp,
+    apply,
+    apply_adjoint,
     hadamard,
     max_abs_diff,
 )
+from tsq.tsym import ProcessDescription, SelectionSplit
 
 
 def state_from_terms(layout: RegisterLayout, terms) -> StateVector:
@@ -23,6 +28,27 @@ def state_from_terms(layout: RegisterLayout, terms) -> StateVector:
     for b, a, c in terms:
         amps[layout.index(b, a)] += c
     return StateVector(layout, amps)
+
+
+def basis_label(layout: RegisterLayout, index: int) -> BasisLabel:
+    """The bit strings of joint index ``index``: b * dim_a + a."""
+    b, a = divmod(index, layout.dim_a)
+    return BasisLabel(format(b, f"0{layout.n_b}b"), format(a, f"0{layout.n_a}b"))
+
+
+def outcome_bits(obs: ParityObservable, register_bits: str) -> tuple[int, ...]:
+    """The parity of ``register_bits`` under each mask of ``obs``, in mask order."""
+    value = int(register_bits, 2)
+    return tuple(gf2.parity(m, value) for m in obs.int_masks)
+
+
+def outcome_for(obs: ParityObservable, register_bits: str) -> ParityOutcome:
+    """The outcome of ``obs`` on register value ``register_bits``, its code
+    built mask by mask, independently of ``gf2.parity_codes``."""
+    value, code = int(register_bits, 2), 0
+    for m in obs.int_masks:
+        code = code << 1 | gf2.parity(m, value)
+    return ParityOutcome(obs, code)
 
 
 def basis_state(layout: RegisterLayout, b_bits: str, a_bits: str) -> StateVector:
@@ -69,6 +95,16 @@ def drawer_problem(settings, flips=()) -> OracleProblemSpec:
     settings = tuple(settings)
     answer = {(b, q): str(int(b == q) ^ ((b, q) in flips)) for b in settings for q in settings}
     return OracleProblemSpec("drawer", settings, settings, answer, {b: b for b in settings})
+
+
+def reference_external_walk(process: ProcessDescription, b: str, split: SelectionSplit) -> tuple:
+    """Slow reference for ``tsym.external_instance``'s walk: every leg an
+    explicit call, the t2 state U_12 applied to the selected t1 state."""
+    s0 = process.initial_state
+    s1 = project_forced(split.initial_part, b, s0)
+    s2 = apply(process.u12, s1)
+    s3 = project_forced(split.final_part, b, s2)
+    return s0, s1, s2, s3, apply_adjoint(process.u12, s3)
 
 
 def random_state(layout: RegisterLayout, rng) -> StateVector:

@@ -356,6 +356,11 @@ MASK_ERROR = "error: split masks must be 2 characters of 0 and 1\n"
     ("B:[100]/A:[01]", MASK_ERROR),
     ("B:[10]/A:[011]", MASK_ERROR),
     ("A:[0x]", MASK_ERROR),
+    # an empty mask entry is a mask of width 0
+    ("A:[01,,]", MASK_ERROR),
+    ("A:[,01]", MASK_ERROR),
+    ("B:[10,]/A:[01]", MASK_ERROR),
+    ("A:[ , ]", MASK_ERROR),
     # another register, or one named twice, gets the one register message
     ("C:[10]/A:[01]", "error: split 'C:[10]/A:[01]' must name register A and optionally B, once each\n"),
     ("A:[10]/A:[01]", "error: split 'A:[10]/A:[01]' must name register A and optionally B, once each\n"),
@@ -381,6 +386,9 @@ def test_parse_split_auto_complement():
     assert split2.initial_part.masks == ("11",)
     with pytest.raises(ValueError):
         parse_split(process, "B:[10]")  # final part is mandatory
+    # an empty list is the rank-0 part, with or without blanks inside
+    for text in ("A:[]", "A:[ ]"):
+        assert parse_split(process, text).final_part.masks == ()
 
 
 @st.composite

@@ -21,7 +21,15 @@ from tsq.qcore import (
     max_abs_diff,
 )
 from tsq.tsym import SelectionSplit
-from conftest import basis_state, dense, random_state, state_from_terms, states_close, xor_decode
+from conftest import (
+    basis_state,
+    dense,
+    outcome_for,
+    random_state,
+    state_from_terms,
+    states_close,
+    xor_decode,
+)
 
 L22 = RegisterLayout(2, 2)
 OUTCOMES = ("00", "01", "10", "11")
@@ -177,8 +185,8 @@ def test_ts_measurement_order_symmetry():
     scenario = make_scenario()
     for b in OUTCOMES:
         for split in rank1_splits():
-            p_b = (split.initial_part, split.initial_part.outcome_for(b).code)
-            p_a = (split.final_part, split.final_part.outcome_for(b).code)
+            p_b = (split.initial_part, outcome_for(split.initial_part, b).code)
+            p_a = (split.final_part, outcome_for(split.final_part, b).code)
             b_first = project(*p_a, apply(scenario.u12, project(*p_b, scenario.psi_t1())))
             a_first = project(*p_b, apply(scenario.u12, project(*p_a, scenario.psi_t1())))
             # compare at t2: the A-side projection commutes through u12's

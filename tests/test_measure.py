@@ -30,8 +30,11 @@ from tsq.qcore import (
 )
 from tsq.tsym import xor_process
 from conftest import (
+    basis_label,
     basis_state,
     bitwise_equal,
+    outcome_bits,
+    outcome_for,
     random_independent_masks,
     random_state,
     reduced_density,
@@ -67,8 +70,8 @@ def test_outcome_code_spells_the_outcome_bits(n, rng):
         obs = ParityObservable("B", tuple(gf2.mask_to_bits(m, n) for m in masks))
         codes = gf2.parity_codes(masks, n)
         for v in setting_values(n):
-            outcome = obs.outcome_for(v)
-            assert outcome.bits == obs.outcome_bits(v)
+            outcome = outcome_for(obs, v)
+            assert outcome.bits == outcome_bits(obs, v)
             assert outcome.code == codes[int(v, 2)]
 
 
@@ -82,15 +85,15 @@ def test_observable_names():
 
 def test_left_bit_projector_on_initial_state():
     obs = ParityObservable("B", ("10",))
-    assert obs.outcome_for("01").bits == (0,)
-    kept = project(obs, obs.outcome_for("01").code, INITIAL)
+    assert outcome_for(obs, "01").bits == (0,)
+    kept = project(obs, outcome_for(obs, "01").code, INITIAL)
     assert states_close(kept, state_from_terms(L2, [("00", "00", 1), ("01", "00", 1)]))
 
 
 def test_right_bit_projector_on_correlated_state():
     obs = ParityObservable("A", ("01",))
-    assert obs.outcome_for("01").bits == (1,)
-    kept = project(obs, obs.outcome_for("01").code, CORRELATED)
+    assert outcome_for(obs, "01").bits == (1,)
+    kept = project(obs, outcome_for(obs, "01").code, CORRELATED)
     assert states_close(kept, state_from_terms(L2, [("01", "01", 1), ("11", "11", 1)]))
 
 
@@ -173,7 +176,7 @@ def test_measure_at_both_ends_of_the_rank_range(obs, rng):
         assert np.array_equal(rec.post_state.amps, np.where(sector_of(s, obs, rec.outcome.bits), s.amps, 0))
     # the forced path: the sector of every register value
     for value in setting_values(3):
-        bits = obs.outcome_for(value).bits
+        bits = outcome_for(obs, value).bits
         post = project_forced(obs, value, s)
         assert np.array_equal(post.amps, np.where(sector_of(s, obs, bits), s.amps, 0))
 
@@ -189,7 +192,7 @@ def test_measure_refuses_forced_outcomes_without_mass(obs, rng):
     if not obs.rank:
         return
     # the sector of value 111 emptied of mass
-    s = StateVector(L3, np.where(sector_of(s, obs, obs.outcome_for("111").bits), 0, s.amps))
+    s = StateVector(L3, np.where(sector_of(s, obs, outcome_for(obs, "111").bits), 0, s.amps))
     message = f"impossible outcome 111 for {obs.name()}: the projection annihilates the state"
     with pytest.raises(InvariantError, match=re.escape(message)):
         project_forced(obs, "111", s)
@@ -235,7 +238,7 @@ def test_sector_masses_match_manual_sum(rng):
     masses = sector_masses(s, obs)
     manual = {0: 0.0, 1: 0.0}
     for i, amp in enumerate(s.amps):
-        label = s.layout.label(i)
+        label = basis_label(s.layout, i)
         bit = (int(label.b_bits[0]) + int(label.b_bits[1])) % 2
         manual[bit] += abs(amp) ** 2
     assert masses[(0,)] == pytest.approx(manual[0], rel=1e-12)
@@ -248,7 +251,7 @@ def test_sector_masses_reject_observable_of_other_width(rng):
     with pytest.raises(ValueError, match="does not fit the layout"):
         sector_masses(s, ParityObservable("B", ("111",)))
     with pytest.raises(ValueError, match="does not fit the layout"):
-        projector_diagonal(ParityObservable("A", ("1",)).outcome_for("1"), L2)
+        projector_diagonal(outcome_for(ParityObservable("A", ("1",)), "1"), L2)
     with pytest.raises(ValueError, match="does not fit the layout"):
         project(ParityObservable("A", ("1",)), 1, s)
     with pytest.raises(ValueError, match="does not fit the layout"):
@@ -322,7 +325,7 @@ def test_project_equals_diagonal_product_bit_for_bit(shape, register, rng):
             assert bitwise_equal(project(obs, outcome.code, s).amps, expected)
         # the forced path, for every register value whose sector has mass
         for value in setting_values(n):
-            expected = project(obs, obs.outcome_for(value).code, s)
+            expected = project(obs, outcome_for(obs, value).code, s)
             if not expected.is_zero():
                 assert bitwise_equal(project_forced(obs, value, s).amps, expected.amps)
 
@@ -378,7 +381,7 @@ def test_postponement_exhaustive(n, rng):
 
 
 def test_postponement_identity_unitary():
-    outcome = full_observable(L2, "B").outcome_for("01")
+    outcome = outcome_for(full_observable(L2, "B"), "01")
     assert postponement_deviation(identity_unitary(L2), outcome, INITIAL) == 0
 
 
@@ -388,7 +391,7 @@ def test_postponement_fails_for_a_unitary_that_mixes_b_sectors():
     layout = RegisterLayout(1, 1)
     hadamard_b = UnitaryOp(layout, np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2)))
     initial = uniform_setting_state(layout)
-    outcome = full_observable(layout, "B").outcome_for("0")
+    outcome = outcome_for(full_observable(layout, "B"), "0")
     assert postponement_deviation(hadamard_b, outcome, initial) == pytest.approx(1 / np.sqrt(2))
 
 

@@ -42,10 +42,12 @@ from tsq.qcore import (
 )
 from tsq.tsym import SelectionSplit, copy_process, external_instance, xor_process
 from conftest import (
+    basis_label,
     basis_state,
     bitwise_equal,
     copy_blocks,
     dense,
+    outcome_for,
     random_independent_masks,
     random_state,
     reduced_density,
@@ -86,7 +88,7 @@ def test_layout_validation():
         RegisterLayout(0, 2)
     assert L2.dim == 16
     assert L2.index("01", "00") == 4
-    assert L2.label(4) == ("01", "00")
+    assert basis_label(L2, 4) == ("01", "00")
 
 
 def test_dim_cap_env_override(monkeypatch):
@@ -339,6 +341,31 @@ def test_single_non_unitary_block_raises(n, seed, which, dense_form):
         build(m)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), seeds, st.booleans(), st.integers(0, 3))
+def test_copy_unitary_commutes_with_every_projection_on_b(n, seed, signed, rank):
+    # a copying unitary maps each setting row to itself, so U P_B = P_B U and
+    # U^H P_B = P_B U^H: the identity the external zigzag reads its t2 state by
+    rng = np.random.default_rng(seed)
+    u = random_copy_unitary(n, signed, seed)
+    s = random_state(u.layout, rng)
+    masks = random_independent_masks(rng, n, min(rank, n))
+    obs = ParityObservable("B", tuple(gf2.mask_to_bits(m, n) for m in masks))
+    for code in range(1 << obs.rank):
+        for op in (apply, apply_adjoint):
+            got = op(u, project(obs, code, s))
+            want = project(obs, code, op(u, s))
+            assert max_abs_diff(got, want) <= STATE_TOL * max(s.norm(), 1.0)
+
+
+def test_copy_unitary_stores_the_conjugate_network_once():
+    for n, signed in ((1, False), (3, True)):
+        u = random_copy_unitary(n, signed, n)
+        assert np.array_equal(u._conj, u.matrix.conj())
+        assert not u._conj.flags.writeable
+    assert CopyUnitary(L2)._conj is None
+
+
 def test_operator_shape_validation():
     with pytest.raises(ValueError):
         UnitaryOp(L2, np.eye(L2.dim_a))  # a network is not a joint operator
@@ -436,7 +463,7 @@ def fresh_and_frozen(out: StateVector, *inputs: np.ndarray) -> bool:
 def test_fast_path_states_equal_public_constructor_bit_for_bit(kind, n, seed):
     u = process_unitary(kind, n)
     layout = u.layout
-    stored = () if u.matrix is None else (u.matrix,)
+    stored = () if u.matrix is None else (u.matrix, u._conj)
     rng = np.random.default_rng(seed)
     amps = random_state(layout, rng).amps.copy()
     amps[rng.random(layout.dim) < 0.3] = 0
@@ -454,7 +481,7 @@ def test_fast_path_states_equal_public_constructor_bit_for_bit(kind, n, seed):
             masks = random_independent_masks(rng, n, r)
             obs = ParityObservable(register, tuple(gf2.mask_to_bits(x, n) for x in masks))
             for v in setting_values(n):
-                outcome = obs.outcome_for(v)
+                outcome = outcome_for(obs, v)
                 expected = StateVector(layout, projector_diagonal(outcome, layout) * out.amps)
                 projected = project(obs, outcome.code, out)
                 assert bitwise_equal(projected.amps, expected.amps)
@@ -504,7 +531,7 @@ def test_largest_admitted_states_stay_finite(n, seed, kind):
 def slow_terms(s: StateVector):
     """The element-by-element loop StateVector.terms replaces."""
     scale = max(s.norm(), 1.0)
-    return [(s.layout.label(i), complex(a)) for i, a in enumerate(s.amps) if abs(a) > RENDER_TOL * scale]
+    return [(basis_label(s.layout, i), complex(a)) for i, a in enumerate(s.amps) if abs(a) > RENDER_TOL * scale]
 
 
 @settings(max_examples=40, deadline=None)

@@ -38,7 +38,10 @@ from tsq.tsym import (
 from conftest import (
     basis_state,
     observable_refusal,
+    outcome_bits,
+    outcome_for,
     random_state,
+    reference_external_walk,
     setting_values,
     span,
     state_from_terms,
@@ -57,7 +60,7 @@ def reference_injective(process, split) -> bool:
     settings are distinct, the solution of a setting being the setting."""
     seen = set()
     for b in setting_values(process.n):
-        key = (split.initial_part.outcome_bits(b), split.final_part.outcome_bits(b))
+        key = (outcome_bits(split.initial_part, b), outcome_bits(split.final_part, b))
         if key in seen:
             return False
         seen.add(key)
@@ -306,7 +309,7 @@ def test_solver_branch_sets_exhaustive(process):
                 sorted(
                     b2
                     for b2 in setting_values(process.n)
-                    if split.final_part.outcome_bits(b2) == split.final_part.outcome_bits(b)
+                    if outcome_bits(split.final_part, b2) == outcome_bits(split.final_part, b)
                 )
             )
             assert inst.branch_settings() == want
@@ -431,31 +434,30 @@ def test_forward_is_the_applied_initial_state_computed_once(key):
 
 
 def sampled_splits(process):
-    """Every split for n <= 4; for n = 5 the first, a middle and the last of each rank."""
+    """Every split of every rank for n <= 4; for n = 5, six of each rank (or
+    all, if fewer), drawn with a fixed seed."""
+    rng = random.Random(f"splits/{process.n}")
     for r in range(process.n + 1):
         splits = enumerate_splits(process, r)
-        yield from splits if process.n <= 4 else {splits[0], splits[len(splits) // 2], splits[-1]}
+        yield from splits if process.n <= 4 else rng.sample(splits, min(6, len(splits)))
 
 
 @pytest.mark.parametrize("key", PROCESSES)
 def test_walks_equal_explicit_legs(key):
-    # slow reference: every leg an explicit apply, project or apply_adjoint call
+    # slow references: every leg an explicit apply, project or apply_adjoint
+    # call; the external walk applies U_12 to its selected t1 state, which
+    # must equal, bit for bit, the forward leg masked on B
     process = PROCESSES[key]
     u, s0 = process.u12, process.initial_state
     for split in sampled_splits(process):
         for b in setting_values(process.n):
-            initial, final = split.initial_part, split.final_part
-            initial_code, final_code = initial.outcome_for(b).code, final.outcome_for(b).code
+            final = split.final_part
             forward = apply(u, s0)
-            selected = project(final, final_code, forward)
+            selected = project(final, outcome_for(final, b).code, forward)
             solver_want = (s0, None, forward, selected, apply_adjoint(u, selected))
-            s1 = project(initial, initial_code, s0)
-            s2 = apply(u, s1)
-            s3 = project(final, final_code, s2)
-            external_want = (s0, s1, s2, s3, apply_adjoint(u, s3))
             for inst, want in (
                 (solver_instance(process, b, split), solver_want),
-                (external_instance(process, b, split), external_want),
+                (external_instance(process, b, split), reference_external_walk(process, b, split)),
             ):
                 for got, ref in zip(inst.walk, want, strict=True):
                     assert (got is None) == (ref is None)
@@ -510,7 +512,8 @@ def test_branch_settings_at_the_mass_threshold(side, rng):
 
 @pytest.mark.parametrize("key", PROCESSES)
 def test_every_leg_selection_goes_through_project(key, monkeypatch):
-    # one masked state per selection: 1 for a solver instance, 2 for an external one
+    # one masked state per selection: 1 for a solver instance; 3 for an external
+    # one, whose t2 state is the forward leg masked on B like its t1 state
     calls = []
     original = measure.project
     monkeypatch.setattr(measure, "project", lambda *args: calls.append(args[1]) or original(*args))
@@ -518,7 +521,8 @@ def test_every_leg_selection_goes_through_project(key, monkeypatch):
     split = enumerate_splits(process, 1)[0]
     b = setting_values(process.n)[-1]
     solver_instance(process, b, split)
-    assert calls == [split.final_part.outcome_for(b).code]
+    assert calls == [outcome_for(split.final_part, b).code]
     calls.clear()
     external_instance(process, b, split)
-    assert calls == [split.initial_part.outcome_for(b).code, split.final_part.outcome_for(b).code]
+    code_b = outcome_for(split.initial_part, b).code
+    assert calls == [code_b, code_b, outcome_for(split.final_part, b).code]
