@@ -23,6 +23,12 @@ U_12 is controlled on B: it acts on A one setting row at a time, and a
 projection on B keeps or zeroes whole rows, so U_12 P_B = P_B U_12.  Both
 perspectives therefore read their t2 state off the process's one forward
 leg: the solver one as it is, the external one masked by P_B.
+
+The external bottom line is checked to be sharp on b.  Its invariant's
+margin is the off-branch fraction (total - mass_b) / total, the mass off
+setting row b over the total: at most BRANCH_MASS_TOL / 2 accepts the
+line from two sums, with no per-row pass; above it, the per-row branch
+mask decides, as ``branch_settings`` reads it.
 """
 
 from __future__ import annotations
@@ -60,6 +66,12 @@ class ProcessDescription:
     initial_state: StateVector
 
     def __post_init__(self):
+        u_layout, s_layout = self.u12.layout, self.initial_state.layout
+        if s_layout != u_layout:
+            raise ValueError(
+                f"initial state layout ({s_layout.n_b},{s_layout.n_a}) does not match"
+                f" the unitary's layout ({u_layout.n_b},{u_layout.n_a})"
+            )
         # |b>|0...0> goes to |b> X_b N |0...0>: every setting leaks as much as 0...0
         if self.u12.matrix is None:
             return
@@ -244,16 +256,33 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
     The t2 state U_12 P_B s0 is P_B U_12 s0, the process's forward leg masked
     by the initial projection, since U_12 is controlled on B (module
     docstring); no product with U_12 is taken on the way forward.
+
+    The bottom line s4 must be the sharp setting branch b: row b, and no
+    other row, carries more than BRANCH_MASS_TOL = t of its total mass S.
+    It is accepted from two sums when the off-branch mass S - m_b is at
+    most t S / 2.  Then every other row has m_r <= S - m_b <= t S / 2 < t S,
+    and m_b >= (1 - t / 2) S > t S since t < 2 / 3 and S > 0.  Each sum of k
+    squares is within about k ulps of its exact value (k <= 2^17 under the
+    dimension cap, so below 2e-11 S), many orders under the t S / 2 margin,
+    so the computed per-row predicate agrees.  Otherwise the per-row branch
+    mask decides, so a borderline or failing line gets its verdict and its
+    message from ``_branch_mask`` alone.
     """
     s0 = process.initial_state
     s1 = project_forced(split.initial_part, b, s0)
-    code_b = int(_register_codes(split.initial_part, s0.layout)[int(b, 2)])
+    value = int(b, 2)
+    code_b = int(_register_codes(split.initial_part, s0.layout)[value])
     s2 = measure.project(split.initial_part, code_b, process.forward)
     s3 = project_forced(split.final_part, b, s2)
     s4 = apply_adjoint(process.u12, s3)
     inst = ZigzagInstance(walk=(s0, s1, s2, s3, s4), split=split, outcome=b, perspective="external")
+    parts = s4.amps.view(np.float64)
+    row_b = parts.reshape(s4.layout.dim_b, -1)[value]
+    total = parts.dot(parts)
+    if total > 0 and total - row_b.dot(row_b) <= 0.5 * BRANCH_MASS_TOL * total:
+        return inst
     keep = _branch_mask(s4)
-    if not keep[int(b, 2)] or np.count_nonzero(keep) != 1:
+    if not keep[value] or np.count_nonzero(keep) != 1:
         settings = inst.branch_settings()
         raise InvariantError(
             f"external bottom line is not the sharp setting branch {b}:"

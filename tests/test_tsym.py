@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tsq import gf2, measure
+from tsq import gf2, measure, tsym
 from tsq.cli import parse_split
 from tsq.grover import grover_process
 from tsq.measure import ParityObservable, project
@@ -20,6 +20,7 @@ from tsq.qcore import (
     apply,
     apply_adjoint,
     max_abs_diff,
+    uniform_setting_state,
 )
 from tsq.tsym import (
     ProcessDescription,
@@ -86,6 +87,15 @@ def reference_complete_split(process, final_part, initial_bases):
 def test_copy_process_refuses_unequal_widths():
     with pytest.raises(ValueError, match="same width"):
         copy_process(CopyUnitary(RegisterLayout(2, 3)))
+
+
+def test_process_refuses_an_initial_state_of_another_layout():
+    # refused where it enters, not later as a mismatch inside a leg or as a
+    # setting value that does not fit register B
+    state = uniform_setting_state(RegisterLayout(3, 3))
+    match = r"initial state layout \(3,3\) does not match the unitary's layout \(2,2\)"
+    with pytest.raises(ValueError, match=match):
+        ProcessDescription(CopyUnitary(RegisterLayout(2, 2)), state)
 
 
 @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
@@ -526,3 +536,76 @@ def test_every_leg_selection_goes_through_project(key, monkeypatch):
     external_instance(process, b, split)
     code_b = outcome_for(split.initial_part, b).code
     assert calls == [code_b, code_b, outcome_for(split.final_part, b).code]
+
+
+def external_verdict(state, b: str, monkeypatch) -> bool:
+    """Whether ``external_instance`` accepts ``state`` as the bottom line of
+    setting ``b``: the backward leg is replaced by one that returns it."""
+    process = XOR[state.layout.n_b]
+    monkeypatch.setattr(tsym, "apply_adjoint", lambda u, s: state)
+    try:
+        external_instance(process, b, enumerate_splits(process, 0)[0])
+    except InvariantError:
+        return False
+    return True
+
+
+def state_of_row_masses(masses, rng) -> StateVector:
+    """A state of RegisterLayout(n, n) whose setting row r carries ``masses[r]``,
+    spread over its A values and over real and imaginary parts."""
+    n = len(masses).bit_length() - 1
+    layout = RegisterLayout(n, n)
+    rows = rng.standard_normal((layout.dim_b, layout.dim_a)) + 1j * rng.standard_normal(
+        (layout.dim_b, layout.dim_a)
+    )
+    rows *= np.sqrt(np.asarray(masses) / (np.abs(rows) ** 2).sum(axis=1))[:, np.newaxis]
+    return StateVector(layout, rows.reshape(-1))
+
+
+@given(
+    n=st.integers(1, 3),
+    data=st.data(),
+    b_exponent=st.floats(-12, 0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_external_acceptance_matches_the_per_row_predicate(n, data, b_exponent, seed):
+    # row b carries 10^b_exponent; every other row is empty or carries
+    # 10^offset times that, offsets on both sides of log10(BRANCH_MASS_TOL)
+    # and often just under it, so that rows each under the threshold can sum
+    # above half of it and the per-row mask decides
+    offset = st.one_of(st.none(), st.floats(-14, 2), st.floats(-7, -6))
+    offsets = data.draw(st.lists(offset, min_size=1 << n, max_size=1 << n))
+    b = data.draw(st.integers(0, (1 << n) - 1))
+    masses = [0.0 if o is None else 10.0 ** (b_exponent + o) for o in offsets]
+    masses[b] = 10.0**b_exponent
+    state = state_of_row_masses(masses, np.random.default_rng(seed))
+    setting = format(b, f"0{n}b")
+    with pytest.MonkeyPatch.context() as mp:
+        assert external_verdict(state, setting, mp) == (reference_branch_settings(state) == (setting,))
+
+
+@pytest.mark.parametrize("fraction", [0.55, 0.9, 2.0, 4.5])
+def test_external_off_branch_mass_spread_below_the_row_threshold_is_sharp(fraction, rng, monkeypatch):
+    # n = 3: the seven rows off b = 101 share an off-branch fraction of
+    # ``fraction`` * BRANCH_MASS_TOL equally, each under the threshold; above
+    # half the threshold the two sums cannot accept, and the per-row mask does
+    masses = [fraction * BRANCH_MASS_TOL / 7] * 8
+    masses[0b101] = 1 - fraction * BRANCH_MASS_TOL
+    state = state_of_row_masses(masses, rng)
+    assert reference_branch_settings(state) == ("101",)
+    calls = []
+    original = tsym._branch_mask
+    monkeypatch.setattr(tsym, "_branch_mask", lambda s: calls.append(s) or original(s))
+    assert external_verdict(state, "101", monkeypatch)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("key", PROCESSES)
+def test_passing_external_instances_build_no_branch_mask(key, monkeypatch):
+    calls = []
+    monkeypatch.setattr(tsym, "_branch_mask", lambda s: calls.append(s))
+    process = PROCESSES[key]
+    for split in sampled_splits(process):
+        for b in setting_values(process.n):
+            external_instance(process, b, split)
+    assert calls == []
