@@ -23,8 +23,9 @@ no limit, as in the first basis and at k = 0, counts its branches exactly.
 The scan takes solved classes, and the pairs of a problem that is not
 confusable (below), in closed form, with no count and no step.  A basis's
 classes are cut from the settings by per-bit parity masks, so no table over
-the 2^n values is built.  The tests keep the frozenset recursion and
-``advice_classes`` as the slow references.
+the 2^n values is built; one ``_DecisionTree`` per call keeps both the
+counts and each mask's odd settings.  The tests keep the frozenset
+recursion and ``advice_classes`` as the slow references.
 
 Sets of one or two settings are counted in closed form, with no scan of the
 queries.  One setting is solved: count 0.  A pair whose settings share a
@@ -163,7 +164,8 @@ class _ProblemTable:
     ``bit_odd[j]``, the mask of the settings whose value has bit j set, and
     whether the problem is ``confusable``.  None of it depends on k, so a
     problem builds it once (``OracleProblemSpec._table``) and nothing
-    changes it; counts are kept per call by ``_DecisionTree``.
+    changes it; counts and odd settings are kept per call by
+    ``_DecisionTree``.
     """
 
     def __init__(self, problem: OracleProblemSpec):
@@ -221,18 +223,70 @@ class _ProblemTable:
 
 
 class _DecisionTree:
-    """The minimax on int bitmasks over the problem's setting indices.
+    """The minimax on int bitmasks over the problem's setting indices, and
+    the advice classes of a basis as such masks.
 
     Built for one call and dropped with it: it reads the problem's
-    ``_ProblemTable`` and keeps every count, or lower bound, found in
-    ``memo``, which no other call sees, and counts in ``steps`` the work it
-    has done.
+    ``_ProblemTable``, keeps every count, or lower bound, found in ``memo``
+    and the odd settings of each advice mask in ``odd``, which no other
+    call sees, and counts in ``steps`` the work it has done.
     """
 
     def __init__(self, problem: OracleProblemSpec):
         self.table = problem._table
         self.memo: dict[int, int] = {}
+        self.odd: dict[int, int] = {}
         self.steps = self.bases = 0
+
+    def odd_settings(self, m: int) -> int:
+        """The settings of odd parity under the mask m: the XOR of the
+        problem's ``bit_odd`` over the set bits of m."""
+        odd = self.odd.get(m)
+        if odd is None:
+            odd, bits = 0, m
+            while bits:
+                low = bits & -bits
+                odd ^= self.table.bit_odd[low.bit_length() - 1]
+                bits ^= low
+            self.odd[m] = odd
+        return odd
+
+    def cells(self, basis: tuple[int, ...]) -> list[int]:
+        """The settings masks of ``classes``, with no parity bits: what the
+        scan reads of every basis."""
+        cells = [self.table.full]
+        for m in basis:
+            odd = self.odd_settings(m)
+            split = []
+            for cell in cells:
+                even = cell & ~odd
+                if even:
+                    split.append(even)
+                if even != cell:
+                    split.append(cell & odd)
+            cells = split
+        return cells
+
+    def classes(self, basis: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+        """(parity bits, settings mask) of each nonempty class, first mask's
+        bit first, in bit-tuple order.
+
+        Each mask splits every cell into its even then its odd settings and
+        empty cells are dropped, so there are never more cells than
+        settings, whatever the rank.
+        """
+        classes = [((), self.table.full)]
+        for m in basis:
+            odd = self.odd_settings(m)
+            split = []
+            for bits, cell in classes:
+                even = cell & ~odd
+                if even:
+                    split.append((bits + (0,), even))
+                if even != cell:
+                    split.append((bits + (1,), cell & odd))
+            classes = split
+        return classes
 
     def refuse(self) -> None:
         """Raise for the step past ``DEFAULT_SEARCH_BUDGET``, saying where
@@ -395,67 +449,6 @@ def _advice_rank(problem: OracleProblemSpec, k: float) -> int:
     return round(k * problem.n)
 
 
-class _AdviceSplit:
-    """The advice classes of a basis, as int masks over the setting indices.
-
-    The settings of odd parity under a mask m are the XOR of the problem's
-    ``bit_odd`` over the set bits of m.  Built for one call and dropped with
-    it; ``odd`` keeps each mask's odd settings for that call.
-    """
-
-    def __init__(self, problem: OracleProblemSpec):
-        self.table = problem._table
-        self.odd: dict[int, int] = {}
-
-    def odd_settings(self, m: int) -> int:
-        odd = self.odd.get(m)
-        if odd is None:
-            odd, bits = 0, m
-            while bits:
-                low = bits & -bits
-                odd ^= self.table.bit_odd[low.bit_length() - 1]
-                bits ^= low
-            self.odd[m] = odd
-        return odd
-
-    def cells(self, basis: tuple[int, ...]) -> list[int]:
-        """The settings masks of ``classes``, with no parity bits: what the
-        scan reads of every basis."""
-        cells = [self.table.full]
-        for m in basis:
-            odd = self.odd_settings(m)
-            split = []
-            for cell in cells:
-                even = cell & ~odd
-                if even:
-                    split.append(even)
-                if even != cell:
-                    split.append(cell & odd)
-            cells = split
-        return cells
-
-    def classes(self, basis: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-        """(parity bits, settings mask) of each nonempty class, first mask's
-        bit first, in bit-tuple order.
-
-        Each mask splits every cell into its even then its odd settings and
-        empty cells are dropped, so there are never more cells than
-        settings, whatever the rank.
-        """
-        classes = [((), self.table.full)]
-        for m in basis:
-            odd = self.odd_settings(m)
-            split = []
-            for bits, cell in classes:
-                even = cell & ~odd
-                if even:
-                    split.append((bits + (0,), even))
-                if even != cell:
-                    split.append((bits + (1,), cell & odd))
-            classes = split
-        return classes
-
-
 def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> ComplexityReport:
     """Optimal quantum query count predicted from k*n bits of advance knowledge.
 
@@ -476,8 +469,8 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
     the exact counts and the "at least limit" bounds side by side, so a
     class met again in a later basis, or as a branch, is searched again
     only for a higher limit.  A basis's classes come from per-bit parity
-    masks (``_AdviceSplit``), never from a table over all 2^n values.  The
-    scan stops once the best worst case is at most the floor
+    masks (``_DecisionTree.cells``), never from a table over all 2^n
+    values.  The scan stops once the best worst case is at most the floor
     ``bounds[ceil(N / 2^r)]``: a basis's at most 2^r classes share the N
     settings, so by pigeonhole one of them holds ceil(N / 2^r) or more, and
     ``bound`` never falls as the size grows, so no basis has a worst case
@@ -500,7 +493,7 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
     if r < n and table.confusable:
         raise ValueError(NO_SPLIT)
     separable = not table.confusable
-    tree, split = _DecisionTree(problem), _AdviceSplit(problem)
+    tree = _DecisionTree(problem)
     same, bounds = table.same_solution, table.bounds
     # some class of every basis holds ceil(N / 2^r) of the N settings
     floor = bounds[-(-len(problem.settings) >> r)]
@@ -512,7 +505,7 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
         tree.steps += 1
         tree.bases += 1
         counts = []
-        for members in split.cells(basis):
+        for members in tree.cells(basis):
             size = members.bit_count()
             if size == 1 or not members & ~same[(members & -members).bit_length() - 1]:
                 count = 0  # one setting, or a solved class
@@ -530,7 +523,7 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
             best, best_counts = basis, counts
             if best_worst <= floor:
                 break  # no later basis can have a smaller worst case
-    rows = tuple((bits, count) for (bits, _), count in zip(split.classes(best), best_counts))
+    rows = tuple((bits, count) for (bits, _), count in zip(tree.classes(best), best_counts))
     masks = tuple(gf2.mask_to_bits(m, n) for m in best)
     return ComplexityReport(r, k, masks, rows, best_worst)
 

@@ -55,15 +55,8 @@ def code_bits(code: int, r: int) -> tuple[int, ...]:
 
 
 def rank(vectors) -> int:
-    """Rank of the span of ``vectors`` (Gaussian elimination on ints)."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+    """Rank of the span of ``vectors``: the length of its reduced basis."""
+    return len(reduced_basis(vectors))
 
 
 def is_independent(vectors) -> bool:
@@ -149,8 +142,9 @@ def _basis_chunks(rank: int, allowed: int, cache: dict) -> Iterator[Iterable[tup
 
 
 @functools.cache
-def _unit_basis(rank: int) -> tuple[int, ...]:
-    """The unit vectors at the low ``rank`` bits, rows descending."""
+def unit_basis(rank: int) -> tuple[int, ...]:
+    """The unit vectors at the low ``rank`` bits, rows descending: the
+    reduced basis of the whole of F_2^rank, leftmost bit first."""
     return tuple(1 << j for j in range(rank - 1, -1, -1))
 
 
@@ -162,7 +156,7 @@ def _tails(rank: int, allowed: int, cache: dict) -> Iterable[tuple[int, ...]]:
     pivot, and no row may set another's pivot, so its one basis is the unit
     vectors, returned with no recursion."""
     if allowed == (1 << rank) - 1:
-        return (_unit_basis(rank),)
+        return (unit_basis(rank),)
     key = rank, allowed
     tails = cache.get(key)
     if tails is None:

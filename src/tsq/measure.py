@@ -65,7 +65,7 @@ class ParityObservable:
         n, ints = self.n_bits, self.int_masks
         if self.rank == 0:
             return f"{self.register}(trivial)"
-        if ints == _unit_masks(n):
+        if ints == gf2.unit_basis(n):
             return self.register
         if n == 2 and ints == (0b10,):
             return f"{self.register}_l"
@@ -74,15 +74,10 @@ class ParityObservable:
         return f"{self.register}[{','.join(self.masks)}]"
 
 
-def _unit_masks(n: int) -> tuple[int, ...]:
-    """The n unit vectors, leftmost bit first."""
-    return tuple(1 << (n - 1 - i) for i in range(n))
-
-
 def full_observable(layout: RegisterLayout, register: str) -> ParityObservable:
     """Rank-n observable whose outcome bits spell the register content."""
     n = layout.bits(register)
-    return ParityObservable(register, tuple(_bit_strings(n)[m] for m in _unit_masks(n)))
+    return ParityObservable(register, tuple(_bit_strings(n)[m] for m in gf2.unit_basis(n)))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ register A (``CopyUnitary``): X_b N Z_b^signed on setting b, stored as the
 one 2^n_a x 2^n_a network N with an XOR gather and signs.  A copying
 unitary is controlled on B: it maps each setting row of the (dim_b, dim_a)
 amplitudes to the same row, so it commutes with every projection on B.
+Both forms check their matrix in ``_checked_unitary``, which returns it
+with its conjugate; each stores that conjugate once, and ``apply_adjoint``
+multiplies the amplitudes by it, conjugating no matrix.
 
 Amplitudes are stored unnormalized throughout; the norm is queried
 explicitly where it matters.  All values are immutable after construction
@@ -214,8 +217,9 @@ def unitarity_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(gram)))
 
 
-def _checked_unitary(matrix, k: int) -> np.ndarray:
-    """A read-only complex copy of ``matrix``, once it is a k x k unitary."""
+def _checked_unitary(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only complex copy of ``matrix``, once it is a k x k unitary,
+    and its read-only conjugate, which the backward leg multiplies by."""
     m = np.array(matrix, dtype=np.complex128)
     if m.shape != (k, k):
         raise ValueError(f"expected a {k} x {k} matrix, got {m.shape}")
@@ -224,8 +228,10 @@ def _checked_unitary(matrix, k: int) -> np.ndarray:
         raise InvariantError(
             f"matrix is not unitary: max |U+U - I| = {dev:.3e} > OP_TOL = {OP_TOL:.0e}"
         )
+    conj = m.conj()
     m.setflags(write=False)
-    return m
+    conj.setflags(write=False)
+    return m, conj
 
 
 @dataclass(frozen=True)
@@ -234,22 +240,18 @@ class UnitaryOp:
 
     layout: RegisterLayout
     matrix: np.ndarray = field(repr=False)
+    _conj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _checked_unitary(self.matrix, self.layout.dim))
+        matrix, conj = _checked_unitary(self.matrix, self.layout.dim)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_conj", conj)
 
     def _apply(self, psi: np.ndarray) -> np.ndarray:
         return self.matrix @ psi
 
     def _apply_adjoint(self, psi: np.ndarray) -> np.ndarray:
-        """U^H psi as the conjugate of the row product psi^H U, so that no
-        conjugate of the d x d matrix is built.  The conjugate is taken as
-        0.0 - imag: a zero imaginary part comes out +0.0, as from the product
-        with the conjugated matrix, where .conj() gives -0.0."""
-        w = psi.conj() @ self.matrix
-        im = w.imag
-        np.subtract(0.0, im, out=im)
-        return w
+        return psi @ self._conj  # U^H psi
 
 
 @dataclass(frozen=True)
@@ -277,11 +279,10 @@ class CopyUnitary:
         layout = self.layout
         if layout.n_b != layout.n_a:
             raise ValueError("setting and solution registers need the same width")
-        conj = None
+        matrix = conj = None
         if self.matrix is not None:
-            object.__setattr__(self, "matrix", _checked_unitary(self.matrix, layout.dim_a))
-            conj = self.matrix.conj()
-            conj.setflags(write=False)
+            matrix, conj = _checked_unitary(self.matrix, layout.dim_a)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_conj", conj)
         # joint index b * dim_a + (a xor b) at b * dim_a + a: the gather of X_b, its own inverse
         i = np.arange(layout.dim)

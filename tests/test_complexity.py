@@ -19,7 +19,6 @@ from tsq.complexity import (
     ComplexityReport,
     OracleProblemSpec,
     SearchCapError,
-    _AdviceSplit,
     _DecisionTree,
     _advice_rank,
     advanced_knowledge_prediction,
@@ -256,7 +255,7 @@ def test_parity_mask_split_matches_advice_classes(problem):
     # of every basis, empty ones dropped, in the reference's code order
     n = problem.n
     assume(len(problem.settings) < 1 << n)
-    split = _AdviceSplit(problem)
+    split = _DecisionTree(problem)
     for r in range(n + 1):
         for basis in gf2.subspaces(n, r):
             masks = tuple(gf2.mask_to_bits(m, n) for m in basis)
@@ -381,7 +380,7 @@ def test_drawer_scan_stops_at_its_first_basis(n, monkeypatch):
     # the elimination bound is exact on the drawer, so the first basis of
     # every rank meets the floor 2^(n-r) - 1 and no other basis is split
     split_bases = []
-    cells = _AdviceSplit.cells
+    cells = _DecisionTree.cells
 
     def counted(self, basis):
         split_bases.append(basis)
@@ -395,7 +394,7 @@ def test_drawer_scan_stops_at_its_first_basis(n, monkeypatch):
             drawn.append(basis)
             yield basis
 
-    monkeypatch.setattr(_AdviceSplit, "cells", counted)
+    monkeypatch.setattr(_DecisionTree, "cells", counted)
     monkeypatch.setattr(gf2, "subspaces", counted_stream)
     problem = grover_problem(n)
     for r in range(n + 1):
@@ -515,11 +514,13 @@ def test_problem_table_is_built_once_and_never_changed(problem, numerators):
         assert got == outcome(advanced_knowledge_prediction, fresh, k)
     assert problem._table is table
     assert vars(table) == snapshot
-    # counts live in the memo of one tree, made per call
+    # counts and odd settings live in one tree, made per call
     first, second = _DecisionTree(problem), _DecisionTree(problem)
     counted = outcome(first.count, table.full)
-    assert first.table is second.table and first.memo is not second.memo
-    assert second.memo == {}
+    first.cells(gf2.unit_basis(problem.n))
+    assert first.table is second.table
+    assert first.memo is not second.memo and first.odd is not second.odd
+    assert second.memo == {} and second.odd == {}
     assert counted == NO_SPLIT or first.memo[table.full] == counted
 
 

@@ -62,6 +62,14 @@ def test_rank_and_independence():
     assert not gf2.is_independent([0])
 
 
+@given(st.lists(st.integers(0, 63), max_size=6))
+def test_rank_counts_the_span(vs):
+    # oracle independent of the elimination: the span has 2^rank vectors
+    r = gf2.rank(vs)
+    assert 1 << r == len(span(vs))
+    assert gf2.is_independent(vs) == (r == len(vs))
+
+
 def test_reduced_basis_is_a_subspace_signature():
     # both sets span the same plane in F_2^2
     assert gf2.reduced_basis([0b01, 0b11]) == gf2.reduced_basis([0b10, 0b01])

@@ -364,6 +364,13 @@ def test_copy_unitary_stores_the_conjugate_network_once():
         assert np.array_equal(u._conj, u.matrix.conj())
         assert not u._conj.flags.writeable
     assert CopyUnitary(L2)._conj is None
+    # a dense unitary stores its conjugate too, and its adjoint is a fresh array
+    for n in (1, 2):
+        u = random_dense_unitary(n, n)
+        assert np.array_equal(u._conj, u.matrix.conj())
+        assert not u._conj.flags.writeable
+        s = random_state(u.layout, np.random.default_rng(n))
+        assert not np.shares_memory(apply_adjoint(u, s).amps, u._conj)
 
 
 def test_operator_shape_validation():
