@@ -17,8 +17,10 @@ both bundled files and at every advice rank on a 16-setting random table
 under ``tests/data/`` (one k per call, and all of them in one call), on a
 4-setting table with two settings no query tells apart (exit 2 at k = 1/2,
 exit 0 at k = 1), on two 10-bit settings (at k = 1/2, where the first of
-the [10 choose 5]_2 advice bases splits them, and at k = 1), on a file
-whose name is not a string (exit 2), and a few invalid argv.
+the [10 choose 5]_2 advice bases splits them, and at k = 1), on a
+24-setting drawer with 29 of its answers flipped (at k = 0, which passes
+the step budget unless its one class prunes its branches, and at k = 0.2),
+on a file whose name is not a string (exit 2), and a few invalid argv.
 Problem-file paths are relative to the repository root, and the script runs
 from there, so the digests of two checkouts can be compared with ``diff``.
 An exception that escapes ``main`` is printed as ``raise:<type>``.  The
@@ -46,6 +48,7 @@ RANDOM_TABLE = "tests/data/random-16x8.json"  # 16 settings, 8 binary queries
 CONFUSABLE_TABLE = "tests/data/confusable-4x2.json"  # two settings answer every query alike
 LIST_NAME = "tests/data/list-name.json"  # its "name" is a list
 WIDE_TABLE = "tests/data/wide-10.json"  # two 10-bit settings, one query
+FLIPPED_TABLE = "tests/data/flipped-24.json"  # 24 drawers, 29 answers flipped
 UNITARIES = ("xor", "grover-long")
 SPLITS = {
     2: ("A:[01]", "A:[10]", "A:[11]", "B:[10]/A:[01]", "B:[11]/A:[01]"),
@@ -170,6 +173,9 @@ def argvs() -> list[list[str]]:
     # [10 choose 5]_2 advice bases at k = 1/2, of which the first splits the two
     for k in ("0.5", "1"):
         out.append(["complexity", "--problem", "file", "--problem-file", WIDE_TABLE, "--k", k])
+    # the k = 0 search stays within the step budget only if every count prunes
+    for k in ("0", "0.2"):
+        out.append(["complexity", "--problem", "file", "--problem-file", FLIPPED_TABLE, "--k", k])
     for n in range(4, 9):
         for target in (values(n)[1], values(n)[-1]):
             for variant in ("long", "grover"):

@@ -10,22 +10,23 @@ the predicted optimal quantum query count at retrocausality fraction k.
 The search runs on int bitmasks over the setting indices: each query is
 precomputed as its answer partition of the settings, once per problem, and
 each candidate set's count is memoized by its mask for the length of one
-call.  A query is abandoned once one of its branches reaches the best count
-found so far, and an advice basis once the lower bound below, or else the
-count, of one of its classes reaches the best worst case.  Only "does this
-class beat the best?" matters for a basis, so after the first basis each
-class is counted with the best worst case as its limit: the count is exact
-below the limit and otherwise only proved to reach it, and each count
-passes its best worst branch on as the limit of its branches (alpha-beta
-pruning: Knuth & Moore, "An analysis of alpha-beta pruning", AI 1975).  The
-memo keeps such a proof as a bound beside the exact counts.  A count with
-no limit, as in the first basis and at k = 0, counts its branches exactly.
-The scan takes solved classes, and the pairs of a problem that is not
-confusable (below), in closed form, with no count and no step.  A basis's
-classes are cut from the settings by per-bit parity masks, so no table over
-the 2^n values is built; one ``_DecisionTree`` per call keeps both the
-counts and each mask's odd settings.  The tests keep the frozenset
-recursion and ``advice_classes`` as the slow references.
+call.  Every count carries a limit: it is exact below the limit and
+otherwise only proved to reach it, and it passes its best worst branch on
+as the limit of its branches, so a query is abandoned once one of its
+branches reaches the best count found so far (alpha-beta pruning: Knuth &
+Moore, "An analysis of alpha-beta pruning", AI 1975).  The memo keeps such
+a proof as a bound beside the exact counts.  No count reaches a limit above
+its set's size, so such a limit asks for the exact count.  Only "does this
+class beat the best?" matters for an advice basis, so each class is counted
+with the best worst case as its limit, N until a first basis is scored,
+and a basis is dropped once the lower bound below, or else the count, of
+one of its classes reaches it.  The scan takes solved classes, and the
+pairs of a problem that is not confusable (below), in closed form, with no
+count and no step.  A basis's classes are cut from the settings by per-bit
+parity masks, so no table over the 2^n values is built; one
+``_DecisionTree`` per call keeps both the counts and each mask's odd
+settings.  The tests keep the frozenset recursion and ``advice_classes`` as
+the slow references.
 
 Sets of one or two settings are counted in closed form, with no scan of the
 queries.  One setting is solved: count 0.  A pair whose settings share a
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import gf2
 from .qcore import InvariantError, RegisterLayout
@@ -144,13 +145,14 @@ def decision_tree_complexity(problem: OracleProblemSpec, candidates) -> int:
 
     0 if the solution is already constant on the candidate set, otherwise
     1 + min over queries of the max over answer branches, found by the
-    bitmask engine with a memo table made for this call.
+    bitmask engine with a memo table made for this call, at the limit m + 1
+    that no count of m candidates reaches.
     """
     candidates = frozenset(candidates)
     if not candidates:
         raise ValueError("candidate set is empty")
     tree = _DecisionTree(problem)
-    return tree.solve(sum(1 << tree.table.index[b] for b in candidates))
+    return tree.solve(sum(1 << tree.table.index[b] for b in candidates), len(candidates) + 1)
 
 
 class _ProblemTable:
@@ -296,22 +298,22 @@ class _DecisionTree:
             f" {self.steps - self.bases}, advice bases scanned: {self.bases})"
         )
 
-    def solve(self, members: int, limit: Optional[int] = None) -> int:
+    def solve(self, members: int, limit: int) -> int:
         """``count`` from outside the recursion, which nests one set a level:
         a recursion too deep for the interpreter is refused like the budget.
         A set the memo settles is read from it, with no count."""
         known = self.memo.get(members)
-        if known is not None and (known >= 0 or limit is not None and -known >= limit):
+        if known is not None and (known >= 0 or -known >= limit):
             return abs(known)
         try:
             return self.count(members, limit)
         except RecursionError:
             raise SearchCapError("search nested deeper than the recursion limit") from None
 
-    def count(self, members: int, limit: Optional[int] = None) -> int:
+    def count(self, members: int, limit: int) -> int:
         """Query count of the candidate set ``members``: exact below
         ``limit`` (at least 1), and otherwise a lower bound of at least
-        ``limit``.  With no limit the count is exact.
+        ``limit``.  A limit above the set's size makes the count exact.
 
         The count is 0 on a solved set and otherwise 1 + the least worst
         branch over the queries.  Two closed forms need no scan: a set of one
@@ -326,20 +328,20 @@ class _DecisionTree:
           branch is no smaller;
         - the scan stops once the best worst branch reaches
           ``bounds[|members|] - 1``, since no query can do better.
-        A count with a limit passes the cut as the limit of each branch, so
-        it searches a branch only as far as the branch can lower the cut;
-        a count with no limit counts its branches exactly.  If no query
-        comes in under a limit, the count is at least the limit.  A query
-        whose first nonempty branch is the whole set does not split it.  A
-        set of m settings needs at most m - 1 queries and has a bound below
-        m, so m stands for "no splitting query yet": with no limit below m,
-        the first splitting query is counted in full, and a set holding two
-        settings that no query tells apart raises.
+        The cut is passed as the limit of each branch, so a branch is
+        searched only as far as it can lower the cut.  If no query comes in
+        under a limit, the count is at least the limit.  A query whose first
+        nonempty branch is the whole set does not split it.  A set of m
+        settings needs at most m - 1 queries and has a bound below m, so m
+        stands for "no splitting query yet": with a limit above m, the first
+        splitting query is counted in full, and a set holding two settings
+        that no query tells apart raises.
 
         ``memo`` keeps each exact count c as c and each lower bound L as -L,
         so an exact count is never searched twice and a bound only for a
-        higher limit.  The caller reads the memo first (``solve`` does): a
-        set counted here is one the memo does not settle, and a step.
+        higher limit; a bound is at most the set's size, so an exact count
+        never takes one.  The caller reads the memo first (``solve`` does):
+        a set counted here is one the memo does not settle, and a step.
         """
         if self.steps >= DEFAULT_SEARCH_BUDGET:
             self.refuse()
@@ -355,7 +357,7 @@ class _DecisionTree:
             memo[members] = 1
             return 1
         best = size
-        cut = size if limit is None or limit > size else limit - 1
+        cut = size if limit > size else limit - 1
         floor = bounds[size] - 1
         count = self.count
         for parts in table.partitions:
@@ -377,7 +379,7 @@ class _DecisionTree:
                     if c is None or c < 0 and -c < cut:
                         if bounds[m] >= cut:
                             break  # a bound that reaches the cut needs no count
-                        c = count(branch, None if limit is None else cut)
+                        c = count(branch, cut)
                     elif c < 0:
                         c = -c
                 if c > worst:
@@ -457,19 +459,19 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
     complement, with which it forms a full-rank selection.  Bases are tried
     in sorted order and only a strictly smaller worst case replaces the
     best, so a class needs counting only as far as it can beat the best
-    worst case found so far.  The first basis is counted exactly; each
-    later class is counted with the best worst case as its limit (see
-    ``_DecisionTree.count``), and a basis is dropped at its first class
-    whose bound (``bounds`` at its size) or, failing that, whose count
-    reaches that limit: no count is below its bound, so the bound drops
-    exactly the bases the count would, before the class is searched.  A
-    solved class counts 0 and an unsolved pair of a problem that is not
-    ``confusable`` counts 1, taken in the scan with no count and no step,
-    and compared with the best like any other count.  The counts memo keeps
-    the exact counts and the "at least limit" bounds side by side, so a
-    class met again in a later basis, or as a branch, is searched again
-    only for a higher limit.  A basis's classes come from per-bit parity
-    masks (``_DecisionTree.cells``), never from a table over all 2^n
+    worst case found so far.  Every class is counted with the best worst
+    case as its limit (see ``_DecisionTree.count``), from N, which no count
+    reaches, so the first basis is counted exactly; a basis is dropped at
+    its first class whose bound (``bounds`` at its size) or, failing that,
+    whose count reaches that limit: no count is below its bound, so the
+    bound drops exactly the bases the count would, before the class is
+    searched.  A solved class counts 0 and an unsolved pair of a problem
+    that is not ``confusable`` counts 1, taken in the scan with no count and
+    no step, and compared with the best like any other count.  The counts
+    memo keeps the exact counts and the "at least limit" bounds side by
+    side, so a class met again in a later basis, or as a branch, is searched
+    again only for a higher limit.  A basis's classes come from per-bit
+    parity masks (``_DecisionTree.cells``), never from a table over all 2^n
     values.  The scan stops once the best worst case is at most the floor
     ``bounds[ceil(N / 2^r)]``: a basis's at most 2^r classes share the N
     settings, so by pigeonhole one of them holds ceil(N / 2^r) or more, and
@@ -497,8 +499,8 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
     same, bounds = table.same_solution, table.bounds
     # some class of every basis holds ceil(N / 2^r) of the N settings
     floor = bounds[-(-len(problem.settings) >> r)]
-    # no class counts N or more, so the first basis is counted with no limit
-    best_worst, limit = len(problem.settings), None
+    # no class counts N or more, so the first basis's counts are exact
+    best_worst = len(problem.settings)
     for basis in gf2.subspaces(n, r):
         if tree.steps >= DEFAULT_SEARCH_BUDGET:
             tree.refuse()
@@ -514,12 +516,12 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
             elif bounds[size] >= best_worst:
                 break
             else:
-                count = tree.solve(members, limit)
+                count = tree.solve(members, best_worst)
             if count >= best_worst:
                 break
             counts.append(count)
         else:
-            best_worst = limit = max(counts)
+            best_worst = max(counts)
             best, best_counts = basis, counts
             if best_worst <= floor:
                 break  # no later basis can have a smaller worst case

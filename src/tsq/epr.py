@@ -55,7 +55,7 @@ class EprScenario:
 
     @cached_property
     def u12(self) -> UnitaryOp:
-        return UnitaryOp(self.layout, self.u02.matrix @ self.u01.matrix.conj().T)
+        return UnitaryOp(self.layout, self.u02.matrix @ self.u01._conj.T)
 
     def psi_t1(self) -> StateVector:
         return apply(self.u01, self.psi_t0)

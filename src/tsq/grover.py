@@ -210,7 +210,7 @@ def as_process_unitary(n: int) -> CopyUnitary:
     The layout is built first, so a size past the cap is refused before the
     2^n x 2^n network is."""
     layout = RegisterLayout(n, n)
-    return CopyUnitary(layout, search_network(SearchOracle(n, "0" * n)), signed=True)
+    return CopyUnitary(layout, search_network(SearchOracle(n, "0" * n)))
 
 
 def grover_process(n: int) -> ProcessDescription:

@@ -74,10 +74,16 @@ class ParityObservable:
         return f"{self.register}[{','.join(self.masks)}]"
 
 
+def _observable(register: str, basis: tuple[int, ...], n: int) -> ParityObservable:
+    """The observable of an independent ``basis``, its mask text read from the
+    per-width string table that state rendering shares."""
+    return ParityObservable(register, tuple(map(_bit_strings(n).__getitem__, basis)))
+
+
 def full_observable(layout: RegisterLayout, register: str) -> ParityObservable:
     """Rank-n observable whose outcome bits spell the register content."""
     n = layout.bits(register)
-    return ParityObservable(register, tuple(_bit_strings(n)[m] for m in gf2.unit_basis(n)))
+    return _observable(register, gf2.unit_basis(n), n)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ the B bits as the most significant block: index(|b>|a>) = b * 2^n_a + a.
 
 A state is a dense amplitude vector.  A unitary is either a dense d x d
 matrix (``UnitaryOp``) or a solving unitary that copies the setting b into
-register A (``CopyUnitary``): X_b N Z_b^signed on setting b, stored as the
+register A (``CopyUnitary``): X_b N Z_b on setting b, stored as the
 one 2^n_a x 2^n_a network N with an XOR gather and signs.  A copying
 unitary is controlled on B: it maps each setting row of the (dim_b, dim_a)
 amplitudes to the same row, so it commutes with every projection on B.
@@ -258,19 +258,18 @@ class UnitaryOp:
 class CopyUnitary:
     """Solving unitary that copies the setting b of B into register A.
 
-    On setting b it acts on A as X_b N Z_b^signed, where X_b |a> = |a xor b>,
+    On setting b it acts on A as X_b N Z_b, where X_b |a> = |a xor b>,
     Z_b |a> = (-1)^popcount(a and b) |a> and N, ``matrix``, is one
-    2^n_a x 2^n_a network (None for the identity).  N maps |0...0> to
-    |0...0> exactly when the unitary copies every setting sharply; with no
-    network and no signs it is the XOR copy, the canonical solving unitary and
-    its own inverse.  The XOR gather, the signs and conj(N), which the
-    backward leg multiplies by, are built once; the signs multiply the real
-    and imaginary parts by +-1.0, an exact negation.
+    2^n_a x 2^n_a network.  N maps |0...0> to |0...0> exactly when the
+    unitary copies every setting sharply.  With no network it is X_b alone,
+    the XOR copy: the canonical solving unitary and its own inverse.  The
+    XOR gather, and for a network the signs and conj(N), which the backward
+    leg multiplies by, are built once; the signs multiply the real and
+    imaginary parts by +-1.0, an exact negation.
     """
 
     layout: RegisterLayout
     matrix: Optional[np.ndarray] = field(default=None, repr=False)
-    signed: bool = False
     _xor: np.ndarray = field(init=False, repr=False, compare=False)
     _signs: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     _conj: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
@@ -279,30 +278,28 @@ class CopyUnitary:
         layout = self.layout
         if layout.n_b != layout.n_a:
             raise ValueError("setting and solution registers need the same width")
-        matrix = conj = None
+        matrix = conj = signs = None
         if self.matrix is not None:
             matrix, conj = _checked_unitary(self.matrix, layout.dim_a)
+            # row b: Z_b, once per real and imaginary part
+            signs = np.repeat(hadamard(layout.dim_a, dtype=float), 2, axis=1)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_conj", conj)
+        object.__setattr__(self, "_signs", signs)
         # joint index b * dim_a + (a xor b) at b * dim_a + a: the gather of X_b, its own inverse
         i = np.arange(layout.dim)
         object.__setattr__(self, "_xor", i ^ (i >> layout.n_a))
-        signs = np.repeat(hadamard(layout.dim_a, dtype=float), 2, axis=1) if self.signed else None
-        object.__setattr__(self, "_signs", signs)  # row b: Z_b, once per real and imaginary part
 
     def _apply(self, psi: np.ndarray) -> np.ndarray:
         x = psi.reshape(self.layout.dim_b, self.layout.dim_a)
-        if self._signs is not None:
-            x = (x.view(np.float64) * self._signs).view(np.complex128)
         if self.matrix is not None:
-            x = x @ self.matrix.T
+            x = (x.view(np.float64) * self._signs).view(np.complex128) @ self.matrix.T
         return x.reshape(-1)[self._xor]
 
     def _apply_adjoint(self, psi: np.ndarray) -> np.ndarray:
         x = psi[self._xor].reshape(self.layout.dim_b, self.layout.dim_a)
         if self._conj is not None:
             x = x @ self._conj  # N^H on each row
-        if self._signs is not None:
             parts = x.view(np.float64)
             parts *= self._signs
         return x.reshape(-1)

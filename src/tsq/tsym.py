@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import gf2, measure
-from .measure import ParityObservable, _register_codes, project_forced
+from .measure import ParityObservable, _observable, _register_codes, project_forced
 from .qcore import (
     BRANCH_MASS_TOL,
     CORRELATION_TOL,
@@ -49,7 +49,6 @@ from .qcore import (
     InvariantError,
     RegisterLayout,
     StateVector,
-    _bit_strings,
     apply,
     apply_adjoint,
     proportionality,
@@ -139,12 +138,6 @@ def selection_is_injective(process: ProcessDescription, split: SelectionSplit) -
     construction.
     """
     return gf2.rank(split.initial_part.int_masks + split.final_part.int_masks) == process.n
-
-
-def _observable(register: str, basis: tuple[int, ...], n: int) -> ParityObservable:
-    """The observable of an independent ``basis``, its mask text read from the
-    per-width string table that state rendering shares."""
-    return ParityObservable(register, tuple(map(_bit_strings(n).__getitem__, basis)))
 
 
 def _first_complement(rows: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -152,14 +152,14 @@ def bitwise_equal(x: np.ndarray, y: np.ndarray) -> bool:
     )
 
 
-def copy_blocks(layout: RegisterLayout, network=None, signed: bool = False) -> np.ndarray:
-    """Slow reference for a copying unitary: the stack of its blocks X_b N Z_b^signed,
+def copy_blocks(layout: RegisterLayout, network=None) -> np.ndarray:
+    """Slow reference for a copying unitary: the stack of its blocks X_b N Z_b,
     one 2^n x 2^n block per setting b.
 
     With no network these are the 0/1 xor-copy blocks, block b mapping |a> to
-    |a xor b>.  Otherwise block b is N with its rows permuted by i xor b, and,
-    when signed, its columns signed by (-1)^popcount(b and j): for the search
-    network N_0 of target 0...0, the network for target b.
+    |a xor b>.  Otherwise block b is N with its rows permuted by i xor b and
+    its columns signed by (-1)^popcount(b and j): for the search network N_0
+    of target 0...0, the network for target b.
     """
     a = np.arange(layout.dim_a)
     b = a[:, np.newaxis]
@@ -167,9 +167,7 @@ def copy_blocks(layout: RegisterLayout, network=None, signed: bool = False) -> n
         blocks = np.zeros((layout.dim_b, layout.dim_a, layout.dim_a))
         blocks[b, a ^ b, a] = 1.0
     else:
-        blocks = np.asarray(network)[a ^ b]
-    if signed:
-        blocks = blocks * hadamard(layout.dim_a)[:, np.newaxis, :]
+        blocks = np.asarray(network)[a ^ b] * hadamard(layout.dim_a)[:, np.newaxis, :]
     return blocks
 
 
@@ -177,7 +175,7 @@ def dense(u: UnitaryOp | CopyUnitary) -> np.ndarray:
     """The d x d matrix of ``u``; a copying unitary is expanded from its blocks."""
     if isinstance(u, UnitaryOp):
         return u.matrix
-    return block_diag(*copy_blocks(u.layout, u.matrix, u.signed))
+    return block_diag(*copy_blocks(u.layout, u.matrix))
 
 
 @pytest.fixture

@@ -178,7 +178,7 @@ def test_lifted_unitary_matches_per_setting_networks(n):
         [search_network(SearchOracle(n, format(b, f"0{n}b"))) for b in range(1 << n)]
     )
     u = as_process_unitary(n)
-    assert np.max(np.abs(copy_blocks(u.layout, u.matrix, u.signed) - reference)) <= 1e-12
+    assert np.max(np.abs(copy_blocks(u.layout, u.matrix) - reference)) <= 1e-12
 
 
 def test_grover_process_interop_with_xor_branch_sets():

@@ -252,9 +252,8 @@ def test_operators_refuse_nan():
         UnitaryOp(RegisterLayout(1, 1), m)
     network = np.eye(L2.dim_a, dtype=np.complex128)
     network[1, 2] = np.nan
-    for signed in (False, True):
-        with pytest.raises(InvariantError, match="not unitary"):
-            CopyUnitary(L2, network, signed)
+    with pytest.raises(InvariantError, match="not unitary"):
+        CopyUnitary(L2, network)
 
 
 # Both operator forms against their slow references: the dense matrix, and
@@ -274,9 +273,9 @@ def process_unitary(kind: str, n: int) -> CopyUnitary:
     return (xor_process if kind == "xor" else grover_process)(n).u12
 
 
-def random_copy_unitary(n: int, signed: bool, seed: int) -> CopyUnitary:
+def random_copy_unitary(n: int, seed: int) -> CopyUnitary:
     network = random_unitary_matrix(1 << n, np.random.default_rng(seed))
-    return CopyUnitary(RegisterLayout(n, n), network, signed)
+    return CopyUnitary(RegisterLayout(n, n), network)
 
 
 def random_dense_unitary(n: int, seed: int) -> UnitaryOp:
@@ -288,7 +287,7 @@ def random_dense_unitary(n: int, seed: int) -> UnitaryOp:
 @given(st.sampled_from(["xor", "grover"]), st.integers(1, 6), seeds, st.sampled_from([0.0, 0.5]))
 def test_copy_unitary_matches_block_stack_reference(kind, n, seed, zero_fraction):
     u = process_unitary(kind, n)
-    blocks = copy_blocks(u.layout, u.matrix, u.signed)
+    blocks = copy_blocks(u.layout, u.matrix)
     m, k, _ = blocks.shape
     rng = np.random.default_rng(seed)
     amps = random_state(u.layout, rng).amps * (rng.random(u.layout.dim) >= zero_fraction)
@@ -303,10 +302,10 @@ def test_copy_unitary_matches_block_stack_reference(kind, n, seed, zero_fraction
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(1, 3), seeds, st.booleans())
-def test_random_operators_match_dense_oracle(n, seed, signed):
+@given(st.integers(1, 3), seeds)
+def test_random_operators_match_dense_oracle(n, seed):
     rng = np.random.default_rng(seed)
-    for u in (random_copy_unitary(n, signed, seed), random_dense_unitary(n, seed)):
+    for u in (random_copy_unitary(n, seed), random_dense_unitary(n, seed)):
         s = random_state(u.layout, rng)
         du = dense(u)
         assert states_close(apply(u, s), StateVector(u.layout, du @ s.amps))
@@ -314,15 +313,15 @@ def test_random_operators_match_dense_oracle(n, seed, signed):
 
 
 @settings(max_examples=20, deadline=None)
-@given(ns, seeds, st.booleans(), st.sampled_from([0.0, 1e-12, 1e-9, 0.5]))
-def test_blockwise_unitarity_deviation_equals_dense(n, seed, signed, shear):
+@given(ns, seeds, st.sampled_from([0.0, 1e-12, 1e-9, 0.5]))
+def test_blockwise_unitarity_deviation_equals_dense(n, seed, shear):
     # a copying unitary checks N alone: X_b and Z_b are exact, so the whole
     # operator deviates from unitarity by exactly as much as N
     layout = RegisterLayout(n, n)
     network = random_unitary_matrix(layout.dim_a, np.random.default_rng(seed))
     if n > 1:  # mixing column 1 into column 0 puts the deviation off the diagonal of N^H N
         network[:, 0] += shear * network[:, 1]
-    m = block_diag(*copy_blocks(layout, network, signed))
+    m = block_diag(*copy_blocks(layout, network))
     dense_dev = float(np.max(np.abs(m.conj().T @ m - np.eye(layout.dim))))
     # equal up to rounding, far below OP_TOL
     assert abs(unitarity_deviation(network) - dense_dev) <= 1e-14 * max(dense_dev, 1.0)
@@ -342,12 +341,12 @@ def test_single_non_unitary_block_raises(n, seed, which, dense_form):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3), seeds, st.booleans(), st.integers(0, 3))
-def test_copy_unitary_commutes_with_every_projection_on_b(n, seed, signed, rank):
+@given(st.integers(1, 3), seeds, st.integers(0, 3))
+def test_copy_unitary_commutes_with_every_projection_on_b(n, seed, rank):
     # a copying unitary maps each setting row to itself, so U P_B = P_B U and
     # U^H P_B = P_B U^H: the identity the external zigzag reads its t2 state by
     rng = np.random.default_rng(seed)
-    u = random_copy_unitary(n, signed, seed)
+    u = random_copy_unitary(n, seed)
     s = random_state(u.layout, rng)
     masks = random_independent_masks(rng, n, min(rank, n))
     obs = ParityObservable("B", tuple(gf2.mask_to_bits(m, n) for m in masks))
@@ -359,10 +358,9 @@ def test_copy_unitary_commutes_with_every_projection_on_b(n, seed, signed, rank)
 
 
 def test_copy_unitary_stores_the_conjugate_network_once():
-    for n, signed in ((1, False), (3, True)):
-        u = random_copy_unitary(n, signed, n)
-        assert np.array_equal(u._conj, u.matrix.conj())
-        assert not u._conj.flags.writeable
+    u = random_copy_unitary(3, 3)
+    assert np.array_equal(u._conj, u.matrix.conj())
+    assert not u._conj.flags.writeable
     assert CopyUnitary(L2)._conj is None
     # a dense unitary stores its conjugate too, and its adjoint is a fresh array
     for n in (1, 2):
@@ -397,12 +395,13 @@ def xor_gather(rows: np.ndarray) -> np.ndarray:
 
 
 def signs(u: CopyUnitary, rows: np.ndarray) -> np.ndarray:
-    """Z_b^signed on row b, an exact negation of the odd-parity entries."""
-    return np.where(hadamard(rows.shape[1]) < 0, -rows, rows) if u.signed else rows
+    """Z_b on row b, an exact negation of the odd-parity entries, where ``u``
+    has a network."""
+    return rows if u.matrix is None else np.where(hadamard(rows.shape[1]) < 0, -rows, rows)
 
 
 def reference_apply(u, s: StateVector) -> np.ndarray:
-    """U s by the formula: the dense product, or X_b N Z_b^signed on each setting row."""
+    """U s by the formula: the dense product, or X_b N Z_b on each setting row."""
     if isinstance(u, UnitaryOp):
         return u.matrix @ s.amps
     rows = signs(u, setting_rows(u, s.amps))
@@ -423,7 +422,7 @@ def reference_adjoint(u, s: StateVector) -> np.ndarray:
 
 operators = st.one_of(
     st.builds(process_unitary, st.sampled_from(["xor", "grover"]), st.integers(1, 5)),
-    st.builds(random_copy_unitary, ns, st.booleans(), seeds),
+    st.builds(random_copy_unitary, ns, seeds),
     st.builds(random_dense_unitary, st.integers(1, 3), seeds),
 )
 

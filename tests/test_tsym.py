@@ -98,14 +98,13 @@ def test_process_refuses_an_initial_state_of_another_layout():
         ProcessDescription(CopyUnitary(RegisterLayout(2, 2)), state)
 
 
-@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
-def test_non_correlating_network_raises(signed):
+def test_non_correlating_network_raises():
     # a network that swaps |00> and |01>: N |00> = |01>, so every setting b
     # reaches |b>|b xor 01> and leaks all its mass; the first setting is named
     swap = np.eye(4)[[1, 0, 2, 3]]
-    copy_process(CopyUnitary(P2.layout, np.eye(4)[[0, 2, 1, 3]], signed))  # fixes |00>
+    copy_process(CopyUnitary(P2.layout, np.eye(4)[[0, 2, 1, 3]]))  # fixes |00>
     with pytest.raises(InvariantError, match="setting 00 sharply with solution 00: leaked fraction 1.000e"):
-        copy_process(CopyUnitary(P2.layout, swap, signed))
+        copy_process(CopyUnitary(P2.layout, swap))
 
 
 def test_selection_injectivity():
