@@ -13,8 +13,10 @@ are left unrenormalized; renormalization is the caller's choice.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -147,17 +149,16 @@ def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> St
     return out
 
 
-def _sector_weights(s: StateVector, obs: ParityObservable) -> np.ndarray:
+def _sector_weights(s: StateVector, obs: ParityObservable) -> list[float]:
     """Born weight of every parity sector, indexed by its code."""
-    probs = np.abs(s.amps.reshape(s.layout.dim_b, s.layout.dim_a)) ** 2
-    per_value = probs.sum(axis=1 if obs.register == "B" else 0)
-    return np.bincount(_register_codes(obs, s.layout), per_value, minlength=1 << obs.rank)
+    squares = (s.amps.view(np.float64) ** 2).reshape(s.layout.dim_b, -1, 2)
+    per_value = squares.sum(axis=(1, 2) if obs.register == "B" else (0, 2))
+    return np.bincount(_register_codes(obs, s.layout), per_value, minlength=1 << obs.rank).tolist()
 
 
 def sector_masses(s: StateVector, obs: ParityObservable) -> dict[tuple[int, ...], float]:
     """Born weight (squared-amplitude mass) of all 2^rank parity sectors, in code order."""
-    weights = _sector_weights(s, obs).tolist()
-    return {gf2.code_bits(code, obs.rank): w for code, w in enumerate(weights)}
+    return {gf2.code_bits(code, obs.rank): w for code, w in enumerate(_sector_weights(s, obs))}
 
 
 @dataclass(frozen=True)
@@ -166,20 +167,27 @@ class MeasurementRecord:
     post_state: StateVector
 
 
+def _uniform(seed) -> float:
+    """The first double of PCG64(SeedSequence(seed)), its first output's top
+    53 bits: the number that ``np.random.default_rng(seed).random()`` returns."""
+    return (np.random.PCG64(seed).random_raw() >> 11) * 2.0**-53
+
+
 def measure(s: StateVector, obs: ParityObservable, *, seed: int) -> MeasurementRecord:
     """Measure ``obs`` on ``s``: draw a sector by the Born rule, from a
     generator seeded so that runs are reproducible, and project onto it.
-    A chosen outcome is ``project_forced``; ``seed=None``, which would seed
-    from the operating system, is refused."""
+    ``seed`` is a seed that ``np.random.default_rng`` takes, except that a
+    ``Generator`` or bit generator raises TypeError (the draw would depend on
+    its state) and None ValueError (it would seed from the operating system).
+    A chosen outcome is ``project_forced``."""
     if seed is None:
         raise ValueError("measure needs a seed: seed=None would make the draw irreproducible")
-    if s.is_zero():
+    cdf = list(accumulate(_sector_weights(s, obs)))
+    total = cdf[-1]
+    if total <= STATE_TOL**2:  # s.is_zero() without the square root
         raise ValueError("cannot measure the zero state")
-    weights = _sector_weights(s, obs)
-    # the inverse CDF of one uniform draw over the codes: what
-    # rng.choice(len(weights), p=...) computes, without its per-call
-    # validation of p
-    cdf = np.cumsum(weights / weights.sum())
-    u = np.random.default_rng(seed).random()
-    code = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+    # the inverse CDF at the first double of PCG64(SeedSequence(seed)), left
+    # unnormalized: u <= 1 - 2^-53 gives u * total < total = cdf[-1] for any
+    # total above STATE_TOL^2, so the code found is that of a sector with mass
+    code = bisect_right(cdf, _uniform(seed) * total)
     return MeasurementRecord(ParityOutcome(obs, code), project(obs, code, s))

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import tsq.measure as measure_module
 from tsq import gf2
 from tsq.grover import grover_process
 from tsq.measure import (
@@ -205,6 +206,17 @@ def test_measure_selector_contract():
     # None would seed from the operating system, so no run could repeat the draw
     with pytest.raises(ValueError, match="seed"):
         measure(INITIAL, full_observable(L2, "B"), seed=None)
+    # numpy refuses a negative or a float seed; a generator would be consumed,
+    # so that the draw would depend on its state
+    refused = [
+        (-1, ValueError),
+        (1.5, TypeError),
+        (np.random.default_rng(0), TypeError),
+        (np.random.PCG64(0), TypeError),
+    ]
+    for seed, error in refused:
+        with pytest.raises(error):
+            measure(INITIAL, full_observable(L2, "B"), seed=seed)
 
 
 def test_born_rule_sampling():
@@ -219,17 +231,98 @@ def test_born_rule_sampling():
         assert abs(c / trials - 0.25) <= 0.02
 
 
-@pytest.mark.parametrize("masks", [("11",), ("10", "01"), ("01", "11")])
-def test_seeded_draw_matches_generator_choice(masks):
-    # reference: Generator.choice over the normalized sector weights
-    obs = ParityObservable("B", masks)
-    s = random_state(L2, np.random.default_rng(len(masks)))
-    masses = sector_masses(s, obs)
-    keys = sorted(masses)
-    weights = np.array([masses[k] for k in keys])
-    for seed in range(200):
-        want = keys[np.random.default_rng(seed).choice(len(keys), p=weights / weights.sum())]
-        assert measure(s, obs, seed=seed).outcome.bits == want
+def slow_sector_weights(s, obs) -> tuple[list[int], list[float]]:
+    """The sector code of every joint index and the Born weight of every
+    sector, one amplitude at a time: the index's register value, its code
+    built mask by mask (``outcome_for``), and |amplitude|^2 added to that
+    code's entry.  Shares no arithmetic with ``measure`` or ``sector_masses``."""
+    n = s.layout.bits(obs.register)
+    index_codes = []
+    weights = [0.0] * (1 << obs.rank)
+    for i, amp in enumerate(s.amps.tolist()):
+        value = divmod(i, s.layout.dim_a)[0 if obs.register == "B" else 1]
+        code = outcome_for(obs, format(value, f"0{n}b")).code
+        index_codes.append(code)
+        weights[code] += abs(amp) ** 2
+    return index_codes, weights
+
+
+def emptied(s, index_codes, codes) -> StateVector:
+    """``s`` with the sectors ``codes`` emptied of mass."""
+    return StateVector(s.layout, np.where(np.isin(index_codes, codes), 0, s.amps))
+
+
+@pytest.mark.parametrize("register", ["B", "A"])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_draw_matches_slow_reference(n, register, rng):
+    # every rank of an n-bit register, the other register 2 bits wide; the
+    # states cycle through a random state and the same state with its first,
+    # its last, or both end sectors emptied of mass
+    layout = RegisterLayout(n, 2) if register == "B" else RegisterLayout(2, n)
+    for r in range(n + 1):
+        masks = random_independent_masks(rng, n, r)
+        obs = ParityObservable(register, tuple(gf2.mask_to_bits(m, n) for m in masks))
+        s = random_state(layout, rng)
+        index_codes = np.array(slow_sector_weights(s, obs)[0])
+        last = (1 << r) - 1
+        ends = [] if r == 0 else [[0], [last]] if r == 1 else [[0], [last], [0, last]]
+        states = [s] + [emptied(s, index_codes, codes) for codes in ends]
+        cases = []
+        for state in states:
+            _, weights = slow_sector_weights(state, obs)
+            w = np.array(weights)
+            cases.append((state, weights, w / w.sum()))
+        for seed in range(1000):
+            state, weights, p = cases[seed % len(cases)]
+            rec = measure(state, obs, seed=seed)
+            code = rec.outcome.code
+            assert code == np.random.default_rng(seed).choice(1 << r, p=p)
+            assert 0 <= code < 1 << r and weights[code] > 0
+            assert np.array_equal(rec.post_state.amps, np.where(index_codes == code, state.amps, 0))
+
+
+@pytest.mark.parametrize("register", ["B", "A"])
+def test_draw_at_both_ends_of_the_unit_interval(register, rng, monkeypatch):
+    # the least and the greatest double of the draw, 0 and 1 - 2^-53, pick
+    # the first and the last sector with mass when the end sectors are
+    # empty: the greatest must not round up past the last sector with mass
+    # in the unnormalized compare of u * total with the cumulative weights
+    layout = RegisterLayout(3, 2) if register == "B" else RegisterLayout(2, 3)
+    for r in (1, 2, 3):
+        last = (1 << r) - 1
+        for trial in range(100):
+            masks = random_independent_masks(rng, 3, r)
+            obs = ParityObservable(register, tuple(gf2.mask_to_bits(m, 3) for m in masks))
+            s = StateVector(layout, random_state(layout, rng).amps * 10.0 ** rng.uniform(-5, 5))
+            index_codes = np.array(slow_sector_weights(s, obs)[0])
+            ends = ([0], [last], [0, last])[trial % 3 if r > 1 else trial % 2]
+            s = emptied(s, index_codes, ends)
+            with_mass = [c for c in range(last + 1) if c not in ends]
+            for u, want in ((0.0, with_mass[0]), (1 - 2**-53, with_mass[-1])):
+                monkeypatch.setattr(measure_module, "_uniform", lambda seed, u=u: u)
+                rec = measure(s, obs, seed=0)
+                assert rec.outcome.code == want
+                assert np.array_equal(rec.post_state.amps, np.where(index_codes == want, s.amps, 0))
+
+
+def test_draw_reads_the_first_double_of_default_rng():
+    # the uniform of a draw is the one Generator.random would return; the
+    # numpy-floor CI job checks this on the oldest numpy the package takes
+    for seed in [*range(10_000), 2**31 - 1, 2**64 + 5, np.int64(2**40 + 3)]:
+        assert measure_module._uniform(seed) == np.random.default_rng(seed).random()
+
+
+@pytest.mark.parametrize("residue", [0.0, 0.9 * STATE_TOL, 1.1 * STATE_TOL])
+def test_measure_refuses_the_zero_state_at_its_threshold(residue):
+    # a state of norm ``residue``: at most STATE_TOL is the zero state
+    s = state_from_terms(L2, [("01", "10", residue)])
+    obs = full_observable(L2, "A")
+    if residue <= STATE_TOL:
+        with pytest.raises(ValueError, match="cannot measure the zero state"):
+            measure(s, obs, seed=0)
+        return
+    rec = measure(s, obs, seed=0)
+    assert rec.outcome.bits == (1, 0) and rec.post_state.amplitude("01", "10") == residue
 
 
 def test_sector_masses_match_manual_sum(rng):
