@@ -85,6 +85,7 @@ def make_scenario(seed: Optional[int] = None) -> EprScenario:
 
 @dataclass(frozen=True)
 class CausalTrace(Zigzag):
+    walk: tuple[Optional[StateVector], ...]
     kind: str  # "direct" | "costa" | "ts-direct" | "ts-via-t0"
     states: tuple[tuple[str, StateVector], ...]
 

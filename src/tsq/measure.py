@@ -6,9 +6,13 @@ or A: rank n measures the full register content, one mask a one-bit parity
 one parity sector, coded by ``gf2.parity_codes``; projectors and sector
 masses are computed on the 2^n codes of the observed register and spread
 over the other.  An outcome is its sector code, and every selection of an
-outcome masks the state in ``project``.  All projectors are diagonal in the
-computational basis, so any two such observables commute.  Projected states
-are left unrenormalized; renormalization is the caller's choice.
+outcome masks the state one way: the 0/1 keep of its sector's register
+values (``_keep``), multiplied in (``_masked``).  ``project`` selects a
+code, ``project_forced`` the code of a register value, and a zigzag's
+joint selection on B and A multiplies one grid of two keeps.  All
+projectors are diagonal in the computational basis, so any two such
+observables commute.  Projected states are left unrenormalized;
+renormalization is the caller's choice.
 """
 
 from __future__ import annotations
@@ -118,28 +122,48 @@ def projector_diagonal(outcome: ParityOutcome, layout: RegisterLayout) -> np.nda
     return np.tile(keep, layout.dim_b)
 
 
+def _keep(obs: ParityObservable, codes: np.ndarray, code: int) -> np.ndarray:
+    """Which values of the observed register lie in sector ``code``, given
+    their ``codes``: a column over the rows of the (dim_b, dim_a) grid for B,
+    a row over its columns for A.  Two keeps of B and A combine into one grid
+    with ``&``."""
+    keep = codes == code
+    return keep[:, np.newaxis] if obs.register == "B" else keep
+
+
+def _masked(s: StateVector, keep: np.ndarray) -> StateVector:
+    """The (dim_b, dim_a) amplitudes of ``s`` times ``keep``, in one multiply."""
+    psi = s.amps.reshape(s.layout.dim_b, s.layout.dim_a)
+    return StateVector._fresh(s.layout, (psi * keep).reshape(-1))
+
+
 def project(obs: ParityObservable, code: int, s: StateVector) -> StateVector:
     """Keep the amplitudes whose observed register value lies in sector ``code``
     of ``obs``: the (dim_b, dim_a) amplitudes times ``codes == code`` along
     the observed axis."""
-    keep = _register_codes(obs, s.layout) == code
-    if obs.register == "B":
-        keep = keep[:, np.newaxis]
-    psi = s.amps.reshape(s.layout.dim_b, s.layout.dim_a)
-    return StateVector._fresh(s.layout, (psi * keep).reshape(-1))
+    return _masked(s, _keep(obs, _register_codes(obs, s.layout), code))
+
+
+def _value_codes(obs: ParityObservable, value_bits: str, layout: RegisterLayout) -> tuple[np.ndarray, int]:
+    """The codes of the observed register and the sector code of its value
+    ``value_bits``, ``codes[value]``; ValueError when ``value_bits`` is not a
+    value of that register."""
+    n = layout.bits(obs.register)
+    if len(value_bits) != n or value_bits.strip("01"):
+        raise ValueError(f"{value_bits!r} is not a value of the {n}-bit register {obs.register}")
+    codes = _register_codes(obs, layout)
+    return codes, int(codes[int(value_bits, 2)])
 
 
 def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> StateVector:
     """Project ``s`` onto the outcome of ``obs`` for register value ``value_bits``.
 
-    That outcome is the sector code of the value, ``codes[value]``.  Raises
-    ValueError when ``value_bits`` is not a value of the observed register,
-    and InvariantError when the outcome has no support in ``s``.
+    That outcome is the sector code of the value, ``codes[value]``; the codes
+    are read once, for the code and the mask.  Raises ValueError when
+    ``value_bits`` is not a value of the observed register, and
+    InvariantError when the outcome has no support in ``s``.
     """
-    n = s.layout.bits(obs.register)
-    if len(value_bits) != n or value_bits.strip("01"):
-        raise ValueError(f"{value_bits!r} is not a value of the {n}-bit register {obs.register}")
-    out = project(obs, int(_register_codes(obs, s.layout)[int(value_bits, 2)]), s)
+    out = _masked(s, _keep(obs, *_value_codes(obs, value_bits, s.layout)))
     parts = out.amps.view(np.float64)
     if parts.dot(parts) <= STATE_TOL**2:  # out.is_zero() without the square root
         raise InvariantError(

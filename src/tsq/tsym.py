@@ -22,7 +22,11 @@ with the final partial outcome: the solver's advance knowledge.
 U_12 is controlled on B: it acts on A one setting row at a time, and a
 projection on B keeps or zeroes whole rows, so U_12 P_B = P_B U_12.  Both
 perspectives therefore read their t2 state off the process's one forward
-leg: the solver one as it is, the external one masked by P_B.
+leg: the solver one as it is, the external one masked by P_B.  An external
+instance selects once: its t2 selection P_A P_B U_12 s0 is the forward leg
+times one 0/1 grid, the B sector's rows by the A sector's columns.  Its t1
+selection and t2 state feed no check and no bottom line; ``measure.project``
+makes them the first time the instance's walk is read.
 
 The external bottom line is checked to be sharp on b.  Its invariant's
 margin is the off-branch fraction (total - mass_b) / total, the mass off
@@ -40,11 +44,12 @@ from typing import Optional
 import numpy as np
 
 from . import gf2, measure
-from .measure import ParityObservable, _observable, _register_codes, project_forced
+from .measure import ParityObservable, _observable, project_forced
 from .qcore import (
     BRANCH_MASS_TOL,
     CORRELATION_TOL,
     RESIDUAL_TOL,
+    STATE_TOL,
     CopyUnitary,
     InvariantError,
     RegisterLayout,
@@ -191,11 +196,11 @@ def enumerate_splits(process: ProcessDescription, even_rank: int) -> list[Select
     return splits
 
 
-@dataclass(frozen=True)
 class Zigzag:
     """One walk between the two measurements: the t1 state, its selection,
     the t2 state, its selection and the backward t1 state, an absent
-    selection or backward leg being None."""
+    selection or backward leg being None.  A subclass holds ``walk`` as a
+    field or builds it when it is read."""
 
     walk: tuple[Optional[StateVector], ...]
 
@@ -210,12 +215,37 @@ class Zigzag:
 
 @dataclass(frozen=True)
 class ZigzagInstance(Zigzag):
+    """The zigzag of one setting and split of a process.  It holds the ends
+    of its bottom line, the t2 selection and the backward t1 state; the rest
+    of the walk is built on its first read."""
+
+    process: ProcessDescription
     split: SelectionSplit
     outcome: str  # the setting, which is also the solution
     perspective: str  # "external" | "solver"
+    t2_selected: StateVector
+    backward: StateVector
 
     def name(self) -> str:
         return f"{self.split.name()}@{self.outcome}"
+
+    @property
+    def bottom_line(self) -> tuple[StateVector, StateVector]:
+        """Ends of the backward leg, which every instance has."""
+        return self.backward, self.t2_selected
+
+    @cached_property
+    def walk(self) -> tuple[Optional[StateVector], ...]:
+        """The walk, built once: a solver instance takes the process's
+        states; an external one also selects setting ``outcome``'s B sector
+        in the initial state and in the forward leg, by ``measure.project``."""
+        s0, forward = self.process.initial_state, self.process.forward
+        if self.perspective == "solver":
+            return s0, None, forward, self.t2_selected, self.backward
+        initial = self.split.initial_part
+        code_b = int(measure._register_codes(initial, s0.layout)[int(self.outcome, 2)])
+        s1, s2 = (measure.project(initial, code_b, s) for s in (s0, forward))
+        return s0, s1, s2, self.t2_selected, self.backward
 
     @property
     def trajectory(self) -> tuple[tuple[str, StateVector], ...]:
@@ -246,9 +276,13 @@ def _branch_mask(s: StateVector) -> np.ndarray:
 def external_instance(process: ProcessDescription, b: str, split: SelectionSplit) -> ZigzagInstance:
     """Zigzag with both partial projections applied (external observer view).
 
-    The t2 state U_12 P_B s0 is P_B U_12 s0, the process's forward leg masked
-    by the initial projection, since U_12 is controlled on B (module
-    docstring); no product with U_12 is taken on the way forward.
+    The t2 selection P_A U_12 P_B s0 is P_A P_B U_12 s0, since U_12 is
+    controlled on B (module docstring): the process's forward leg times one
+    0/1 grid, the rows of b's B sector by the columns of its A sector.  No
+    product with U_12 is taken on the way forward, and the t1 selection and
+    the t2 state are left to the first read of the walk.  When the grid
+    annihilates the state, the two selections are made one at a time,
+    as ``project_forced`` makes them, so the error names B or A.
 
     The bottom line s4 must be the sharp setting branch b: row b, and no
     other row, carries more than BRANCH_MASS_TOL = t of its total mass S.
@@ -261,16 +295,22 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
     mask decides, so a borderline or failing line gets its verdict and its
     message from ``_branch_mask`` alone.
     """
-    s0 = process.initial_state
-    s1 = project_forced(split.initial_part, b, s0)
-    value = int(b, 2)
-    code_b = int(_register_codes(split.initial_part, s0.layout)[value])
-    s2 = measure.project(split.initial_part, code_b, process.forward)
-    s3 = project_forced(split.final_part, b, s2)
+    layout, initial, final = process.layout, split.initial_part, split.final_part
+    codes_b, code_b = measure._value_codes(initial, b, layout)
+    keep_b = measure._keep(initial, codes_b, code_b)
+    keep_a = measure._keep(final, *measure._value_codes(final, b, layout))
+    s3 = measure._masked(process.forward, keep_b & keep_a)
+    parts = s3.amps.view(np.float64)
+    if parts.dot(parts) <= STATE_TOL**2:  # the zero test of project_forced
+        # the selections one at a time: the second keeps the amplitudes the
+        # grid keeps, so one of the two raises
+        project_forced(initial, b, process.initial_state)
+        project_forced(final, b, measure.project(initial, code_b, process.forward))
     s4 = apply_adjoint(process.u12, s3)
-    inst = ZigzagInstance(walk=(s0, s1, s2, s3, s4), split=split, outcome=b, perspective="external")
+    inst = ZigzagInstance(process, split, b, "external", s3, s4)
+    value = int(b, 2)
     parts = s4.amps.view(np.float64)
-    row_b = parts.reshape(s4.layout.dim_b, -1)[value]
+    row_b = parts.reshape(layout.dim_b, -1)[value]
     total = parts.dot(parts)
     if total > 0 and total - row_b.dot(row_b) <= 0.5 * BRANCH_MASS_TOL * total:
         return inst
@@ -287,11 +327,8 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
 
 def solver_instance(process: ProcessDescription, b: str, split: SelectionSplit) -> ZigzagInstance:
     """Zigzag with the initial projection postponed (problem-solver view)."""
-    s0 = process.initial_state
-    s1 = process.forward
-    s2 = project_forced(split.final_part, b, s1)
-    s3 = apply_adjoint(process.u12, s2)
-    return ZigzagInstance(walk=(s0, None, s1, s2, s3), split=split, outcome=b, perspective="solver")
+    s2 = project_forced(split.final_part, b, process.forward)
+    return ZigzagInstance(process, split, b, "solver", s2, apply_adjoint(process.u12, s2))
 
 
 def uneven_instance(process: ProcessDescription, b: str, final_rank: int) -> ZigzagInstance:
@@ -327,7 +364,7 @@ def recover_superposition(instances) -> RecoveryReport:
     total = perspective = None
     for inst in instances:
         if total is None:
-            reference, perspective = inst.walk[0], inst.perspective
+            reference, perspective = inst.process.initial_state, inst.perspective
             total = np.zeros_like(reference.amps)
         elif inst.perspective != perspective:
             raise ValueError("instances mix perspectives")

@@ -482,10 +482,10 @@ def reference_branch_settings(state) -> tuple[str, ...]:
 
 
 def bottom_line_instance(state) -> ZigzagInstance:
-    """An instance whose bottom-line input is ``state``."""
+    """An instance whose bottom-line input is ``state`` (with no process, so
+    its walk cannot be read)."""
     split = SelectionSplit(ParityObservable("B", ()), ParityObservable("A", ()))
-    walk = (state, None, None, None, None)
-    return ZigzagInstance(walk=walk, split=split, outcome="", perspective="solver")
+    return ZigzagInstance(None, split, "", "solver", t2_selected=None, backward=state)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (5, 5)])
@@ -519,22 +519,110 @@ def test_branch_settings_at_the_mass_threshold(side, rng):
     assert bottom_line_instance(state).branch_settings() == want
 
 
+def count_selections(monkeypatch) -> tuple[list, list]:
+    """Record every ``measure.project`` call (its code) and every sector keep
+    that ``measure`` builds (register and code), the ones of ``project`` included."""
+    projected, kept = [], []
+    project, keep = measure.project, measure._keep
+    monkeypatch.setattr(measure, "project", lambda *args: projected.append(args[1]) or project(*args))
+    monkeypatch.setattr(measure, "_keep", lambda *args: kept.append((args[0].register, args[2])) or keep(*args))
+    return projected, kept
+
+
 @pytest.mark.parametrize("key", PROCESSES)
 def test_every_leg_selection_goes_through_project(key, monkeypatch):
-    # one masked state per selection: 1 for a solver instance; 3 for an external
-    # one, whose t2 state is the forward leg masked on B like its t1 state
-    calls = []
-    original = measure.project
-    monkeypatch.setattr(measure, "project", lambda *args: calls.append(args[1]) or original(*args))
+    # every selection masks with measure's one sector keep.  A solver instance
+    # keeps its forced A sector (project_forced, no project call).  An external
+    # one keeps b's B and A sectors at construction, in one grid, and makes its
+    # t1 selection and t2 state by project on code_b at its first walk read;
+    # a later read selects nothing
+    projected, kept = count_selections(monkeypatch)
     process = PROCESSES[key]
     split = enumerate_splits(process, 1)[0]
     b = setting_values(process.n)[-1]
-    solver_instance(process, b, split)
-    assert calls == [outcome_for(split.final_part, b).code]
-    calls.clear()
-    external_instance(process, b, split)
-    code_b = outcome_for(split.initial_part, b).code
-    assert calls == [code_b, code_b, outcome_for(split.final_part, b).code]
+    code_b, code_a = outcome_for(split.initial_part, b).code, outcome_for(split.final_part, b).code
+    solver = solver_instance(process, b, split)
+    assert (projected, kept) == ([], [("A", code_a)])
+    solver.walk
+    assert (projected, kept) == ([], [("A", code_a)])
+    kept.clear()
+    inst = external_instance(process, b, split)
+    assert (projected, kept) == ([], [("B", code_b), ("A", code_a)])
+    kept.clear()
+    inst.walk
+    assert (projected, kept) == ([code_b, code_b], [("B", code_b), ("B", code_b)])
+    projected.clear()
+    kept.clear()
+    inst.walk, inst.trajectory
+    assert (projected, kept) == ([], [])
+
+
+@pytest.mark.parametrize("key", ["xor-3", "grover-long-4"])
+def test_bottom_line_reads_of_external_instances_build_no_walk(key, monkeypatch):
+    process = PROCESSES[key]
+    split = enumerate_splits(process, 2)[-1]
+    instances = [external_instance(process, b, split) for b in setting_values(process.n)]
+    projected, kept = count_selections(monkeypatch)
+    for inst in instances:
+        assert inst.bottom_line == (inst.backward, inst.t2_selected)
+        assert inst.branch_settings() == (inst.outcome,)
+    assert recover_superposition(instances).proportional
+    assert (projected, kept) == ([], [])
+    assert all("walk" not in vars(inst) for inst in instances)
+
+
+@pytest.mark.parametrize("perspective", [solver_instance, external_instance])
+def test_a_second_walk_read_returns_the_same_states(perspective):
+    inst = perspective(P3, "101", enumerate_splits(P3, 1)[2])
+    walk = inst.walk
+    assert inst.walk is walk
+    assert walk[0] is P3.initial_state and walk[3:] == (inst.t2_selected, inst.backward)
+    assert all(s is t for (_, s), t in zip(inst.trajectory, (s for s in walk if s is not None)))
+
+
+@given(
+    n=st.integers(1, 4),
+    kind=st.sampled_from(["xor", "grover-long"]),
+    data=st.data(),
+    bottom_line_first=st.booleans(),
+)
+def test_deferred_external_walk_equals_the_reference(n, kind, data, bottom_line_first):
+    # any split, any setting and both unitaries: the walk is the same read
+    # before or after the bottom line, and equals the explicit legs
+    process = PROCESSES[f"{kind}-{n}"]
+    split = data.draw(st.sampled_from(list(sampled_splits(process))))
+    b = data.draw(st.sampled_from(setting_values(n)))
+    inst = external_instance(process, b, split)
+    if bottom_line_first:
+        inst.bottom_line
+        assert "walk" not in vars(inst)
+    walk = inst.walk
+    for got, ref in zip(walk, reference_external_walk(process, b, split), strict=True):
+        assert np.array_equal(got.amps, ref.amps)
+    assert inst.bottom_line == (walk[4], walk[3])
+
+
+@pytest.mark.parametrize(
+    "terms, register, norm",
+    [
+        ([("10", "00", 1)], "B_l", "0.000e+00"),
+        ([("10", "00", 1), ("01", "00", 1e-13)], "B_l", "1.000e-13"),
+        ([("00", "00", 1)], "A_r", "0.000e+00"),
+        ([("00", "00", 1), ("01", "00", 3e-13)], "A_r", "3.000e-13"),
+    ],
+)
+def test_external_instance_names_the_register_whose_selection_annihilates(terms, register, norm):
+    # setting 01 of B:[10]/A:[01]: 10 lies outside its B sector (left bit 0);
+    # 00 lies inside, but copied to A it lies outside its A sector (right bit 1).
+    # The messages are the ones of the selections made one at a time
+    process = ProcessDescription(P2.u12, state_from_terms(P2.layout, terms))
+    message = (
+        f"impossible outcome 01 for {register}: the projection annihilates the state"
+        f" (norm {norm} <= STATE_TOL = 1e-12)"
+    )
+    with pytest.raises(InvariantError) as caught:
+        external_instance(process, "01", SelectionSplit(B_L, A_R))
+    assert str(caught.value) == message
 
 
 def external_verdict(state, b: str, monkeypatch) -> bool:
