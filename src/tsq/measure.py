@@ -155,6 +155,11 @@ def _value_codes(obs: ParityObservable, value_bits: str, layout: RegisterLayout)
     return codes, int(codes[int(value_bits, 2)])
 
 
+def _value_keep(obs: ParityObservable, value_bits: str, layout: RegisterLayout) -> np.ndarray:
+    """The ``_keep`` of the sector of register value ``value_bits``."""
+    return _keep(obs, *_value_codes(obs, value_bits, layout))
+
+
 def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> StateVector:
     """Project ``s`` onto the outcome of ``obs`` for register value ``value_bits``.
 
@@ -163,7 +168,7 @@ def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> St
     ``value_bits`` is not a value of the observed register, and
     InvariantError when the outcome has no support in ``s``.
     """
-    out = _masked(s, _keep(obs, *_value_codes(obs, value_bits, s.layout)))
+    out = _masked(s, _value_keep(obs, value_bits, s.layout))
     parts = out.amps.view(np.float64)
     if parts.dot(parts) <= STATE_TOL**2:  # out.is_zero() without the square root
         raise InvariantError(

@@ -28,6 +28,12 @@ times one 0/1 grid, the B sector's rows by the A sector's columns.  Its t1
 selection and t2 state feed no check and no bottom line; ``measure.project``
 makes them the first time the instance's walk is read.
 
+An instance stores one dense state, its backward leg.  Its t2 selection is
+a 0/1 mask of the forward leg that its process holds: the A sector's columns
+for a solver instance, the grid for an external one.  It is masked afresh
+each time it is read and never stored, until the walk is read, which holds
+it.  Recovery and ``branch_settings`` read the backward leg alone.
+
 The external bottom line is checked to be sharp on b.  Its invariant's
 margin is the off-branch fraction (total - mass_b) / total, the mass off
 setting row b over the total: at most BRANCH_MASS_TOL / 2 accepts the
@@ -215,23 +221,34 @@ class Zigzag:
 
 @dataclass(frozen=True)
 class ZigzagInstance(Zigzag):
-    """The zigzag of one setting and split of a process.  It holds the ends
-    of its bottom line, the t2 selection and the backward t1 state; the rest
-    of the walk is built on its first read."""
+    """The zigzag of one setting and split of a process.  It stores one
+    dense state, the backward t1 state; the t2 selection is masked off the
+    process's forward leg when read, and the walk is built on its first read."""
 
     process: ProcessDescription
     split: SelectionSplit
     outcome: str  # the setting, which is also the solution
     perspective: str  # "external" | "solver"
-    t2_selected: StateVector
     backward: StateVector
 
     def name(self) -> str:
         return f"{self.split.name()}@{self.outcome}"
 
     @property
+    def t2_selected(self) -> StateVector:
+        """The t2 selection: the walk's once the walk is read, so that a
+        report shows one state; else masked afresh by ``_t2_selection`` on
+        each read and not stored, so a kept instance holds its backward leg
+        alone."""
+        walk = self.__dict__.get("walk")
+        if walk is None:
+            return _t2_selection(self.process, self.split, self.outcome, self.perspective)
+        return walk[3]
+
+    @property
     def bottom_line(self) -> tuple[StateVector, StateVector]:
-        """Ends of the backward leg, which every instance has."""
+        """Ends of the backward leg, which every instance has: ``backward``
+        and ``t2_selected``."""
         return self.backward, self.t2_selected
 
     @cached_property
@@ -240,12 +257,13 @@ class ZigzagInstance(Zigzag):
         states; an external one also selects setting ``outcome``'s B sector
         in the initial state and in the forward leg, by ``measure.project``."""
         s0, forward = self.process.initial_state, self.process.forward
+        s3 = _t2_selection(self.process, self.split, self.outcome, self.perspective)
         if self.perspective == "solver":
-            return s0, None, forward, self.t2_selected, self.backward
+            return s0, None, forward, s3, self.backward
         initial = self.split.initial_part
         code_b = int(measure._register_codes(initial, s0.layout)[int(self.outcome, 2)])
         s1, s2 = (measure.project(initial, code_b, s) for s in (s0, forward))
-        return s0, s1, s2, self.t2_selected, self.backward
+        return s0, s1, s2, s3, self.backward
 
     @property
     def trajectory(self) -> tuple[tuple[str, StateVector], ...]:
@@ -261,9 +279,20 @@ class ZigzagInstance(Zigzag):
 
     def branch_settings(self) -> tuple[str, ...]:
         """Setting values surviving in the bottom-line input state."""
-        s = self.bottom_line[0]
+        s = self.backward
         n = s.layout.n_b
         return tuple(format(b, f"0{n}b") for b in np.nonzero(_branch_mask(s))[0])
+
+
+def _t2_selection(process: ProcessDescription, split: SelectionSplit, b: str, perspective: str) -> StateVector:
+    """The t2 selection of setting ``b``: the process's forward leg times the
+    keep of b's A sector, and for an external instance of its B sector too,
+    one grid of B rows by A columns, in one multiply."""
+    layout = process.layout
+    keep = measure._value_keep(split.final_part, b, layout)
+    if perspective == "external":
+        keep = measure._value_keep(split.initial_part, b, layout) & keep
+    return measure._masked(process.forward, keep)
 
 
 def _branch_mask(s: StateVector) -> np.ndarray:
@@ -280,9 +309,10 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
     controlled on B (module docstring): the process's forward leg times one
     0/1 grid, the rows of b's B sector by the columns of its A sector.  No
     product with U_12 is taken on the way forward, and the t1 selection and
-    the t2 state are left to the first read of the walk.  When the grid
-    annihilates the state, the two selections are made one at a time,
-    as ``project_forced`` makes them, so the error names B or A.
+    the t2 state are left to the first read of the walk.  The t2 selection
+    is checked and dropped: the instance stores its backward leg alone.
+    When the grid annihilates the state, the two selections are made one at
+    a time, as ``project_forced`` makes them, so the error names B or A.
 
     The bottom line s4 must be the sharp setting branch b: row b, and no
     other row, carries more than BRANCH_MASS_TOL = t of its total mass S.
@@ -296,18 +326,16 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
     message from ``_branch_mask`` alone.
     """
     layout, initial, final = process.layout, split.initial_part, split.final_part
-    codes_b, code_b = measure._value_codes(initial, b, layout)
-    keep_b = measure._keep(initial, codes_b, code_b)
-    keep_a = measure._keep(final, *measure._value_codes(final, b, layout))
-    s3 = measure._masked(process.forward, keep_b & keep_a)
+    s3 = _t2_selection(process, split, b, "external")
     parts = s3.amps.view(np.float64)
     if parts.dot(parts) <= STATE_TOL**2:  # the zero test of project_forced
         # the selections one at a time: the second keeps the amplitudes the
         # grid keeps, so one of the two raises
         project_forced(initial, b, process.initial_state)
-        project_forced(final, b, measure.project(initial, code_b, process.forward))
+        b_rows = measure._masked(process.forward, measure._value_keep(initial, b, layout))
+        project_forced(final, b, b_rows)
     s4 = apply_adjoint(process.u12, s3)
-    inst = ZigzagInstance(process, split, b, "external", s3, s4)
+    inst = ZigzagInstance(process, split, b, "external", s4)
     value = int(b, 2)
     parts = s4.amps.view(np.float64)
     row_b = parts.reshape(layout.dim_b, -1)[value]
@@ -326,9 +354,10 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
 
 
 def solver_instance(process: ProcessDescription, b: str, split: SelectionSplit) -> ZigzagInstance:
-    """Zigzag with the initial projection postponed (problem-solver view)."""
+    """Zigzag with the initial projection postponed (problem-solver view).
+    The t2 selection is checked by ``project_forced`` and dropped."""
     s2 = project_forced(split.final_part, b, process.forward)
-    return ZigzagInstance(process, split, b, "solver", s2, apply_adjoint(process.u12, s2))
+    return ZigzagInstance(process, split, b, "solver", apply_adjoint(process.u12, s2))
 
 
 def uneven_instance(process: ProcessDescription, b: str, final_rank: int) -> ZigzagInstance:
@@ -345,6 +374,18 @@ def uneven_instance(process: ProcessDescription, b: str, final_rank: int) -> Zig
     return solver_instance(process, b, SelectionSplit(initial_part, final_part))
 
 
+def _same_process(p: ProcessDescription, q: ProcessDescription) -> bool:
+    """Whether ``p`` and ``q`` have one layout, one network (or none) and one
+    initial state, compared by value."""
+    m, k = p.u12.matrix, q.u12.matrix
+    return (
+        p.layout == q.layout
+        and (m is None) == (k is None)
+        and (m is None or np.array_equal(m, k))
+        and np.array_equal(p.initial_state.amps, q.initial_state.amps)
+    )
+
+
 @dataclass(frozen=True)
 class RecoveryReport:
     factor: complex
@@ -357,20 +398,25 @@ def recover_superposition(instances) -> RecoveryReport:
 
     The superposition of all instances must give back the unitary part of the
     original description; the proportionality constant is reported rather
-    than assumed.  ``instances`` may be any iterable: each bottom line is
-    added in place as it comes, and its perspective checked against the
-    first instance's, so no list of instances is kept.
+    than assumed.  ``instances`` may be any iterable: each backward leg is
+    added in place as it comes, and its perspective and process checked
+    against the first instance's, so no list of instances is kept.  A
+    process passes if it is the first one or equal to it by value
+    (``_same_process``).
     """
-    total = perspective = None
+    total = process = perspective = None
     for inst in instances:
         if total is None:
-            reference, perspective = inst.process.initial_state, inst.perspective
-            total = np.zeros_like(reference.amps)
+            process, perspective = inst.process, inst.perspective
+            total = np.zeros_like(process.initial_state.amps)
         elif inst.perspective != perspective:
             raise ValueError("instances mix perspectives")
-        total += inst.bottom_line[0].amps
+        elif inst.process is not process and not _same_process(inst.process, process):
+            raise ValueError("instances mix processes")
+        total += inst.backward.amps
     if total is None:
         raise ValueError("no instances to superpose")
+    reference = process.initial_state
     summed = StateVector(reference.layout, total)
     factor, resid = proportionality(summed, reference)
     return RecoveryReport(factor, resid, resid <= RESIDUAL_TOL * max(summed.norm(), 1.0))

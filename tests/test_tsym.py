@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from tsq import gf2, measure, tsym
 from tsq.cli import parse_split
 from tsq.grover import grover_process
-from tsq.measure import ParityObservable, project
+from tsq.measure import ParityObservable, project, project_forced, projector_diagonal
 from tsq.qcore import (
     BRANCH_MASS_TOL,
     CopyUnitary,
@@ -396,6 +396,35 @@ def test_recovery_rejects_mixed_perspectives():
         recover_superposition(mixed)
 
 
+def test_recovery_rejects_instances_of_different_processes():
+    split3 = enumerate_splits(P3, 2)[0]
+    grover3 = grover_process(3)
+    with pytest.raises(ValueError, match="mix processes"):
+        recover_superposition([solver_instance(P3, "011", split3), solver_instance(grover3, "011", split3)])
+    # one layout, one network, another initial state
+    other = ProcessDescription(P3.u12, basis_state(P3.layout, "011", "000"))
+    with pytest.raises(ValueError, match="mix processes"):
+        recover_superposition([solver_instance(P3, "011", split3), solver_instance(other, "011", split3)])
+    # n = 2 with n = 3, in a stream
+    split2 = SelectionSplit(B_L, A_R)
+    mixed = iter([external_instance(P2, "01", split2), external_instance(P3, "011", split3)])
+    with pytest.raises(ValueError, match="mix processes"):
+        recover_superposition(mixed)
+
+
+@pytest.mark.parametrize("make", [xor_process, grover_process])
+def test_recovery_accepts_separate_builds_of_one_process(make):
+    # two builds of one process are equal by value; their instances recover
+    # as the instances of one build do
+    first, second = make(3), make(3)
+    split = enumerate_splits(first, 1)[3]
+    one = [solver_instance(first, b, split) for b in setting_values(3)]
+    alternating = [solver_instance((first, second)[i % 2], b, split) for i, b in enumerate(setting_values(3))]
+    assert first is not second
+    report = recover_superposition(alternating)
+    assert report.proportional and report == recover_superposition(one)
+
+
 def test_uneven_instance_ranks():
     full = uneven_instance(P2, "01", 2)
     assert full.branch_settings() == ("01",)
@@ -482,10 +511,10 @@ def reference_branch_settings(state) -> tuple[str, ...]:
 
 
 def bottom_line_instance(state) -> ZigzagInstance:
-    """An instance whose bottom-line input is ``state`` (with no process, so
-    its walk cannot be read)."""
+    """An instance whose backward leg, its bottom-line input, is ``state``
+    (with no process, so neither its t2 selection nor its walk can be read)."""
     split = SelectionSplit(ParityObservable("B", ()), ParityObservable("A", ()))
-    return ZigzagInstance(None, split, "", "solver", t2_selected=None, backward=state)
+    return ZigzagInstance(None, split, "", "solver", backward=state)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (5, 5)])
@@ -532,10 +561,12 @@ def count_selections(monkeypatch) -> tuple[list, list]:
 @pytest.mark.parametrize("key", PROCESSES)
 def test_every_leg_selection_goes_through_project(key, monkeypatch):
     # every selection masks with measure's one sector keep.  A solver instance
-    # keeps its forced A sector (project_forced, no project call).  An external
-    # one keeps b's B and A sectors at construction, in one grid, and makes its
-    # t1 selection and t2 state by project on code_b at its first walk read;
-    # a later read selects nothing
+    # keeps its forced A sector (project_forced, no project call), and its
+    # first walk read keeps it again for the walk's t2 selection.  An external
+    # one keeps b's A and B sectors at construction, in one grid; its first
+    # walk read keeps them again for the grid and makes its t1 selection and
+    # t2 state by project on code_b.  A later read of the walk, the
+    # trajectory, the t2 selection or the bottom line selects nothing
     projected, kept = count_selections(monkeypatch)
     process = PROCESSES[key]
     split = enumerate_splits(process, 1)[0]
@@ -543,29 +574,74 @@ def test_every_leg_selection_goes_through_project(key, monkeypatch):
     code_b, code_a = outcome_for(split.initial_part, b).code, outcome_for(split.final_part, b).code
     solver = solver_instance(process, b, split)
     assert (projected, kept) == ([], [("A", code_a)])
+    kept.clear()
     solver.walk
     assert (projected, kept) == ([], [("A", code_a)])
     kept.clear()
+    solver.walk, solver.trajectory, solver.t2_selected, solver.bottom_line
+    assert (projected, kept) == ([], [])
     inst = external_instance(process, b, split)
-    assert (projected, kept) == ([], [("B", code_b), ("A", code_a)])
+    assert (projected, kept) == ([], [("A", code_a), ("B", code_b)])
     kept.clear()
     inst.walk
-    assert (projected, kept) == ([code_b, code_b], [("B", code_b), ("B", code_b)])
+    assert (projected, kept) == (
+        [code_b, code_b], [("A", code_a), ("B", code_b), ("B", code_b), ("B", code_b)]
+    )
     projected.clear()
     kept.clear()
-    inst.walk, inst.trajectory
+    inst.walk, inst.trajectory, inst.t2_selected, inst.bottom_line
     assert (projected, kept) == ([], [])
+
+
+@pytest.mark.parametrize("perspective", [solver_instance, external_instance])
+def test_an_unread_t2_selection_is_masked_afresh_at_every_read(perspective, monkeypatch):
+    # before the walk is read, each read of the t2 selection (directly or
+    # through the bottom line) keeps the instance's sectors once, calls no
+    # project, and stores nothing in the instance
+    process = PROCESSES["grover-long-3"]
+    split = enumerate_splits(process, 1)[1]
+    b = "110"
+    code_b, code_a = outcome_for(split.initial_part, b).code, outcome_for(split.final_part, b).code
+    inst = perspective(process, b, split)
+    stored = dict(vars(inst))
+    projected, kept = count_selections(monkeypatch)
+    first, second = inst.t2_selected, inst.bottom_line[1]
+    keeps = [("A", code_a)] if perspective is solver_instance else [("A", code_a), ("B", code_b)]
+    assert (projected, kept) == ([], keeps * 2)
+    assert first is not second and first.amps.tobytes() == second.amps.tobytes()
+    assert vars(inst) == stored
 
 
 @pytest.mark.parametrize("key", ["xor-3", "grover-long-4"])
 def test_bottom_line_reads_of_external_instances_build_no_walk(key, monkeypatch):
+    # branch_settings and recovery read the stored backward leg alone: no
+    # keep and no project.  A bottom-line read re-masks its t2 end (one A and
+    # one B keep) and builds no walk
     process = PROCESSES[key]
     split = enumerate_splits(process, 2)[-1]
     instances = [external_instance(process, b, split) for b in setting_values(process.n)]
     projected, kept = count_selections(monkeypatch)
     for inst in instances:
-        assert inst.bottom_line == (inst.backward, inst.t2_selected)
         assert inst.branch_settings() == (inst.outcome,)
+    assert recover_superposition(instances).proportional
+    assert (projected, kept) == ([], [])
+    for inst in instances:
+        backward, t2_selected = inst.bottom_line
+        assert backward is inst.backward
+        assert t2_selected.amps.tobytes() == inst.t2_selected.amps.tobytes()
+    assert projected == [] and len(kept) == 4 * len(instances)
+    assert all("walk" not in vars(inst) for inst in instances)
+
+
+def test_solver_branch_settings_and_recovery_make_no_keep(monkeypatch):
+    process = PROCESSES["grover-long-4"]
+    split = enumerate_splits(process, 2)[-1]
+    instances = [solver_instance(process, b, split) for b in setting_values(process.n)]
+    projected, kept = count_selections(monkeypatch)
+    for inst in instances:
+        code = outcome_bits(split.final_part, inst.outcome)
+        want = tuple(s for s in setting_values(process.n) if outcome_bits(split.final_part, s) == code)
+        assert inst.branch_settings() == want
     assert recover_superposition(instances).proportional
     assert (projected, kept) == ([], [])
     assert all("walk" not in vars(inst) for inst in instances)
@@ -573,10 +649,16 @@ def test_bottom_line_reads_of_external_instances_build_no_walk(key, monkeypatch)
 
 @pytest.mark.parametrize("perspective", [solver_instance, external_instance])
 def test_a_second_walk_read_returns_the_same_states(perspective):
+    # once the walk is read, the t2 selection and the bottom line are its
+    # states, so a report that shows both shows one state
     inst = perspective(P3, "101", enumerate_splits(P3, 1)[2])
+    unread = inst.t2_selected
     walk = inst.walk
     assert inst.walk is walk
-    assert walk[0] is P3.initial_state and walk[3:] == (inst.t2_selected, inst.backward)
+    assert walk[0] is P3.initial_state
+    assert walk[3] is inst.t2_selected and walk[4] is inst.backward
+    assert walk[3].amps.tobytes() == unread.amps.tobytes()
+    assert all(s is t for s, t in zip(inst.bottom_line, (walk[4], walk[3])))
     assert all(s is t for (_, s), t in zip(inst.trajectory, (s for s in walk if s is not None)))
 
 
@@ -594,12 +676,61 @@ def test_deferred_external_walk_equals_the_reference(n, kind, data, bottom_line_
     b = data.draw(st.sampled_from(setting_values(n)))
     inst = external_instance(process, b, split)
     if bottom_line_first:
-        inst.bottom_line
+        unread = inst.bottom_line
         assert "walk" not in vars(inst)
     walk = inst.walk
     for got, ref in zip(walk, reference_external_walk(process, b, split), strict=True):
         assert np.array_equal(got.amps, ref.amps)
-    assert inst.bottom_line == (walk[4], walk[3])
+    assert all(s is t for s, t in zip(inst.bottom_line, (walk[4], walk[3])))
+    if bottom_line_first:
+        assert unread[0] is walk[4] and unread[1].amps.tobytes() == walk[3].amps.tobytes()
+
+
+@pytest.mark.parametrize("perspective", [solver_instance, external_instance])
+@pytest.mark.parametrize("key", PROCESSES)
+def test_an_unread_instance_holds_one_dense_state(key, perspective):
+    # the backward leg is the one 4^n-amplitude state an instance stores
+    # (its process, shared by every instance, holds the forward leg)
+    process = PROCESSES[key]
+    inst = perspective(process, setting_values(process.n)[-1], enumerate_splits(process, 1)[0])
+    inst.bottom_line, inst.branch_settings(), inst.t2_selected
+    dense = [
+        value
+        for value in vars(inst).values()
+        if isinstance(value, (StateVector, np.ndarray))
+        and np.asarray(getattr(value, "amps", value)).size == process.layout.dim
+    ]
+    assert len(dense) == 1 and dense[0] is inst.backward
+
+
+def stored_t2_selection(process, b, split, perspective) -> StateVector:
+    """The t2 selection an instance stored before it kept one dense state:
+    ``project_forced`` of the final part on the forward leg for the solver,
+    the forward leg times the grid of b's B rows and A columns for the
+    external one, both 0/1 diagonals built by ``projector_diagonal``."""
+    forward = process.forward
+    if perspective == "solver":
+        return project_forced(split.final_part, b, forward)
+    layout = process.layout
+    grid = projector_diagonal(outcome_for(split.initial_part, b), layout) * projector_diagonal(
+        outcome_for(split.final_part, b), layout
+    )
+    return StateVector(layout, forward.amps * grid)
+
+
+@pytest.mark.parametrize("key", PROCESSES)
+def test_t2_selection_is_the_stored_selection_byte_for_byte(key):
+    # every split for n <= 4 and a sample at n = 5, every setting, both
+    # perspectives: the re-masked selection, read before and after the walk
+    process = PROCESSES[key]
+    for split in sampled_splits(process):
+        for b in setting_values(process.n):
+            for perspective in ("solver", "external"):
+                want = stored_t2_selection(process, b, split, perspective).amps.tobytes()
+                inst = (solver_instance if perspective == "solver" else external_instance)(process, b, split)
+                assert inst.t2_selected.amps.tobytes() == want
+                assert inst.bottom_line[1].amps.tobytes() == want
+                assert inst.walk[3].amps.tobytes() == want
 
 
 @pytest.mark.parametrize(
