@@ -20,13 +20,15 @@ its set's size, so such a limit asks for the exact count.  Only "does this
 class beat the best?" matters for an advice basis, so each class is counted
 with the best worst case as its limit, N until a first basis is scored,
 and a basis is dropped once the lower bound below, or else the count, of
-one of its classes reaches it.  The scan takes solved classes, and the
-pairs of a problem that is not confusable (below), in closed form, with no
-count and no step.  A basis's classes are cut from the settings by per-bit
-parity masks, so no table over the 2^n values is built; one
-``_DecisionTree`` per call keeps both the counts and each mask's odd
-settings.  The tests keep the frozenset recursion and ``advice_classes`` as
-the slow references.
+one of its classes reaches it.  Every class, and every set counted from
+outside the search, gets its count from ``_DecisionTree.solve``: solved
+sets and the pairs of a problem that is not confusable (below) in closed
+form, then the bound and the memo, all with no step, and only then a
+search; a search's own branches make the same checks inline.  A basis's
+classes are cut from the settings by per-bit parity masks, so no table
+over the 2^n values is built; one ``_DecisionTree`` per call keeps both
+the counts and each mask's odd settings.  The tests keep the frozenset
+recursion and ``advice_classes`` as the slow references.
 
 Sets of one or two settings are counted in closed form, with no scan of the
 queries.  One setting is solved: count 0.  A pair whose settings share a
@@ -299,9 +301,21 @@ class _DecisionTree:
         )
 
     def solve(self, members: int, limit: int) -> int:
-        """``count`` from outside the recursion, which nests one set a level:
-        a recursion too deep for the interpreter is refused like the budget.
-        A set the memo settles is read from it, with no count."""
+        """The count of ``members`` under ``limit``, as ``count`` gives it,
+        with what needs no search taken first, at no step: a solved set
+        counts 0, an unsolved pair of a problem that is not ``confusable``
+        counts 1, a set whose ``bound`` reaches the limit returns that bound,
+        and a set the memo settles is read from it.  Only a set left is
+        counted.  ``count`` nests one set a level, so a recursion too deep
+        for the interpreter is refused like the budget."""
+        table = self.table
+        size = members.bit_count()
+        if table.solved(members):
+            return 0
+        if size == 2 and not table.confusable:
+            return 1
+        if table.bounds[size] >= limit:
+            return table.bounds[size]
         known = self.memo.get(members)
         if known is not None and (known >= 0 or -known >= limit):
             return abs(known)
@@ -315,13 +329,13 @@ class _DecisionTree:
         ``limit`` (at least 1), and otherwise a lower bound of at least
         ``limit``.  A limit above the set's size makes the count exact.
 
-        The count is 0 on a solved set and otherwise 1 + the least worst
-        branch over the queries.  Two closed forms need no scan: a set of one
-        setting is solved, and an unsolved pair counts 1 unless the problem
-        is ``confusable``, since then the pair's two solutions lie in two
-        cells of the common refinement of all queries, so some query
-        separates them.  No count is below its ``bound``, so two cuts cannot
-        change it:
+        The count is 1 + the least worst branch over the queries.  It is
+        taken only of a set with no closed form, as ``solve`` and the branch
+        loop here take them: a solved set (one setting is solved) counts 0,
+        and an unsolved pair counts 1 unless the problem is ``confusable``,
+        since then the pair's two solutions lie in two cells of the common
+        refinement of all queries, so some query separates them.  No count
+        is below its ``bound``, so two cuts cannot change it:
         - a query is abandoned once the count of a branch, or the bound of a
           branch not yet counted, reaches the cut: the best worst branch
           found so far, or ``limit - 1`` if that is smaller, since its worst
@@ -350,12 +364,6 @@ class _DecisionTree:
         same, bounds = table.same_solution, table.bounds
         separable = not table.confusable  # some query splits every unsolved pair
         size = members.bit_count()
-        if not members & ~same[(members & -members).bit_length() - 1]:
-            memo[members] = 0
-            return 0
-        if size == 2 and separable:
-            memo[members] = 1
-            return 1
         best = size
         cut = size if limit > size else limit - 1
         floor = bounds[size] - 1
@@ -466,13 +474,13 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
     whose count reaches that limit: no count is below its bound, so the
     bound drops exactly the bases the count would, before the class is
     searched.  A solved class counts 0 and an unsolved pair of a problem
-    that is not ``confusable`` counts 1, taken in the scan with no count and
-    no step, and compared with the best like any other count.  The counts
-    memo keeps the exact counts and the "at least limit" bounds side by
-    side, so a class met again in a later basis, or as a branch, is searched
-    again only for a higher limit.  A basis's classes come from per-bit
-    parity masks (``_DecisionTree.cells``), never from a table over all 2^n
-    values.  The scan stops once the best worst case is at most the floor
+    that is not ``confusable`` counts 1, taken by ``_DecisionTree.solve``
+    with no count and no step, and compared with the best like any other
+    count.  The counts memo keeps the exact counts and the "at least limit"
+    bounds side by side, so a class met again in a later basis, or as a
+    branch, is searched again only for a higher limit.  A basis's classes
+    come from per-bit parity masks (``_DecisionTree.cells``), never from a
+    table over all 2^n values.  The scan stops once the best worst case is at most the floor
     ``bounds[ceil(N / 2^r)]``: a basis's at most 2^r classes share the N
     settings, so by pigeonhole one of them holds ceil(N / 2^r) or more, and
     ``bound`` never falls as the size grows, so no basis has a worst case
@@ -494,11 +502,9 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
     # the cut-off skips.
     if r < n and table.confusable:
         raise ValueError(NO_SPLIT)
-    separable = not table.confusable
     tree = _DecisionTree(problem)
-    same, bounds = table.same_solution, table.bounds
     # some class of every basis holds ceil(N / 2^r) of the N settings
-    floor = bounds[-(-len(problem.settings) >> r)]
+    floor = table.bounds[-(-len(problem.settings) >> r)]
     # no class counts N or more, so the first basis's counts are exact
     best_worst = len(problem.settings)
     for basis in gf2.subspaces(n, r):
@@ -508,15 +514,7 @@ def advanced_knowledge_prediction(problem: OracleProblemSpec, k: float) -> Compl
         tree.bases += 1
         counts = []
         for members in tree.cells(basis):
-            size = members.bit_count()
-            if size == 1 or not members & ~same[(members & -members).bit_length() - 1]:
-                count = 0  # one setting, or a solved class
-            elif size == 2 and separable:
-                count = 1
-            elif bounds[size] >= best_worst:
-                break
-            else:
-                count = tree.solve(members, best_worst)
+            count = tree.solve(members, best_worst)
             if count >= best_worst:
                 break
             counts.append(count)

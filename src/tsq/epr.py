@@ -31,7 +31,7 @@ from .qcore import (
     identity_unitary,
     max_abs_diff,
 )
-from .tsym import SelectionSplit, Zigzag
+from .tsym import SelectionSplit
 
 
 def redundant_encode(layout: RegisterLayout) -> StateVector:
@@ -84,10 +84,22 @@ def make_scenario(seed: Optional[int] = None) -> EprScenario:
 
 
 @dataclass(frozen=True)
-class CausalTrace(Zigzag):
+class CausalTrace:
+    """One walk between the two measurements, ``walk``: the t1 state, its
+    selection, the t2 state, its selection and the backward t1 state, an
+    absent selection or backward leg being None; ``states`` labels every
+    state passed, t0 ones included."""
+
     walk: tuple[Optional[StateVector], ...]
     kind: str  # "direct" | "costa" | "ts-direct" | "ts-via-t0"
     states: tuple[tuple[str, StateVector], ...]
+
+    @property
+    def bottom_line(self) -> tuple[StateVector, StateVector]:
+        """Ends of the last leg: the backward one, else the forward one from
+        the t1 selection, which every trace makes."""
+        _, t1_selected, t2, t2_selected, backward = self.walk
+        return (t1_selected, t2) if backward is None else (backward, t2_selected)
 
 
 def _carry(

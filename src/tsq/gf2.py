@@ -8,7 +8,7 @@ most significant bit.
 from __future__ import annotations
 
 import functools
-from itertools import chain, islice, product
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -33,25 +33,9 @@ def parity_codes(masks, n: int) -> np.ndarray:
     return codes
 
 
-@functools.cache
-def _bit_tuples(width: int) -> tuple[tuple[int, ...], ...]:
-    """Every value of a ``width``-bit code as its tuple of bits, most
-    significant first, indexed by value."""
-    return tuple(product((0, 1), repeat=width))
-
-
 def code_bits(code: int, r: int) -> tuple[int, ...]:
-    """The r bits of a sector code (see ``parity_codes``), first mask first.
-
-    Read from per-width tables, a byte at a time past the first r mod 8
-    bits, so no table has more than 2^8 rows whatever the rank: a problem's
-    settings, and so its advice rank, may be any width.
-    """
-    head = r % 8
-    bits = _bit_tuples(head)[code >> (r - head)]
-    for shift in range(r - head - 8, -1, -8):
-        bits += _bit_tuples(8)[code >> shift & 0xFF]
-    return bits
+    """The r bits of a sector code (see ``parity_codes``), first mask first."""
+    return tuple(code >> j & 1 for j in range(r - 1, -1, -1))
 
 
 def rank(vectors) -> int:

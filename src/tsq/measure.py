@@ -114,12 +114,11 @@ def _register_codes(obs: ParityObservable, layout: RegisterLayout) -> np.ndarray
 
 
 def projector_diagonal(outcome: ParityOutcome, layout: RegisterLayout) -> np.ndarray:
-    """0/1 diagonal of the projector keeping labels that satisfy all parities."""
-    keep = (_register_codes(outcome.observable, layout) == outcome.code).astype(np.float64)
-    # spread over the joint index b * dim_a + a
-    if outcome.observable.register == "B":
-        return np.repeat(keep, layout.dim_a)
-    return np.tile(keep, layout.dim_b)
+    """0/1 diagonal of the projector keeping labels that satisfy all parities:
+    the sector's ``_keep`` spread over the joint index b * dim_a + a."""
+    obs = outcome.observable
+    keep = _keep(obs, _register_codes(obs, layout), outcome.code)
+    return np.broadcast_to(keep, (layout.dim_b, layout.dim_a)).astype(np.float64).reshape(-1)
 
 
 def _keep(obs: ParityObservable, codes: np.ndarray, code: int) -> np.ndarray:
@@ -144,20 +143,15 @@ def project(obs: ParityObservable, code: int, s: StateVector) -> StateVector:
     return _masked(s, _keep(obs, _register_codes(obs, s.layout), code))
 
 
-def _value_codes(obs: ParityObservable, value_bits: str, layout: RegisterLayout) -> tuple[np.ndarray, int]:
-    """The codes of the observed register and the sector code of its value
-    ``value_bits``, ``codes[value]``; ValueError when ``value_bits`` is not a
-    value of that register."""
+def _value_keep(obs: ParityObservable, value_bits: str, layout: RegisterLayout) -> np.ndarray:
+    """The ``_keep`` of the sector of register value ``value_bits``, whose
+    code is ``codes[value]``; ValueError when ``value_bits`` is not a value
+    of the observed register."""
     n = layout.bits(obs.register)
     if len(value_bits) != n or value_bits.strip("01"):
         raise ValueError(f"{value_bits!r} is not a value of the {n}-bit register {obs.register}")
     codes = _register_codes(obs, layout)
-    return codes, int(codes[int(value_bits, 2)])
-
-
-def _value_keep(obs: ParityObservable, value_bits: str, layout: RegisterLayout) -> np.ndarray:
-    """The ``_keep`` of the sector of register value ``value_bits``."""
-    return _keep(obs, *_value_codes(obs, value_bits, layout))
+    return _keep(obs, codes, int(codes[int(value_bits, 2)]))
 
 
 def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> StateVector:
@@ -169,8 +163,7 @@ def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> St
     InvariantError when the outcome has no support in ``s``.
     """
     out = _masked(s, _value_keep(obs, value_bits, s.layout))
-    parts = out.amps.view(np.float64)
-    if parts.dot(parts) <= STATE_TOL**2:  # out.is_zero() without the square root
+    if out.is_zero():
         raise InvariantError(
             f"impossible outcome {value_bits} for {obs.name()}: the projection annihilates the state"
             f" (norm {out.norm():.3e} <= STATE_TOL = {STATE_TOL:.0e})"

@@ -125,9 +125,11 @@ def _bit_strings(width: int) -> tuple[str, ...]:
     return tuple(format(v, f"0{width}b") for v in range(1 << width))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Unnormalized complex amplitudes over the joint basis, canonical order."""
+    """Unnormalized complex amplitudes over the joint basis, canonical order.
+    ``==`` is identity, as for every value that holds an array; compare
+    amplitudes with ``max_abs_diff``."""
 
     layout: RegisterLayout
     amps: np.ndarray = field(repr=False)
@@ -170,7 +172,10 @@ class StateVector:
             yield BasisLabel(b_bits[i >> n_a], a_bits[i & a_mask]), amp
 
     def is_zero(self) -> bool:
-        return self.norm() <= STATE_TOL
+        """Whether the norm is at most STATE_TOL, tested on the squared norm
+        with no square root."""
+        parts = self.amps.view(np.float64)
+        return parts.dot(parts) <= STATE_TOL**2
 
 
 def uniform_setting_state(layout: RegisterLayout) -> StateVector:
@@ -234,7 +239,7 @@ def _checked_unitary(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     return m, conj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryOp:
     """Dense d x d unitary on the joint space; unitarity checked on construction."""
 
@@ -254,7 +259,7 @@ class UnitaryOp:
         return psi @ self._conj  # U^H psi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CopyUnitary:
     """Solving unitary that copies the setting b of B into register A.
 

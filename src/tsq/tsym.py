@@ -32,7 +32,10 @@ An instance stores one dense state, its backward leg.  Its t2 selection is
 a 0/1 mask of the forward leg that its process holds: the A sector's columns
 for a solver instance, the grid for an external one.  It is masked afresh
 each time it is read and never stored, until the walk is read, which holds
-it.  Recovery and ``branch_settings`` read the backward leg alone.
+it.  Recovery and ``branch_settings`` read the backward leg alone, and the
+bottom line is ``backward`` with ``t2_selected``.  A selection that
+annihilates the state is told by ``StateVector.is_zero``, the zero test
+that ``measure.project_forced`` makes too.
 
 The external bottom line is checked to be sharp on b.  Its invariant's
 margin is the off-branch fraction (total - mass_b) / total, the mass off
@@ -55,7 +58,6 @@ from .qcore import (
     BRANCH_MASS_TOL,
     CORRELATION_TOL,
     RESIDUAL_TOL,
-    STATE_TOL,
     CopyUnitary,
     InvariantError,
     RegisterLayout,
@@ -67,10 +69,11 @@ from .qcore import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessDescription:
     """A process is its solving unitary, which copies the setting into a blank
-    A register (|b>|0...0> to |b>|b>: the solution of b is b), and its initial state."""
+    A register (|b>|0...0> to |b>|b>: the solution of b is b), and its initial state.
+    ``==`` is identity; ``_same_process`` compares two processes by value."""
 
     u12: CopyUnitary
     initial_state: StateVector
@@ -202,28 +205,13 @@ def enumerate_splits(process: ProcessDescription, even_rank: int) -> list[Select
     return splits
 
 
-class Zigzag:
-    """One walk between the two measurements: the t1 state, its selection,
-    the t2 state, its selection and the backward t1 state, an absent
-    selection or backward leg being None.  A subclass holds ``walk`` as a
-    field or builds it when it is read."""
-
-    walk: tuple[Optional[StateVector], ...]
-
-    @property
-    def bottom_line(self) -> tuple[StateVector, StateVector]:
-        """Ends of the last leg: the backward one, else the forward one."""
-        t1, t1_selected, t2, t2_selected, backward = self.walk
-        if backward is not None:
-            return backward, t2_selected
-        return (t1 if t1_selected is None else t1_selected), t2
-
-
 @dataclass(frozen=True)
-class ZigzagInstance(Zigzag):
-    """The zigzag of one setting and split of a process.  It stores one
-    dense state, the backward t1 state; the t2 selection is masked off the
-    process's forward leg when read, and the walk is built on its first read."""
+class ZigzagInstance:
+    """The zigzag of one setting and split of a process.  Its ``walk`` is
+    the t1 state, its selection (None for a solver instance), the t2 state,
+    its selection and the backward t1 state.  It stores one dense state, the
+    backward t1 state; the t2 selection is masked off the process's forward
+    leg when read, and the walk is built on its first read."""
 
     process: ProcessDescription
     split: SelectionSplit
@@ -327,8 +315,7 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
     """
     layout, initial, final = process.layout, split.initial_part, split.final_part
     s3 = _t2_selection(process, split, b, "external")
-    parts = s3.amps.view(np.float64)
-    if parts.dot(parts) <= STATE_TOL**2:  # the zero test of project_forced
+    if s3.is_zero():  # the zero test of project_forced
         # the selections one at a time: the second keeps the amplitudes the
         # grid keeps, so one of the two raises
         project_forced(initial, b, process.initial_state)

@@ -1,3 +1,4 @@
+import time
 from typing import Optional
 
 import numpy as np
@@ -20,6 +21,20 @@ from tsq.qcore import (
     max_abs_diff,
 )
 from tsq.tsym import ProcessDescription, SelectionSplit
+
+
+# when the test session started, for criterion 7, which times the whole run
+SESSION_STARTED = pytest.StashKey[float]()
+CRITERION_7 = "test_criterion_7_suite_runs_headless_under_two_minutes"
+
+
+def pytest_sessionstart(session):
+    session.config.stash[SESSION_STARTED] = time.perf_counter()
+
+
+def pytest_collection_modifyitems(items):
+    # criterion 7 times the session it ends, so it runs after every other test
+    items.sort(key=lambda item: item.name == CRITERION_7)
 
 
 def state_from_terms(layout: RegisterLayout, terms) -> StateVector:

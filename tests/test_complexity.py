@@ -605,6 +605,18 @@ def test_flipped_drawer_at_one_fifth_counts_classes_only_to_the_limit(seed, wors
     assert advanced_knowledge_prediction(flipped_24_drawer(seed), 0.2).worst_case == worst
 
 
+@pytest.mark.parametrize("seed, k, steps", [(8, 0, 8389), (1, 0.2, 1541), (4, 0.2, 1986)])
+def test_flipped_drawer_step_totals(seed, k, steps, monkeypatch):
+    # the step totals the comments above quote, read through the budget:
+    # the search ends on exactly that many steps, and one fewer refuses it
+    problem = flipped_24_drawer(seed)
+    monkeypatch.setattr(complexity, "DEFAULT_SEARCH_BUDGET", steps)
+    advanced_knowledge_prediction(problem, k)
+    monkeypatch.setattr(complexity, "DEFAULT_SEARCH_BUDGET", steps - 1)
+    with pytest.raises(SearchCapError, match=f"search budget of {steps - 1} steps spent"):
+        advanced_knowledge_prediction(problem, k)
+
+
 def test_random_wide_settings_end_within_the_budget():
     # 24 random 10-bit drawers at k = 1/2: no early rank-5 basis splits all
     # 24 settings to meet the floor of 0, so the scan runs out of steps

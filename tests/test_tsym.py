@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tsq import gf2, measure, tsym
+from tsq import epr, gf2, measure, tsym
 from tsq.cli import parse_split
 from tsq.grover import grover_process
 from tsq.measure import ParityObservable, project, project_forced, projector_diagonal
@@ -19,6 +19,7 @@ from tsq.qcore import (
     StateVector,
     apply,
     apply_adjoint,
+    identity_unitary,
     max_abs_diff,
     uniform_setting_state,
 )
@@ -410,6 +411,33 @@ def test_recovery_rejects_instances_of_different_processes():
     mixed = iter([external_instance(P2, "01", split2), external_instance(P3, "011", split3)])
     with pytest.raises(ValueError, match="mix processes"):
         recover_superposition(mixed)
+
+
+def test_values_holding_arrays_compare_and_hash_by_identity():
+    # a state, a unitary or a process holds an array, so == is identity and
+    # hash is id: no "truth value of an array" error, for them or for the
+    # values that hold them; their value comparisons are max_abs_diff and
+    # _same_process
+    split = SelectionSplit(B_L, A_R)
+    scenario = epr.make_scenario(1)
+    builds = [
+        lambda: xor_process(2),
+        lambda: grover_process(2),
+        lambda: uniform_setting_state(P2.layout),
+        lambda: CopyUnitary(P2.layout),
+        lambda: identity_unitary(P2.layout),
+        lambda: external_instance(P2, "01", split),
+        lambda: solver_instance(P2, "01", split),
+        lambda: epr.make_scenario(1),
+        lambda: measure.measure(P2.forward, split.final_part, seed=3),
+        lambda: epr.ts_trace(scenario, "01", split),
+    ]
+    for build in builds:
+        first, second = build(), build()
+        assert first == first and hash(first) == hash(first)
+        assert first != second
+    assert max_abs_diff(uniform_setting_state(P2.layout), P2.initial_state) == 0
+    assert tsym._same_process(xor_process(2), xor_process(2))
 
 
 @pytest.mark.parametrize("make", [xor_process, grover_process])
