@@ -9,7 +9,10 @@ standard output and of standard error.  It takes no arguments:
 The list covers every subcommand, both output formats, n = 2-4, both
 unitaries, ``ts-instance`` and ``grover-external`` in JSON at n = 5,
 ``ts-instance`` in JSON at n = 7 and 8, ``ts-instance`` and
-``grover-solver`` in JSON with an A-only split at n = 5-8, every ``epr``
+``grover-solver`` in JSON with an A-only split at n = 5-8, external
+``ts-instance`` in JSON at n = 6-8 with an initial part of the top 1, n // 2
+and n unit bits (the external backward leg is taken of 2^(n - r) setting
+rows, r the initial part's rank, so one row at r = n), every ``epr``
 mode and path with several seeds, ``complexity`` on the drawer problem
 (at every advice rank for n = 3 and 4, in one call each, at n = 5 and 8,
 and at n = 9, whose answer table passes the dimension cap: exit 2), on
@@ -202,6 +205,16 @@ def argvs() -> list[list[str]]:
             for b in (values(n)[1], values(n)[-1]):
                 base = ["--n", str(n), "--outcome", b, "--unitary", unitary]
                 out.append(["ts-instance", *base, "--final-rank", "3", "--output", "json"])
+    # external instances at n = 6-8 whose initial part is the top r unit bits,
+    # at r = 1, n // 2 and n: the backward leg of 2^(n - r) rows, down to one
+    for n in (6, 7, 8):
+        units = [values(n)[1 << q] for q in range(n - 1, -1, -1)]
+        for unitary in UNITARIES:
+            for b in (values(n)[1], values(n)[-1]):
+                base = ["--n", str(n), "--outcome", b, "--unitary", unitary]
+                for r in (1, n // 2, n):
+                    split = f"B:[{','.join(units[:r])}]/A:[{','.join(units[r:])}]"
+                    out.append(["ts-instance", *base, "--split", split, "--perspective", "external", "--output", "json"])
     return out + [list(argv) for argv in ERRORS]
 
 

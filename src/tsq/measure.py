@@ -5,27 +5,42 @@ or A: rank n measures the full register content, one mask a one-bit parity
 (left bit, right bit, XOR of the two, ...).  Each register value lies in
 one parity sector, coded by ``gf2.parity_codes``; projectors and sector
 masses are computed on the 2^n codes of the observed register and spread
-over the other.  An outcome is its sector code, and every selection of an
-outcome masks the state one way: the 0/1 keep of its sector's register
-values (``_keep``), multiplied in (``_masked``).  ``project`` selects a
-code, ``project_forced`` the code of a register value, and a zigzag's
-joint selection on B and A multiplies one grid of two keeps.  All
-projectors are diagonal in the computational basis, so any two such
-observables commute.  Projected states are left unrenormalized;
-renormalization is the caller's choice.
+over the other.  An observable builds one ``SectorTable`` per register
+width, on first use, and every selection reads it: the code of every
+value, the 0/1 keep of every code and the values of every code.  An
+outcome is its sector code, and every selection of an outcome masks the
+state one way: the table's keep of its sector (``_keep``), multiplied in
+(``_masked``).  ``project`` selects a code, ``project_forced`` the code of
+a register value, and a zigzag's joint selection on B and A multiplies one
+grid of two keeps.  All projectors are diagonal in the computational
+basis, so any two such observables commute.  Projected states are left
+unrenormalized; renormalization is the caller's choice.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gf2
 from .qcore import STATE_TOL, InvariantError, RegisterLayout, StateVector, _bit_strings
+
+
+class SectorTable(NamedTuple):
+    """The sectors of one observable at one register width, read-only:
+    ``codes[v]`` is the sector code of value v, ``keeps[c]`` the 0/1 keep of
+    sector c over the values, and ``values[c]`` its values, ascending (each
+    of the 2^rank sectors holds 2^(width - rank) values, as the masks are
+    independent)."""
+
+    codes: np.ndarray
+    keeps: np.ndarray
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -66,6 +81,23 @@ class ParityObservable:
         codes.setflags(write=False)
         return codes
 
+    @cached_property
+    def _table(self) -> SectorTable:
+        """The sector table at the masks' width, built on first use."""
+        return _sector_table(self.codes, self.rank)
+
+    def table(self, width: int) -> SectorTable:
+        """The ``SectorTable`` at register width ``width``, built once and
+        kept (no field, so equality and hashing ignore it).  An observable of
+        rank 1 or more fits its masks' width alone (ValueError); rank 0 fits
+        every width, one sector holding every value, and the rank-0 tables
+        are shared, one per width."""
+        if not self.masks:
+            return _trivial_table(width)
+        if width != self.n_bits:
+            raise ValueError("observable does not fit the layout")
+        return self._table
+
     def name(self) -> str:
         """Short display name: B, B_l, B_r, or B[masks] in the general case."""
         n, ints = self.n_bits, self.int_masks
@@ -78,6 +110,23 @@ class ParityObservable:
         if n == 2 and ints == (0b01,):
             return f"{self.register}_r"
         return f"{self.register}[{','.join(self.masks)}]"
+
+
+def _sector_table(codes: np.ndarray, rank: int) -> SectorTable:
+    """The read-only table of the sector ``codes`` of 2^rank sectors."""
+    keeps = codes == np.arange(1 << rank)[:, np.newaxis]
+    values = codes.argsort(kind="stable").reshape(1 << rank, -1)
+    keeps.setflags(write=False)
+    values.setflags(write=False)
+    return SectorTable(codes, keeps, values)
+
+
+@cache
+def _trivial_table(width: int) -> SectorTable:
+    """The table of a rank-0 observable at register width ``width``."""
+    codes = np.zeros(1 << width, dtype=np.int64)
+    codes.setflags(write=False)
+    return _sector_table(codes, 0)
 
 
 def _observable(register: str, basis: tuple[int, ...], n: int) -> ParityObservable:
@@ -103,62 +152,67 @@ class ParityOutcome:
         return gf2.code_bits(self.code, self.observable.rank)
 
 
-def _register_codes(obs: ParityObservable, layout: RegisterLayout) -> np.ndarray:
-    """Sector code of every value of the observed register."""
-    n = layout.bits(obs.register)
-    if not obs.masks:
-        return np.zeros(1 << n, dtype=np.int64)
-    if obs.n_bits != n:
-        raise ValueError("observable does not fit the layout")
-    return obs.codes
+def _table(obs: ParityObservable, layout: RegisterLayout) -> SectorTable:
+    """The sector table of ``obs`` at the width of the observed register."""
+    return obs.table(layout.bits(obs.register))
 
 
 def projector_diagonal(outcome: ParityOutcome, layout: RegisterLayout) -> np.ndarray:
     """0/1 diagonal of the projector keeping labels that satisfy all parities:
     the sector's ``_keep`` spread over the joint index b * dim_a + a."""
     obs = outcome.observable
-    keep = _keep(obs, _register_codes(obs, layout), outcome.code)
+    keep = _keep(obs, _table(obs, layout), outcome.code)
     return np.broadcast_to(keep, (layout.dim_b, layout.dim_a)).astype(np.float64).reshape(-1)
 
 
-def _keep(obs: ParityObservable, codes: np.ndarray, code: int) -> np.ndarray:
-    """Which values of the observed register lie in sector ``code``, given
-    their ``codes``: a column over the rows of the (dim_b, dim_a) grid for B,
-    a row over its columns for A.  Two keeps of B and A combine into one grid
-    with ``&``."""
-    keep = codes == code
+def _keep(obs: ParityObservable, table: SectorTable, code: int) -> np.ndarray:
+    """Which values of the observed register lie in sector ``code``, read off
+    ``table``: a column over the rows of the (dim_b, dim_a) grid for B, a row
+    over its columns for A.  Two keeps of B and A combine into one grid with
+    ``&``."""
+    keep = table.keeps[code]
     return keep[:, np.newaxis] if obs.register == "B" else keep
 
 
-def _masked(s: StateVector, keep: np.ndarray) -> StateVector:
+def _masked_amps(s: StateVector, keep: np.ndarray) -> np.ndarray:
     """The (dim_b, dim_a) amplitudes of ``s`` times ``keep``, in one multiply."""
-    psi = s.amps.reshape(s.layout.dim_b, s.layout.dim_a)
-    return StateVector._fresh(s.layout, (psi * keep).reshape(-1))
+    return s.amps.reshape(s.layout.dim_b, s.layout.dim_a) * keep
+
+
+def _masked(s: StateVector, keep: np.ndarray) -> StateVector:
+    """``_masked_amps`` as a state."""
+    return StateVector._fresh(s.layout, _masked_amps(s, keep).reshape(-1))
 
 
 def project(obs: ParityObservable, code: int, s: StateVector) -> StateVector:
     """Keep the amplitudes whose observed register value lies in sector ``code``
-    of ``obs``: the (dim_b, dim_a) amplitudes times ``codes == code`` along
-    the observed axis."""
-    return _masked(s, _keep(obs, _register_codes(obs, s.layout), code))
+    of ``obs``: the (dim_b, dim_a) amplitudes times its keep along the
+    observed axis."""
+    return _masked(s, _keep(obs, _table(obs, s.layout), code))
 
 
-def _value_keep(obs: ParityObservable, value_bits: str, layout: RegisterLayout) -> np.ndarray:
-    """The ``_keep`` of the sector of register value ``value_bits``, whose
-    code is ``codes[value]``; ValueError when ``value_bits`` is not a value
-    of the observed register."""
+def _value_code(obs: ParityObservable, value_bits: str, layout: RegisterLayout) -> tuple[SectorTable, int]:
+    """The sector table of ``obs`` and the code of register value
+    ``value_bits``, ``codes[value]``; ValueError when ``value_bits`` is not a
+    value of the observed register."""
     n = layout.bits(obs.register)
     if len(value_bits) != n or value_bits.strip("01"):
         raise ValueError(f"{value_bits!r} is not a value of the {n}-bit register {obs.register}")
-    codes = _register_codes(obs, layout)
-    return _keep(obs, codes, int(codes[int(value_bits, 2)]))
+    table = _table(obs, layout)
+    return table, int(table.codes[int(value_bits, 2)])
+
+
+def _value_keep(obs: ParityObservable, value_bits: str, layout: RegisterLayout) -> np.ndarray:
+    """The ``_keep`` of the sector of register value ``value_bits``
+    (``_value_code``)."""
+    return _keep(obs, *_value_code(obs, value_bits, layout))
 
 
 def project_forced(obs: ParityObservable, value_bits: str, s: StateVector) -> StateVector:
     """Project ``s`` onto the outcome of ``obs`` for register value ``value_bits``.
 
-    That outcome is the sector code of the value, ``codes[value]``; the codes
-    are read once, for the code and the mask.  Raises ValueError when
+    That outcome is the sector code of the value, ``codes[value]``, and its
+    mask the table's keep of that code.  Raises ValueError when
     ``value_bits`` is not a value of the observed register, and
     InvariantError when the outcome has no support in ``s``.
     """
@@ -175,7 +229,7 @@ def _sector_weights(s: StateVector, obs: ParityObservable) -> list[float]:
     """Born weight of every parity sector, indexed by its code."""
     squares = (s.amps.view(np.float64) ** 2).reshape(s.layout.dim_b, -1, 2)
     per_value = squares.sum(axis=(1, 2) if obs.register == "B" else (0, 2))
-    return np.bincount(_register_codes(obs, s.layout), per_value, minlength=1 << obs.rank).tolist()
+    return np.bincount(_table(obs, s.layout).codes, per_value, minlength=1 << obs.rank).tolist()
 
 
 def sector_masses(s: StateVector, obs: ParityObservable) -> dict[tuple[int, ...], float]:

@@ -29,9 +29,10 @@ below 1e164 for any k up to 2^64, far from overflow.  The signs and the XOR
 gather of a ``CopyUnitary`` are exact, and its only product is with N, so
 the bound holds with k = dim_a.  The product keeps the norm to within k
 rounding errors, and a 0/1 projection only zeroes amplitudes.  So ``apply``,
-``apply_adjoint`` and the projections in ``measure`` wrap their fresh arrays
-with ``StateVector._fresh``, which marks them read-only and neither copies
-nor re-checks them.
+``apply_adjoint``, the projections in ``measure`` and the backward legs of
+the zigzag builders in ``tsym`` wrap their fresh arrays with
+``StateVector._fresh``, which marks them read-only and neither copies nor
+re-checks them.
 """
 
 from __future__ import annotations
@@ -172,10 +173,16 @@ class StateVector:
             yield BasisLabel(b_bits[i >> n_a], a_bits[i & a_mask]), amp
 
     def is_zero(self) -> bool:
-        """Whether the norm is at most STATE_TOL, tested on the squared norm
-        with no square root."""
-        parts = self.amps.view(np.float64)
-        return parts.dot(parts) <= STATE_TOL**2
+        """Whether the norm is at most STATE_TOL (``_is_zero``)."""
+        return _is_zero(self.amps)
+
+
+def _is_zero(amps: np.ndarray) -> bool:
+    """The zero test: whether the norm of ``amps``, a C-contiguous complex
+    array of any shape, is at most STATE_TOL, tested on the squared norm with
+    no square root."""
+    parts = amps.reshape(-1).view(np.float64)
+    return parts.dot(parts) <= STATE_TOL**2
 
 
 def uniform_setting_state(layout: RegisterLayout) -> StateVector:
@@ -270,7 +277,10 @@ class CopyUnitary:
     the XOR copy: the canonical solving unitary and its own inverse.  The
     XOR gather, and for a network the signs and conj(N), which the backward
     leg multiplies by, are built once; the signs multiply the real and
-    imaginary parts by +-1.0, an exact negation.
+    imaginary parts by +-1.0, an exact negation.  The backward leg acts on
+    each setting row alone, so it can be taken of some rows only:
+    ``_gather`` then ``_adjoint_rows``, which ``_apply_adjoint`` runs on
+    every row and the zigzag builders of ``tsym`` on the rows they keep.
     """
 
     layout: RegisterLayout
@@ -301,13 +311,31 @@ class CopyUnitary:
             x = (x.view(np.float64) * self._signs).view(np.complex128) @ self.matrix.T
         return x.reshape(-1)[self._xor]
 
-    def _apply_adjoint(self, psi: np.ndarray) -> np.ndarray:
-        x = psi[self._xor].reshape(self.layout.dim_b, self.layout.dim_a)
-        if self._conj is not None:
+    def _gather(self, psi: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """X_b on the setting rows ``rows`` (None: every row) of the flat
+        amplitudes ``psi``: a fresh (len(rows), dim_a) array whose row for
+        setting b holds psi[b * dim_a + (a xor b)] at column a."""
+        xor = self._xor.reshape(self.layout.dim_b, self.layout.dim_a)
+        return psi.take(xor if rows is None else xor.take(rows, axis=0))
+
+    def _adjoint_rows(self, x: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """N^H, then Z_b, on each row of ``x``, gathered by ``_gather`` from
+        the setting rows ``rows``: ``x`` itself when there is no network."""
+        if self._conj is None:
+            return x
+        if len(x) == 1:
+            # numpy sends a one-row product to gemv, which rounds otherwise
+            # than the gemm of a grid; multiplied as a two-row block, with an
+            # added zero row, the row is the grid's row bit for bit
+            x = (np.concatenate((x, np.zeros_like(x))) @ self._conj)[:1]
+        else:
             x = x @ self._conj  # N^H on each row
-            parts = x.view(np.float64)
-            parts *= self._signs
-        return x.reshape(-1)
+        parts = x.view(np.float64)
+        parts *= self._signs if rows is None else self._signs.take(rows, axis=0)
+        return x
+
+    def _apply_adjoint(self, psi: np.ndarray) -> np.ndarray:
+        return self._adjoint_rows(self._gather(psi)).reshape(-1)
 
 
 def apply(u: UnitaryOp | CopyUnitary, s: StateVector) -> StateVector:

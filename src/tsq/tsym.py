@@ -28,20 +28,28 @@ times one 0/1 grid, the B sector's rows by the A sector's columns.  Its t1
 selection and t2 state feed no check and no bottom line; ``measure.project``
 makes them the first time the instance's walk is read.
 
+Each builder takes its backward leg in one pass, with no state in between,
+reading b's sector codes, keeps and (for B) values off the tables its
+split's observables build once (``measure.SectorTable``), and the gather,
+product and signs off ``CopyUnitary``.  A solver instance masks the whole
+forward leg by b's A keep.  An external one works on the 2^(n - r) rows of
+b's B sector alone (r the initial part's rank), since U_12 maps each row to
+itself and the selection zeroes the others; the rest of its leg is zero.
+
 An instance stores one dense state, its backward leg.  Its t2 selection is
 a 0/1 mask of the forward leg that its process holds: the A sector's columns
 for a solver instance, the grid for an external one.  It is masked afresh
 each time it is read and never stored, until the walk is read, which holds
 it.  Recovery and ``branch_settings`` read the backward leg alone, and the
 bottom line is ``backward`` with ``t2_selected``.  A selection that
-annihilates the state is told by ``StateVector.is_zero``, the zero test
-that ``measure.project_forced`` makes too.
+annihilates the state is told by ``qcore._is_zero``, the zero test that
+``measure.project_forced`` makes too.
 
 The external bottom line is checked to be sharp on b.  Its invariant's
 margin is the off-branch fraction (total - mass_b) / total, the mass off
 setting row b over the total: at most BRANCH_MASS_TOL / 2 accepts the
 line from two sums, with no per-row pass; above it, the per-row branch
-mask decides, as ``branch_settings`` reads it.
+mask decides, as ``branch_settings`` reads it (``_check_sharp``).
 """
 
 from __future__ import annotations
@@ -62,8 +70,8 @@ from .qcore import (
     InvariantError,
     RegisterLayout,
     StateVector,
+    _is_zero,
     apply,
-    apply_adjoint,
     proportionality,
     uniform_setting_state,
 )
@@ -249,7 +257,7 @@ class ZigzagInstance:
         if self.perspective == "solver":
             return s0, None, forward, s3, self.backward
         initial = self.split.initial_part
-        code_b = int(measure._register_codes(initial, s0.layout)[int(self.outcome, 2)])
+        code_b = measure._value_code(initial, self.outcome, s0.layout)[1]
         s1, s2 = (measure.project(initial, code_b, s) for s in (s0, forward))
         return s0, s1, s2, s3, self.backward
 
@@ -267,9 +275,7 @@ class ZigzagInstance:
 
     def branch_settings(self) -> tuple[str, ...]:
         """Setting values surviving in the bottom-line input state."""
-        s = self.backward
-        n = s.layout.n_b
-        return tuple(format(b, f"0{n}b") for b in np.nonzero(_branch_mask(s))[0])
+        return _branch_settings(self.backward)
 
 
 def _t2_selection(process: ProcessDescription, split: SelectionSplit, b: str, perspective: str) -> StateVector:
@@ -290,20 +296,53 @@ def _branch_mask(s: StateVector) -> np.ndarray:
     return mass > BRANCH_MASS_TOL * mass.sum()
 
 
+def _branch_settings(s: StateVector) -> tuple[str, ...]:
+    """The settings of the rows ``_branch_mask`` keeps, as bit strings."""
+    n = s.layout.n_b
+    return tuple(format(b, f"0{n}b") for b in np.nonzero(_branch_mask(s))[0])
+
+
 def external_instance(process: ProcessDescription, b: str, split: SelectionSplit) -> ZigzagInstance:
     """Zigzag with both partial projections applied (external observer view).
 
     The t2 selection P_A U_12 P_B s0 is P_A P_B U_12 s0, since U_12 is
-    controlled on B (module docstring): the process's forward leg times one
-    0/1 grid, the rows of b's B sector by the columns of its A sector.  No
-    product with U_12 is taken on the way forward, and the t1 selection and
-    the t2 state are left to the first read of the walk.  The t2 selection
-    is checked and dropped: the instance stores its backward leg alone.
-    When the grid annihilates the state, the two selections are made one at
-    a time, as ``project_forced`` makes them, so the error names B or A.
+    controlled on B (module docstring): the forward leg on the rows of b's B
+    sector, the rest zero, times the keep of its A sector.  The backward leg
+    acts row by row, so it is taken of those 2^(n - r) rows alone (r the
+    initial part's rank), in one pass: the rows are gathered off the forward
+    leg at (b', a xor b'), masked by b's A keep moved by b' (the keep of
+    code_A(b) xor code_A(b'), as codes are linear), zero-tested, multiplied
+    by conj(N) and signed, and written into a zero grid.  The t2 selection
+    is not kept, and the t1 selection and t2 state are left to the first
+    read of the walk.  When the selection annihilates the state, the two
+    selections are made one at a time, as ``project_forced`` makes them, so
+    the error names B or A.  The bottom line is checked by ``_check_sharp``.
+    """
+    layout, u12 = process.layout, process.u12
+    initial, final = split.initial_part, split.final_part
+    table_b, code_b = measure._value_code(initial, b, layout)
+    table_a, code_a = measure._value_code(final, b, layout)
+    rows = table_b.values[code_b]
+    x = u12._gather(process.forward.amps, rows)
+    x *= table_a.keeps.take(code_a ^ table_a.codes[rows], axis=0)
+    if _is_zero(x):  # the zero test of project_forced
+        # the selections one at a time: the second keeps the amplitudes the
+        # grid keeps, so one of the two raises
+        project_forced(initial, b, process.initial_state)
+        b_rows = measure._masked(process.forward, measure._value_keep(initial, b, layout))
+        project_forced(final, b, b_rows)
+    backward = np.zeros((layout.dim_b, layout.dim_a), dtype=np.complex128)
+    backward[rows] = u12._adjoint_rows(x, rows)
+    s4 = StateVector._fresh(layout, backward.reshape(-1))
+    _check_sharp(s4, b)
+    return ZigzagInstance(process, split, b, "external", s4)
 
-    The bottom line s4 must be the sharp setting branch b: row b, and no
-    other row, carries more than BRANCH_MASS_TOL = t of its total mass S.
+
+def _check_sharp(s4: StateVector, b: str) -> None:
+    """Raise InvariantError unless the external bottom line s4 is the sharp
+    setting branch b: row b, and no other row, carries more than
+    BRANCH_MASS_TOL = t of its total mass S.
+
     It is accepted from two sums when the off-branch mass S - m_b is at
     most t S / 2.  Then every other row has m_r <= S - m_b <= t S / 2 < t S,
     and m_b >= (1 - t / 2) S > t S since t < 2 / 3 and S > 0.  Each sum of k
@@ -313,38 +352,34 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
     mask decides, so a borderline or failing line gets its verdict and its
     message from ``_branch_mask`` alone.
     """
-    layout, initial, final = process.layout, split.initial_part, split.final_part
-    s3 = _t2_selection(process, split, b, "external")
-    if s3.is_zero():  # the zero test of project_forced
-        # the selections one at a time: the second keeps the amplitudes the
-        # grid keeps, so one of the two raises
-        project_forced(initial, b, process.initial_state)
-        b_rows = measure._masked(process.forward, measure._value_keep(initial, b, layout))
-        project_forced(final, b, b_rows)
-    s4 = apply_adjoint(process.u12, s3)
-    inst = ZigzagInstance(process, split, b, "external", s4)
     value = int(b, 2)
     parts = s4.amps.view(np.float64)
-    row_b = parts.reshape(layout.dim_b, -1)[value]
+    row_b = parts.reshape(s4.layout.dim_b, -1)[value]
     total = parts.dot(parts)
     if total > 0 and total - row_b.dot(row_b) <= 0.5 * BRANCH_MASS_TOL * total:
-        return inst
+        return
     keep = _branch_mask(s4)
     if not keep[value] or np.count_nonzero(keep) != 1:
-        settings = inst.branch_settings()
         raise InvariantError(
             f"external bottom line is not the sharp setting branch {b}:"
-            f" settings {', '.join(settings)} carry more than"
+            f" settings {', '.join(_branch_settings(s4))} carry more than"
             f" BRANCH_MASS_TOL = {BRANCH_MASS_TOL:.0e} of the mass"
         )
-    return inst
 
 
 def solver_instance(process: ProcessDescription, b: str, split: SelectionSplit) -> ZigzagInstance:
     """Zigzag with the initial projection postponed (problem-solver view).
-    The t2 selection is checked by ``project_forced`` and dropped."""
-    s2 = project_forced(split.final_part, b, process.forward)
-    return ZigzagInstance(process, split, b, "solver", apply_adjoint(process.u12, s2))
+
+    The forward leg is masked by b's A keep and zero-tested, as
+    ``project_forced`` selects (which, on an annihilated selection, raises
+    its message), then gathered, multiplied by conj(N) and signed, with no
+    state in between.  The t2 selection is not kept."""
+    final, forward = split.final_part, process.forward
+    s2 = measure._masked_amps(forward, measure._value_keep(final, b, process.layout))
+    if _is_zero(s2):
+        project_forced(final, b, forward)
+    backward = process.u12._apply_adjoint(s2.reshape(-1))
+    return ZigzagInstance(process, split, b, "solver", StateVector._fresh(process.layout, backward))
 
 
 def uneven_instance(process: ProcessDescription, b: str, final_rank: int) -> ZigzagInstance:

@@ -515,14 +515,15 @@ def test_problem_table_is_built_once_and_never_changed(problem, numerators):
         assert got == outcome(advanced_knowledge_prediction, fresh, k)
     assert problem._table is table
     assert vars(table) == snapshot
-    # counts and odd settings live in one tree, made per call
+    # counts and odd settings live in one tree, made per call; the tree is
+    # entered through solve, which takes a solved set or a pair in closed form
     first, second = _DecisionTree(problem), _DecisionTree(problem)
-    counted = outcome(first.count, table.full, len(problem.settings) + 1)
+    counted = outcome(first.solve, table.full, len(problem.settings) + 1)
     first.cells(gf2.unit_basis(problem.n))
     assert first.table is second.table
     assert first.memo is not second.memo and first.odd is not second.odd
     assert second.memo == {} and second.odd == {}
-    assert counted == NO_SPLIT or first.memo[table.full] == counted
+    assert counted == outcome(lambda: exhaustive_prediction(problem, 0).worst_case)
 
 
 def test_capped_problem_builds_no_table():

@@ -401,6 +401,29 @@ def test_cached_codes_are_the_read_only_parity_codes(n, rng):
         assert obs == fresh and hash(obs) == hash(fresh)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sector_table_is_built_once_from_the_codes(n, rng):
+    # every keep is codes == c and every sector's values its flatnonzero;
+    # rank 0 fits every width, any other rank its masks' width alone
+    for r in range(n + 1):
+        masks = random_independent_masks(rng, n, r)
+        obs = ParityObservable("B", tuple(gf2.mask_to_bits(m, n) for m in masks))
+        table = obs.table(n)
+        assert obs.table(n) is table
+        assert not any(part.flags.writeable for part in table)
+        codes = gf2.parity_codes(masks, n)
+        assert np.array_equal(table.codes, codes)
+        for c in range(1 << r):
+            assert np.array_equal(table.keeps[c], codes == c)
+            assert np.array_equal(table.values[c], np.flatnonzero(codes == c))
+        if r:
+            with pytest.raises(ValueError, match="does not fit"):
+                obs.table(n + 1)
+        else:
+            assert ParityObservable("A", ()).table(n) is table
+            assert len(obs.table(n + 1).codes) == 1 << (n + 1)
+
+
 @pytest.mark.parametrize("register", ["B", "A"])
 @pytest.mark.parametrize("shape", [(2, 3), (3, 1), (1, 4)])
 def test_project_equals_diagonal_product_bit_for_bit(shape, register, rng):

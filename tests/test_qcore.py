@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import block_diag
 
-from tsq import complexity, gf2
+from tsq import complexity, gf2, tsym
 from tsq.complexity import ComplexityReport, grover_problem, k_sweep
 from tsq.grover import SearchOracle, grover_process, matched_phase, run_long
 from tsq.measure import (
@@ -40,7 +40,7 @@ from tsq.qcore import (
     uniform_setting_state,
     unitarity_deviation,
 )
-from tsq.tsym import SelectionSplit, copy_process, external_instance, xor_process
+from tsq.tsym import copy_process, xor_process
 from conftest import (
     basis_label,
     basis_state,
@@ -457,6 +457,21 @@ def test_apply_adjoint_allocates_no_block_stack():
         assert peak < 4 * s.amps.nbytes
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_backward_rows_are_the_grid_rows_bit_for_bit(n):
+    # the backward leg of some setting rows, as the zigzag builders take it,
+    # is those rows of the full grid's at every row count: one row too, which
+    # a bare product would send to gemv, rounding otherwise than gemm
+    u = process_unitary("grover", n)
+    rng = np.random.default_rng(n)
+    psi = random_state(u.layout, rng).amps
+    grid = setting_rows(u, u._apply_adjoint(psi))
+    for k in range(1, u.layout.dim_b + 1):
+        for _ in range(3):
+            rows = np.sort(rng.choice(u.layout.dim_b, k, replace=False))
+            assert np.array_equal(u._adjoint_rows(u._gather(psi, rows), rows), grid[rows])
+
+
 # apply, apply_adjoint and the projections build their states without the
 # public constructor's copy and checks; the public path is the reference.
 
@@ -584,9 +599,7 @@ def _annihilated(monkeypatch):
 
 
 def _not_sharp(monkeypatch):
-    monkeypatch.setattr("tsq.tsym.apply_adjoint", lambda u, s: uniform_setting_state(u.layout))
-    split = SelectionSplit(ParityObservable("B", ("10",)), ParityObservable("A", ("01",)))
-    external_instance(xor_process(2), "01", split)
+    tsym._check_sharp(uniform_setting_state(L2), "01")
 
 
 def _count_grows(monkeypatch):

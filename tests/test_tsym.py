@@ -589,10 +589,11 @@ def count_selections(monkeypatch) -> tuple[list, list]:
 @pytest.mark.parametrize("key", PROCESSES)
 def test_every_leg_selection_goes_through_project(key, monkeypatch):
     # every selection masks with measure's one sector keep.  A solver instance
-    # keeps its forced A sector (project_forced, no project call), and its
-    # first walk read keeps it again for the walk's t2 selection.  An external
-    # one keeps b's A and B sectors at construction, in one grid; its first
-    # walk read keeps them again for the grid and makes its t1 selection and
+    # keeps its forced A sector (no project call), and its first walk read
+    # keeps it again for the walk's t2 selection.  An external one makes no
+    # keep at construction: it reads b's B sector's rows and the A keeps
+    # moved along them straight off the sector tables.  Its first walk read
+    # keeps b's A and B sectors for the grid and makes its t1 selection and
     # t2 state by project on code_b.  A later read of the walk, the
     # trajectory, the t2 selection or the bottom line selects nothing
     projected, kept = count_selections(monkeypatch)
@@ -609,8 +610,7 @@ def test_every_leg_selection_goes_through_project(key, monkeypatch):
     solver.walk, solver.trajectory, solver.t2_selected, solver.bottom_line
     assert (projected, kept) == ([], [])
     inst = external_instance(process, b, split)
-    assert (projected, kept) == ([], [("A", code_a), ("B", code_b)])
-    kept.clear()
+    assert (projected, kept) == ([], [])
     inst.walk
     assert (projected, kept) == (
         [code_b, code_b], [("A", code_a), ("B", code_b), ("B", code_b), ("B", code_b)]
@@ -784,13 +784,11 @@ def test_external_instance_names_the_register_whose_selection_annihilates(terms,
     assert str(caught.value) == message
 
 
-def external_verdict(state, b: str, monkeypatch) -> bool:
-    """Whether ``external_instance`` accepts ``state`` as the bottom line of
-    setting ``b``: the backward leg is replaced by one that returns it."""
-    process = XOR[state.layout.n_b]
-    monkeypatch.setattr(tsym, "apply_adjoint", lambda u, s: state)
+def external_verdict(state, b: str) -> bool:
+    """Whether the sharpness check of ``external_instance`` accepts ``state``
+    as the bottom line of setting ``b``."""
     try:
-        external_instance(process, b, enumerate_splits(process, 0)[0])
+        tsym._check_sharp(state, b)
     except InvariantError:
         return False
     return True
@@ -826,8 +824,7 @@ def test_external_acceptance_matches_the_per_row_predicate(n, data, b_exponent, 
     masses[b] = 10.0**b_exponent
     state = state_of_row_masses(masses, np.random.default_rng(seed))
     setting = format(b, f"0{n}b")
-    with pytest.MonkeyPatch.context() as mp:
-        assert external_verdict(state, setting, mp) == (reference_branch_settings(state) == (setting,))
+    assert external_verdict(state, setting) == (reference_branch_settings(state) == (setting,))
 
 
 @pytest.mark.parametrize("fraction", [0.55, 0.9, 2.0, 4.5])
@@ -842,7 +839,7 @@ def test_external_off_branch_mass_spread_below_the_row_threshold_is_sharp(fracti
     calls = []
     original = tsym._branch_mask
     monkeypatch.setattr(tsym, "_branch_mask", lambda s: calls.append(s) or original(s))
-    assert external_verdict(state, "101", monkeypatch)
+    assert external_verdict(state, "101")
     assert len(calls) == 1
 
 
