@@ -166,16 +166,11 @@ def _check_outcome(bits: str, n: int) -> None:
         raise ValueError(f"outcome {bits!r} is not a value of the {n}-bit register")
 
 
-def _make_process(n: int, unitary: str):
-    if unitary == "xor":
-        return xor_process(n)
-    if unitary == "grover-long":
-        return grover_process(n)
-    raise ValueError(f"unknown unitary provider {unitary!r}")
+_PROCESSES = {"xor": xor_process, "grover-long": grover_process}  # by --unitary
 
 
 def _run_grover_external(params: dict) -> Report:
-    process = _make_process(params["n"], params.get("unitary", "xor"))
+    process = _PROCESSES[params.get("unitary", "xor")](params["n"])
     b = params["outcome"]
     report = Report(scenario={"kind": "grover-external", **params}, seed=None)
     initial = process.initial_state
@@ -195,7 +190,7 @@ def _run_grover_external(params: dict) -> Report:
 
 
 def _run_grover_solver(params: dict) -> Report:
-    process = _make_process(params["n"], params.get("unitary", "xor"))
+    process = _PROCESSES[params.get("unitary", "xor")](params["n"])
     b = params["outcome"]
     report = Report(scenario={"kind": "grover-solver", **params}, seed=None)
     initial = process.initial_state
@@ -222,7 +217,7 @@ def _run_grover_solver(params: dict) -> Report:
 
 
 def _run_ts_instance(params: dict) -> Report:
-    process = _make_process(params["n"], params.get("unitary", "xor"))
+    process = _PROCESSES[params.get("unitary", "xor")](params["n"])
     b = params["outcome"]
     report = Report(scenario={"kind": "ts-instance", **params}, seed=None)
     if params.get("final_rank") is not None:
@@ -278,6 +273,10 @@ def _run_epr(params: dict) -> Report:
 
 
 def _run_complexity(params: dict) -> Report:
+    if params["problem"] == "file" and not params.get("problem_file"):
+        raise ValueError("--problem file requires --problem-file")
+    if params["problem"] == "grover" and params.get("problem_file"):
+        raise ValueError("--problem-file requires --problem file")
     if params.get("problem_file"):
         problem = load_problem(Path(params["problem_file"]))
     else:
@@ -399,14 +398,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--outcome", required=True, help="setting value, e.g. 01")
     p.add_argument("--split", help='selection split, e.g. "B:[10]/A:[01]"')
-    p.add_argument("--unitary", choices=("xor", "grover-long"), default="xor")
+    p.add_argument("--unitary", choices=tuple(_PROCESSES), default="xor")
     common(p)
 
     p = sub.add_parser("grover-solver", help="solver-side description and zigzag")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--outcome", required=True)
     p.add_argument("--split", help='selection split, e.g. "A:[01]"')
-    p.add_argument("--unitary", choices=("xor", "grover-long"), default="xor")
+    p.add_argument("--unitary", choices=tuple(_PROCESSES), default="xor")
     common(p)
 
     p = sub.add_parser("ts-instance", help="one time-symmetrization instance")
@@ -415,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perspective", choices=("external", "solver"), default="solver")
     p.add_argument("--split")
     p.add_argument("--final-rank", type=int, dest="final_rank")
-    p.add_argument("--unitary", choices=("xor", "grover-long"), default="xor")
+    p.add_argument("--unitary", choices=tuple(_PROCESSES), default="xor")
     common(p)
 
     p = sub.add_parser("epr", help="nonlocality traces on the redundant encoding")
@@ -447,12 +446,6 @@ _PARSER = _build_parser()  # built once; parse_args keeps no state between calls
 def main(argv: Optional[list[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     params = {k: v for k, v in vars(args).items() if k not in ("command", "output") and v is not None}
-    if args.command == "complexity" and args.problem == "file" and not args.problem_file:
-        print("error: --problem file requires --problem-file", file=sys.stderr)
-        return 2
-    if args.command == "complexity" and args.problem == "grover" and args.problem_file:
-        print("error: --problem-file requires --problem file", file=sys.stderr)
-        return 2
     try:
         if "outcome" in params:
             _check_outcome(params["outcome"], params.get("n", EPR_BITS))

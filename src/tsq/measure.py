@@ -5,10 +5,11 @@ or A: rank n measures the full register content, one mask a one-bit parity
 (left bit, right bit, XOR of the two, ...).  Each register value lies in
 one parity sector, coded by ``gf2.parity_codes``; projectors and sector
 masses are computed on the 2^n codes of the observed register and spread
-over the other.  An observable builds one ``SectorTable`` per register
-width, on first use, and every selection reads it: the code of every
-value, the 0/1 keep of every code and the values of every code.  An
-outcome is its sector code, and every selection of an outcome masks the
+over the other.  Every selection reads the observable's ``SectorTable``:
+the code of every value, the 0/1 keep of every code and the values of
+every code.  ``_table`` is the one way to it; it builds the table once per
+observable, on first use, and shares one rank-0 table per register width.
+An outcome is its sector code, and every selection of an outcome masks the
 state one way: the table's keep of its sector (``_keep``), multiplied in
 (``_masked``).  ``project`` selects a code, ``project_forced`` the code of
 a register value, and a zigzag's joint selection on B and A multiplies one
@@ -75,28 +76,10 @@ class ParityObservable:
         return tuple(int(m, 2) for m in self.masks)
 
     @cached_property
-    def codes(self) -> np.ndarray:
-        """Read-only sector code of every value of n_bits bits (see gf2.parity_codes)."""
-        codes = gf2.parity_codes(self.int_masks, self.n_bits)
-        codes.setflags(write=False)
-        return codes
-
-    @cached_property
-    def _table(self) -> SectorTable:
-        """The sector table at the masks' width, built on first use."""
-        return _sector_table(self.codes, self.rank)
-
-    def table(self, width: int) -> SectorTable:
-        """The ``SectorTable`` at register width ``width``, built once and
-        kept (no field, so equality and hashing ignore it).  An observable of
-        rank 1 or more fits its masks' width alone (ValueError); rank 0 fits
-        every width, one sector holding every value, and the rank-0 tables
-        are shared, one per width."""
-        if not self.masks:
-            return _trivial_table(width)
-        if width != self.n_bits:
-            raise ValueError("observable does not fit the layout")
-        return self._table
+    def _sectors(self) -> SectorTable:
+        """The sector table at the masks' width, built on first use and kept
+        (no field, so equality and hashing ignore it); read by ``_table``."""
+        return _sector_table(gf2.parity_codes(self.int_masks, self.n_bits), self.rank)
 
     def name(self) -> str:
         """Short display name: B, B_l, B_r, or B[masks] in the general case."""
@@ -113,20 +96,18 @@ class ParityObservable:
 
 
 def _sector_table(codes: np.ndarray, rank: int) -> SectorTable:
-    """The read-only table of the sector ``codes`` of 2^rank sectors."""
+    """The table of the sector ``codes`` of 2^rank sectors, marked read-only."""
     keeps = codes == np.arange(1 << rank)[:, np.newaxis]
     values = codes.argsort(kind="stable").reshape(1 << rank, -1)
-    keeps.setflags(write=False)
-    values.setflags(write=False)
+    for part in (codes, keeps, values):
+        part.setflags(write=False)
     return SectorTable(codes, keeps, values)
 
 
 @cache
 def _trivial_table(width: int) -> SectorTable:
     """The table of a rank-0 observable at register width ``width``."""
-    codes = np.zeros(1 << width, dtype=np.int64)
-    codes.setflags(write=False)
-    return _sector_table(codes, 0)
+    return _sector_table(gf2.parity_codes((), width), 0)
 
 
 def _observable(register: str, basis: tuple[int, ...], n: int) -> ParityObservable:
@@ -153,8 +134,17 @@ class ParityOutcome:
 
 
 def _table(obs: ParityObservable, layout: RegisterLayout) -> SectorTable:
-    """The sector table of ``obs`` at the width of the observed register."""
-    return obs.table(layout.bits(obs.register))
+    """The sector table of ``obs`` at the width of the observed register,
+    the one way to a table: built once per observable and kept.  An
+    observable of rank 1 or more fits its masks' width alone (ValueError);
+    rank 0 fits every width, one sector holding every value, and the rank-0
+    tables are shared, one per width."""
+    width = layout.bits(obs.register)
+    if not obs.masks:
+        return _trivial_table(width)
+    if width != obs.n_bits:
+        raise ValueError("observable does not fit the layout")
+    return obs._sectors
 
 
 def projector_diagonal(outcome: ParityOutcome, layout: RegisterLayout) -> np.ndarray:
@@ -174,14 +164,10 @@ def _keep(obs: ParityObservable, table: SectorTable, code: int) -> np.ndarray:
     return keep[:, np.newaxis] if obs.register == "B" else keep
 
 
-def _masked_amps(s: StateVector, keep: np.ndarray) -> np.ndarray:
-    """The (dim_b, dim_a) amplitudes of ``s`` times ``keep``, in one multiply."""
-    return s.amps.reshape(s.layout.dim_b, s.layout.dim_a) * keep
-
-
 def _masked(s: StateVector, keep: np.ndarray) -> StateVector:
-    """``_masked_amps`` as a state."""
-    return StateVector._fresh(s.layout, _masked_amps(s, keep).reshape(-1))
+    """``s`` with its (dim_b, dim_a) amplitudes times ``keep``, in one multiply."""
+    layout = s.layout
+    return StateVector._fresh(layout, (s.amps.reshape(layout.dim_b, layout.dim_a) * keep).reshape(-1))
 
 
 def project(obs: ParityObservable, code: int, s: StateVector) -> StateVector:

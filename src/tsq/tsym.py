@@ -29,12 +29,14 @@ selection and t2 state feed no check and no bottom line; ``measure.project``
 makes them the first time the instance's walk is read.
 
 Each builder takes its backward leg in one pass, with no state in between,
-reading b's sector codes, keeps and (for B) values off the tables its
-split's observables build once (``measure.SectorTable``), and the gather,
-product and signs off ``CopyUnitary``.  A solver instance masks the whole
-forward leg by b's A keep.  An external one works on the 2^(n - r) rows of
-b's B sector alone (r the initial part's rank), since U_12 maps each row to
-itself and the selection zeroes the others; the rest of its leg is zero.
+reading b's sector codes, keeps and (for B) values off its split's sector
+tables (``measure._table``), and the gather, product and signs off
+``CopyUnitary``.  Both select b's A sector alike (``_a_selection``): the
+forward leg's rows gathered, each times b's A keep moved by its setting.
+A solver instance selects every row.  An external one selects the 2^(n - r)
+rows of b's B sector alone (r the initial part's rank), since U_12 maps
+each row to itself and the B selection zeroes the others; the rest of its
+leg is zero.
 
 An instance stores one dense state, its backward leg.  Its t2 selection is
 a 0/1 mask of the forward leg that its process holds: the A sector's columns
@@ -302,6 +304,20 @@ def _branch_settings(s: StateVector) -> tuple[str, ...]:
     return tuple(format(b, f"0{n}b") for b in np.nonzero(_branch_mask(s))[0])
 
 
+def _a_selection(
+    process: ProcessDescription, final: ParityObservable, b: str, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The rows of the t2 selection P_A U_12 s0 that the backward leg takes,
+    on the setting rows ``rows`` (None: every row): the forward leg gathered
+    at (b', a xor b'), times b's A keep moved by b' (the keep of code_A(b)
+    xor code_A(b'), as codes are linear), read off the final part's table."""
+    table_a, code_a = measure._value_code(final, b, process.layout)
+    codes = table_a.codes if rows is None else table_a.codes[rows]
+    x = process.u12._gather(process.forward.amps, rows)
+    x *= table_a.keeps.take(code_a ^ codes, axis=0)
+    return x
+
+
 def external_instance(process: ProcessDescription, b: str, split: SelectionSplit) -> ZigzagInstance:
     """Zigzag with both partial projections applied (external observer view).
 
@@ -309,9 +325,8 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
     controlled on B (module docstring): the forward leg on the rows of b's B
     sector, the rest zero, times the keep of its A sector.  The backward leg
     acts row by row, so it is taken of those 2^(n - r) rows alone (r the
-    initial part's rank), in one pass: the rows are gathered off the forward
-    leg at (b', a xor b'), masked by b's A keep moved by b' (the keep of
-    code_A(b) xor code_A(b'), as codes are linear), zero-tested, multiplied
+    initial part's rank), in one pass: the rows are selected on A as a
+    solver instance selects them (``_a_selection``), zero-tested, multiplied
     by conj(N) and signed, and written into a zero grid.  The t2 selection
     is not kept, and the t1 selection and t2 state are left to the first
     read of the walk.  When the selection annihilates the state, the two
@@ -321,10 +336,8 @@ def external_instance(process: ProcessDescription, b: str, split: SelectionSplit
     layout, u12 = process.layout, process.u12
     initial, final = split.initial_part, split.final_part
     table_b, code_b = measure._value_code(initial, b, layout)
-    table_a, code_a = measure._value_code(final, b, layout)
     rows = table_b.values[code_b]
-    x = u12._gather(process.forward.amps, rows)
-    x *= table_a.keeps.take(code_a ^ table_a.codes[rows], axis=0)
+    x = _a_selection(process, final, b, rows)
     if _is_zero(x):  # the zero test of project_forced
         # the selections one at a time: the second keeps the amplitudes the
         # grid keeps, so one of the two raises
@@ -370,15 +383,17 @@ def _check_sharp(s4: StateVector, b: str) -> None:
 def solver_instance(process: ProcessDescription, b: str, split: SelectionSplit) -> ZigzagInstance:
     """Zigzag with the initial projection postponed (problem-solver view).
 
-    The forward leg is masked by b's A keep and zero-tested, as
-    ``project_forced`` selects (which, on an annihilated selection, raises
-    its message), then gathered, multiplied by conj(N) and signed, with no
-    state in between.  The t2 selection is not kept."""
-    final, forward = split.final_part, process.forward
-    s2 = measure._masked_amps(forward, measure._value_keep(final, b, process.layout))
-    if _is_zero(s2):
-        project_forced(final, b, forward)
-    backward = process.u12._apply_adjoint(s2.reshape(-1))
+    Every setting row is selected on A as an external instance selects its
+    B sector's rows (``_a_selection``: the forward leg gathered, times b's A
+    keep moved by each row's setting) and zero-tested, as ``project_forced``
+    selects (which, on an annihilated selection, raises its message), then
+    multiplied by conj(N) and signed, with no state in between.  The t2
+    selection is not kept."""
+    final = split.final_part
+    x = _a_selection(process, final, b)
+    if _is_zero(x):
+        project_forced(final, b, process.forward)
+    backward = process.u12._adjoint_rows(x).reshape(-1)
     return ZigzagInstance(process, split, b, "solver", StateVector._fresh(process.layout, backward))
 
 

@@ -265,6 +265,21 @@ def test_drawer_problem_needs_one_bit(capsys):
     assert capsys.readouterr().err == "error: the drawer problem needs at least one bit, got n=-3\n"
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (["--problem", "file"], "--problem file requires --problem-file"),
+        (["--problem", "file", "--problem-file", ""], "--problem file requires --problem-file"),
+        (["--problem-file", str(PROBLEMS / "grover-n2.json")], "--problem-file requires --problem file"),
+        (["--problem", "grover", "--problem-file", "missing.json"], "--problem-file requires --problem file"),
+    ],
+)
+def test_problem_source_conflicts_exit_2_with_their_message(source, message, capsys):
+    # refused before any file is read: a missing file gets the same message
+    assert main(["complexity", *source, "--k", "0"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_final_rank_refuses_a_split_and_the_external_perspective(capsys):
     # the rank picks the canonical split and always builds a solver instance
     argv = ["ts-instance", "--n", "2", "--outcome", "01", "--final-rank", "1"]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -588,21 +589,22 @@ def count_selections(monkeypatch) -> tuple[list, list]:
 
 @pytest.mark.parametrize("key", PROCESSES)
 def test_every_leg_selection_goes_through_project(key, monkeypatch):
-    # every selection masks with measure's one sector keep.  A solver instance
-    # keeps its forced A sector (no project call), and its first walk read
-    # keeps it again for the walk's t2 selection.  An external one makes no
-    # keep at construction: it reads b's B sector's rows and the A keeps
-    # moved along them straight off the sector tables.  Its first walk read
-    # keeps b's A and B sectors for the grid and makes its t1 selection and
-    # t2 state by project on code_b.  A later read of the walk, the
-    # trajectory, the t2 selection or the bottom line selects nothing
+    # every selection masks with measure's one sector keep.  Neither builder
+    # makes a keep at construction: each reads the A keeps moved along its
+    # setting rows straight off the sector tables (every row for a solver
+    # instance, b's B sector's rows for an external one).  A solver
+    # instance's first walk read keeps its A sector for the walk's t2
+    # selection.  An external one's keeps b's A and B sectors for the grid
+    # and makes its t1 selection and t2 state by project on code_b.  A later
+    # read of the walk, the trajectory, the t2 selection or the bottom line
+    # selects nothing
     projected, kept = count_selections(monkeypatch)
     process = PROCESSES[key]
     split = enumerate_splits(process, 1)[0]
     b = setting_values(process.n)[-1]
     code_b, code_a = outcome_for(split.initial_part, b).code, outcome_for(split.final_part, b).code
     solver = solver_instance(process, b, split)
-    assert (projected, kept) == ([], [("A", code_a)])
+    assert (projected, kept) == ([], [])
     kept.clear()
     solver.walk
     assert (projected, kept) == ([], [("A", code_a)])
@@ -782,6 +784,73 @@ def test_external_instance_names_the_register_whose_selection_annihilates(terms,
     with pytest.raises(InvariantError) as caught:
         external_instance(process, "01", SelectionSplit(B_L, A_R))
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("kind", ["xor", "grover-long"])
+@pytest.mark.parametrize(
+    "terms, norm",
+    [
+        ([("00", "00", 1)], 0.0),
+        ([("00", "00", 1), ("01", "00", 3e-13)], 3e-13),
+        ([("10", "00", 1)], 0.0),
+    ],
+)
+def test_solver_instance_names_the_final_selection_that_annihilates(kind, terms, norm):
+    # setting 01 of B:[10]/A:[01]: the solver postpones the B selection, so
+    # its A selection raises.  Copied to A, 00 and 10 lie outside the A
+    # sector of 01 (right bit 1) and 01 inside.  The XOR copy is exact; the
+    # network leaves rounding off its sector, so its norm is read by pattern
+    process = PROCESSES[f"{kind}-2"]
+    process = ProcessDescription(process.u12, state_from_terms(process.layout, terms))
+    with pytest.raises(InvariantError) as caught:
+        solver_instance(process, "01", SelectionSplit(B_L, A_R))
+    head = "impossible outcome 01 for A_r: the projection annihilates the state (norm "
+    tail = " <= STATE_TOL = 1e-12)"
+    if kind == "xor":
+        assert str(caught.value) == f"{head}{norm:.3e}{tail}"
+    else:
+        found = re.fullmatch(re.escape(head) + r"(\d\.\d{3}e[-+]\d\d)" + re.escape(tail), str(caught.value))
+        assert found and abs(float(found[1]) - norm) < 1e-15
+
+
+def uneven_setting_process(process: ProcessDescription, rng) -> ProcessDescription:
+    """``process`` run from random complex amplitudes on |b>|0...0>, with a
+    quarter of the settings (rounded down) at amplitude zero."""
+    layout = process.layout
+    amps = np.zeros((layout.dim_b, layout.dim_a), dtype=np.complex128)
+    amps[:, 0] = rng.standard_normal(layout.dim_b) + 1j * rng.standard_normal(layout.dim_b)
+    amps[rng.choice(layout.dim_b, layout.dim_b // 4, replace=False), 0] = 0
+    return ProcessDescription(process.u12, StateVector(layout, amps.reshape(-1)))
+
+
+@pytest.mark.parametrize("kind", ["xor", "grover-long"])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_walks_from_uneven_setting_amplitudes_equal_explicit_legs(n, kind, rng):
+    # every split and setting: the solver's backward leg is the explicit one
+    # byte for byte, the external walk its explicit legs by value (a zero's
+    # sign may differ), and an instance raises exactly when an explicit
+    # selection is zero
+    process = uneven_setting_process(PROCESSES[f"{kind}-{n}"], rng)
+    u, forward = process.u12, apply(process.u12, process.initial_state)
+    for r in range(n + 1):
+        for split in enumerate_splits(process, r):
+            for b in setting_values(n):
+                final = split.final_part
+                selected = project(final, outcome_for(final, b).code, forward)
+                if selected.is_zero():
+                    with pytest.raises(InvariantError, match="annihilates"):
+                        solver_instance(process, b, split)
+                else:
+                    want = apply_adjoint(u, selected).amps.tobytes()
+                    assert solver_instance(process, b, split).backward.amps.tobytes() == want
+                try:
+                    legs = reference_external_walk(process, b, split)
+                except InvariantError:
+                    with pytest.raises(InvariantError, match="annihilates"):
+                        external_instance(process, b, split)
+                    continue
+                walk = external_instance(process, b, split).walk
+                assert all(np.array_equal(got.amps, ref.amps) for got, ref in zip(walk, legs, strict=True))
 
 
 def external_verdict(state, b: str) -> bool:
